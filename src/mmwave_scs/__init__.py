@@ -20,16 +20,15 @@ from .channel import (
     steering_vector,
 )
 from .pilots import (
+    KroneckerOperator,
     MeasurementSet,
     PilotEnsemble,
     build_measurement_set,
     calibrate_noise_variance,
     draw_ensemble,
-    measurement_operator,
     measurement_operators,
     pilot_subcarrier_indices,
     slot_measurement,
-    stack_measurements,
     synthesize_received,
 )
 from .recovery import (

@@ -211,6 +211,8 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_sweep_mse(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     config = _load_config(args)
     values = [float(v) for v in args.values.split(",") if v.strip()]
     table = sweep(config, args.variable, values, args.trials, args.seed, args.workers)

@@ -7,7 +7,10 @@ analog (RF) stages are frozen across subcarriers within a slot while the
 baseband stages vary per subcarrier.  Rewriting the combined slot output in
 the angular basis turns the whole slot into a short fat sensing matrix acting
 on the aggregate sparse vector, and stacking slots gives the G N_chain-row
-operator the recovery stage inverts.
+operator the recovery stage inverts.  A slot's matrix is the Kronecker
+product of the BSs' angular beams and the user's angular combiner, and the
+operator is kept as those factors (KroneckerOperator), never as the dense
+(P, rows, dim) tensor.
 """
 
 from dataclasses import dataclass
@@ -96,35 +99,144 @@ def slot_measurement(
     return np.kron(right[None, :], left)
 
 
-def stack_measurements(slot_operators) -> np.ndarray:
-    """Stack per-slot operators row-wise in slot order t = 1..G."""
-    ops = list(slot_operators)
-    if not ops:
-        raise ValueError("need at least one slot operator")
-    width = ops[0].shape[1]
-    for i, op in enumerate(ops):
-        if op.shape[1] != width:
+class KroneckerOperator:
+    """Stacked angular sensing matrices of every pilot subcarrier, as factors.
+
+    Slot t's block of subcarrier p's matrix is kron(right[t, p][None, :],
+    left[t, p]) (see slot_measurement), so entry (t * N_chain_US + c,
+    b * N_US + u) is right[t, p, b] * left[t, p, c, u].  The factors hold
+    G * P * (N_chain_US * N_US + M * N_BS) numbers against the
+    P * G * N_chain_US * M * N_BS * N_US of the dense (P, rows, dim) tensor.
+
+      left   (G, P, N_chain_US, N_US)   Z^H A_RX
+      right  (G, P, M * N_BS)           A_TX^H f, the BSs' beams stacked
+    """
+
+    def __init__(self, left, right):
+        left = np.asarray(left)
+        right = np.asarray(right)
+        if left.ndim != 4 or right.ndim != 3 or left.shape[:2] != right.shape[:2]:
             raise ValueError(
-                f"slot operator {i} has {op.shape[1]} columns, expected {width}"
+                "expected left (G, P, N_chain_US, N_US) and right (G, P, M * N_BS), "
+                f"got {left.shape} and {right.shape}"
             )
-    return np.vstack(ops)
+        self.left = left
+        self.right = right
+
+    @property
+    def shape(self) -> tuple:
+        """(P, rows, dim) of the dense tensor this operator stands for."""
+        g, p, c, u = self.left.shape
+        return p, g * c, self.right.shape[2] * u
+
+    @property
+    def nbytes(self) -> int:
+        return self.left.nbytes + self.right.nbytes
+
+    def __getitem__(self, key) -> "KroneckerOperator":
+        """The subcarriers that `key` (a slice or an index array) selects."""
+        return KroneckerOperator(self.left[:, key], self.right[:, key])
+
+    def apply(self, x) -> np.ndarray:
+        """Phi_p x_p for every subcarrier: (P, dim) -> (P, rows)."""
+        g, p, c, u = self.left.shape
+        blocks = np.asarray(x).reshape(p, -1, u)
+        per_slot = self.right.transpose(1, 0, 2) @ blocks  # (P, G, N_US)
+        out = self.left.transpose(1, 0, 2, 3) @ per_slot[..., None]
+        return out.reshape(p, g * c)
+
+    def adjoint(self, r) -> np.ndarray:
+        """Phi_p^H r_p for every subcarrier: (P, rows) -> (P, dim)."""
+        g, p, c, u = self.left.shape
+        slots = np.asarray(r).reshape(p, g, 1, c)
+        per_slot = (slots @ self.left.transpose(1, 0, 2, 3).conj())[:, :, 0]  # (P, G, N_US)
+        out = self.right.conj().transpose(1, 2, 0) @ per_slot
+        return out.reshape(p, -1)
+
+    def columns(self, support) -> np.ndarray:
+        """Phi_p[:, support] for every subcarrier: (P, rows, |support|)."""
+        g, p, c, u = self.left.shape
+        beam, rx = np.divmod(np.asarray(support, dtype=int), u)
+        cols = self.right[:, :, None, beam] * self.left[..., rx]  # (G, P, N_chain_US, K)
+        return cols.transpose(1, 0, 2, 3).reshape(p, g * c, beam.size)
+
+    def column_norms(self) -> np.ndarray:
+        """Euclidean norm of every column of every Phi_p: (P, dim)."""
+        p = self.left.shape[1]
+        left_sq = np.sum(np.abs(self.left) ** 2, axis=2).transpose(1, 0, 2)  # (P, G, N_US)
+        right_sq = (np.abs(self.right) ** 2).transpose(1, 2, 0)  # (P, M * N_BS, G)
+        return np.sqrt(right_sq @ left_sq).reshape(p, -1)
+
+    def is_finite(self) -> bool:
+        return bool(np.isfinite(self.left).all() and np.isfinite(self.right).all())
+
+    def dense(self) -> np.ndarray:
+        """The (P, rows, dim) tensor; for tests and small geometries only."""
+        p, rows, dim = self.shape
+        blocks = self.right[:, :, None, :, None] * self.left[:, :, :, None, :]
+        return blocks.transpose(1, 0, 2, 3, 4).reshape(p, rows, dim)
 
 
-def measurement_operator(ensemble: PilotEnsemble, dft: DftPair, pilot: int) -> np.ndarray:
-    """All G slots stacked for one pilot subcarrier."""
-    return stack_measurements(
-        slot_measurement(ensemble, dft, t, pilot) for t in range(ensemble.n_slots)
-    )
+class DenseOperator:
+    """A (P, rows, dim) array of sensing matrices behind the operator interface.
+
+    For matrices with no Kronecker structure (random test ensembles, the
+    theory module's instances).  The conjugate transpose is formed once here
+    rather than on every adjoint.
+    """
+
+    def __init__(self, matrices):
+        phi = np.asarray(matrices, dtype=np.complex128)
+        if phi.ndim != 3:
+            raise ValueError(f"expected operators (P, rows, dim), got shape {phi.shape}")
+        self._phi = phi
+        self._phi_h = phi.conj().transpose(0, 2, 1)
+
+    @property
+    def shape(self) -> tuple:
+        return self._phi.shape
+
+    def __getitem__(self, key) -> "DenseOperator":
+        return DenseOperator(self._phi[key])
+
+    def apply(self, x) -> np.ndarray:
+        return (self._phi @ np.asarray(x)[..., None])[..., 0]
+
+    def adjoint(self, r) -> np.ndarray:
+        return (self._phi_h @ np.asarray(r)[..., None])[..., 0]
+
+    def columns(self, support) -> np.ndarray:
+        return self._phi[:, :, np.asarray(support, dtype=int)]
+
+    def column_norms(self) -> np.ndarray:
+        return np.linalg.norm(self._phi, axis=1)
+
+    def is_finite(self) -> bool:
+        return bool(np.isfinite(self._phi).all())
 
 
-def measurement_operators(ensemble: PilotEnsemble, dft: DftPair) -> np.ndarray:
-    """Stacked operators for every pilot subcarrier; shape (P, rows, dim)."""
-    return np.array(
-        [
-            measurement_operator(ensemble, dft, p)
-            for p in range(ensemble.n_pilot_subcarriers)
-        ]
-    )
+def as_operator(operators):
+    """A KroneckerOperator or DenseOperator as it is; any array as a DenseOperator."""
+    if isinstance(operators, (KroneckerOperator, DenseOperator)):
+        return operators
+    return DenseOperator(operators)
+
+
+def measurement_operators(ensemble: PilotEnsemble, dft: DftPair) -> KroneckerOperator:
+    """The stacked operators of every pilot subcarrier, as Kronecker factors.
+
+    Slot for slot the same matrices as slot_measurement, with the
+    subcarrier-independent analog stages applied to the DFT bases first.
+    """
+    g, p = ensemble.n_slots, ensemble.n_pilot_subcarriers
+    # Z^H A_RX = Z_BB^H (Z_RF^H A_RX)
+    rf_rx = ensemble.rf_combiner.conj().swapaxes(-1, -2) @ dft.rx  # (G, N_chain_US, N_US)
+    left = ensemble.bb_combiner.conj().swapaxes(-1, -2) @ rf_rx[:, None]
+    # A_TX^H f = (A_TX^H F_RF) s * pilot_scale, per BS
+    rf_tx = dft.tx.conj().T @ ensemble.rf_precoder  # (G, M, N_BS, N_chain_BS)
+    beams = rf_tx[:, None] @ ensemble.eff_training[..., None]  # (G, P, M, N_BS, 1)
+    right = beams.reshape(g, p, -1) * ensemble.pilot_scale
+    return KroneckerOperator(left, right)
 
 
 def pilot_subcarrier_indices(config: SystemConfig) -> np.ndarray:
@@ -144,40 +256,34 @@ def calibrate_noise_variance(operators, vectors, snr_db: float) -> float:
     rows * P * sigma^2, so sigma^2 = sum_p ||Phi_p h_p||^2 / (rows * P *
     10^(SNR/10)).  Raises when every signal is zero (SNR undefined).
     """
-    ops = np.asarray(operators)
-    vecs = np.asarray(vectors)
-    energy = 0.0
-    for p in range(ops.shape[0]):
-        energy += float(np.sum(np.abs(ops[p] @ vecs[p]) ** 2))
+    op = as_operator(operators)
+    energy = float(np.sum(np.abs(op.apply(vectors)) ** 2))
     if energy == 0.0:
         raise ValueError("all-zero signals: SNR is undefined")
-    rows = ops.shape[1]
-    n_pilots = ops.shape[0]
+    n_pilots, rows, _ = op.shape
     return energy / (rows * n_pilots * 10.0 ** (snr_db / 10.0))
 
 
 def synthesize_received(operators, vectors, noise_variance: float, seed: int) -> np.ndarray:
-    """Noisy received pilots r_p = Phi_p h_p + CN(0, sigma^2 I); shape (P, rows)."""
+    """Noisy received pilots r_p = Phi_p h_p + CN(0, sigma^2 I); shape (P, rows).
+
+    The noise is drawn subcarrier by subcarrier, real parts then imaginary
+    parts, so a seed gives the same noise whatever the operator's form.
+    """
     if noise_variance < 0:
         raise ValueError("noise_variance must be non-negative")
-    ops = np.asarray(operators)
-    vecs = np.asarray(vectors)
-    rng = np.random.default_rng(seed)
-    out = np.empty((ops.shape[0], ops.shape[1]), dtype=np.complex128)
-    std = np.sqrt(noise_variance / 2.0)
-    for p in range(ops.shape[0]):
-        noise = std * (
-            rng.standard_normal(ops.shape[1]) + 1j * rng.standard_normal(ops.shape[1])
-        )
-        out[p] = ops[p] @ vecs[p] + noise
-    return out
+    op = as_operator(operators)
+    n_pilots, rows, _ = op.shape
+    draws = np.random.default_rng(seed).standard_normal((n_pilots, 2, rows))
+    noise = np.sqrt(noise_variance / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
+    return op.apply(vectors) + noise
 
 
 @dataclass(frozen=True)
 class MeasurementSet:
     """Everything the recovery stage needs for one training run."""
 
-    operators: np.ndarray        # (P, rows, dim)
+    operators: KroneckerOperator
     received: np.ndarray         # (P, rows)
     noise_variance: float
     pilot_indices: np.ndarray

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pilots import as_operator
+
 # Least-squares cutoff: singular values below LSTSQ_RCOND times the largest
 # are treated as zero (minimum-norm solutions on rank-deficient blocks).
 LSTSQ_RCOND = 1e-10
@@ -27,26 +29,6 @@ _P_TH_TABLE = ((10.0, 0.06), (15.0, 0.02), (20.0, 0.01), (25.0, 0.008), (30.0, 0
 # level, so the stop threshold only has to clear that floor while staying far
 # below any plausible true coefficient energy.
 P_TH_NOISELESS = 1e-12
-
-
-@dataclass
-class SsampState:
-    """Mutable loop state of ssamp(); exposed for inspection and tests."""
-
-    stage_sparsity: int          # T, target support size of the current stage
-    stage: int                   # j
-    iteration: int               # i, accepted-iteration counter
-    passes: int                  # total loop passes (any branch)
-    support: np.ndarray          # Omega^{i-1}, last accepted support
-    residuals: np.ndarray        # (P, rows) last accepted residuals b^{i-1}
-    residual_energy: float       # sum_p ||b^{i-1}||^2
-    candidate_support: np.ndarray
-    candidate_coefs: np.ndarray  # (P, |Omega|) current LS coefficients
-    saved_support: np.ndarray    # support behind c^last
-    saved_coefs: np.ndarray      # (P, |saved|) c^last in compact form
-    saved_stage_sparsity: int
-    saved_residual_energy: float  # sum_p ||b^last||^2, +inf before any stage ends
-    weakest_index: int
 
 
 @dataclass(frozen=True)
@@ -67,14 +49,16 @@ def _top_indices(energy: np.ndarray, count: int) -> np.ndarray:
     return np.sort(order[:count])
 
 
-def _solve_on(operators, received, support):
-    """Per-subcarrier minimum-norm LS coefficients on the given columns."""
-    coefs = np.empty((operators.shape[0], support.size), dtype=np.complex128)
-    for p in range(operators.shape[0]):
-        coefs[p] = np.linalg.lstsq(
-            operators[p][:, support], received[p], rcond=LSTSQ_RCOND
-        )[0]
+def _fit(cols, received):
+    """Per-subcarrier minimum-norm LS coefficients on a (P, rows, K) column block."""
+    coefs = np.empty((cols.shape[0], cols.shape[2]), dtype=np.complex128)
+    for p in range(cols.shape[0]):
+        coefs[p] = np.linalg.lstsq(cols[p], received[p], rcond=LSTSQ_RCOND)[0]
     return coefs
+
+
+def _residual(received, cols, coefs):
+    return received - (cols @ coefs[..., None])[..., 0]
 
 
 def _scatter(coefs, support, dim):
@@ -84,15 +68,18 @@ def _scatter(coefs, support, dim):
 
 
 def _check_inputs(received, operators):
+    """(received as complex (P, rows), operator); rejects bad shapes and non-finite data."""
     r = np.asarray(received, dtype=np.complex128)
-    phi = np.asarray(operators, dtype=np.complex128)
-    if r.ndim != 2 or phi.ndim != 3:
-        raise ValueError("expected received (P, rows) and operators (P, rows, dim)")
-    if r.shape[0] != phi.shape[0] or r.shape[1] != phi.shape[1]:
-        raise ValueError(
-            f"shape mismatch: received {r.shape} vs operators {phi.shape}"
-        )
-    return r, phi
+    op = as_operator(operators)
+    if r.ndim != 2:
+        raise ValueError(f"expected received pilots (P, rows), got shape {r.shape}")
+    if r.shape != op.shape[:2]:
+        raise ValueError(f"shape mismatch: received {r.shape} vs operators {op.shape}")
+    if not np.isfinite(r).all():
+        raise ValueError("received pilots contain non-finite values (NaN or Inf)")
+    if not op.is_finite():
+        raise ValueError("operators contain non-finite values (NaN or Inf)")
+    return r, op
 
 
 def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -> EstimationResult:
@@ -109,80 +96,62 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
 
     p_th compares against sum_p |c_lmin|^2 / P, so it lives on the squared
     scale of the coefficients; see simulate.run_trial for the scaling used
-    with synthesized channels.
+    with synthesized channels.  `operators` is a KroneckerOperator or a
+    (P, rows, dim) array.
     """
-    r, phi = _check_inputs(received, operators)
+    r, op = _check_inputs(received, operators)
     if p_th <= 0:
         raise ValueError("p_th must be positive")
-    n_pilots, rows, dim = phi.shape
+    n_pilots, rows, dim = op.shape
     if max_iterations is None:
         max_iterations = 10 * rows
 
-    empty = np.array([], dtype=int)
-    state = SsampState(
-        stage_sparsity=1,
-        stage=1,
-        iteration=1,
-        passes=0,
-        support=empty,
-        residuals=r.copy(),
-        residual_energy=float(np.sum(np.abs(r) ** 2)),
-        candidate_support=empty,
-        candidate_coefs=np.zeros((n_pilots, 0), dtype=np.complex128),
-        saved_support=empty,
-        saved_coefs=np.zeros((n_pilots, 0), dtype=np.complex128),
-        saved_stage_sparsity=0,
-        saved_residual_energy=np.inf,
-        weakest_index=0,
-    )
+    sparsity = 1  # T, the target support size of the current stage
+    # Last accepted support and its residuals.
+    support = np.array([], dtype=int)
+    residuals = r
+    residual_energy = float(np.sum(np.abs(r) ** 2))
+    # Last saved stage estimate, returned when the loop quits.
+    saved_support = support
+    saved_coefs = np.zeros((n_pilots, 0), dtype=np.complex128)
+    saved_sparsity = 0
+    saved_residual_energy = np.inf
+    passes = 0
     reason = TERM_MAXITER
-    while state.passes < max_iterations:
-        state.passes += 1
+    while passes < max_iterations:
+        passes += 1
         # Joint proxy: residual correlations, energy summed over subcarriers.
-        proxy = np.einsum("prd,pr->pd", phi.conj(), state.residuals)
-        gamma = _top_indices(np.sum(np.abs(proxy) ** 2, axis=0), state.stage_sparsity)
-        union = np.union1d(state.support, gamma)
-        trial = _solve_on(phi, r, union)
-        keep = _top_indices(np.sum(np.abs(trial) ** 2, axis=0), state.stage_sparsity)
+        proxy = op.adjoint(residuals)
+        gamma = _top_indices(np.sum(np.abs(proxy) ** 2, axis=0), sparsity)
+        union = np.union1d(support, gamma)
+        trial = _fit(op.columns(union), r)
+        keep = _top_indices(np.sum(np.abs(trial) ** 2, axis=0), sparsity)
         omega = union[keep]
-        coefs = _solve_on(phi, r, omega)
-        estimates = _scatter(coefs, omega, dim)
-        residual = r - np.einsum("prd,pd->pr", phi, estimates)
+        cols = op.columns(omega)
+        coefs = _fit(cols, r)
+        residual = _residual(r, cols, coefs)
         res_energy = float(np.sum(np.abs(residual) ** 2))
 
-        state.candidate_support = omega
-        state.candidate_coefs = coefs
-        coef_energy = np.sum(np.abs(coefs) ** 2, axis=0)
-        weakest_pos = int(np.argmin(coef_energy))  # omega sorted: lowest index wins ties
-        state.weakest_index = int(omega[weakest_pos])
-
-        if coef_energy[weakest_pos] / n_pilots < p_th:
+        if np.sum(np.abs(coefs) ** 2, axis=0).min() / n_pilots < p_th:
             reason = TERM_THRESHOLD
             break
-        if state.saved_residual_energy < res_energy:
+        if saved_residual_energy < res_energy:
             reason = TERM_RESIDUAL
             break
-        if state.residual_energy <= res_energy:
+        if residual_energy <= res_energy:
             # Stage exhausted: keep its estimate and try a larger sparsity.
-            state.stage += 1
-            state.saved_support = omega
-            state.saved_coefs = coefs
-            state.saved_stage_sparsity = state.stage_sparsity
-            state.saved_residual_energy = res_energy
-            state.stage_sparsity = state.stage
+            saved_support, saved_coefs = omega, coefs
+            saved_sparsity, saved_residual_energy = sparsity, res_energy
+            sparsity += 1
         else:
-            state.support = omega
-            state.residuals = residual
-            state.residual_energy = res_energy
-            state.iteration += 1
+            support, residuals, residual_energy = omega, residual, res_energy
 
-    estimates = _scatter(state.saved_coefs, state.saved_support, dim)
-    final_res = r - np.einsum("prd,pd->pr", phi, estimates)
+    final_res = _residual(r, op.columns(saved_support), saved_coefs)
     return EstimationResult(
-        estimates=estimates,
-        support=state.saved_support.copy(),
-        iterations=state.passes,
-        stages=state.saved_stage_sparsity,
+        estimates=_scatter(saved_coefs, saved_support, dim),
+        support=saved_support.copy(),
+        iterations=passes,
+        stages=saved_sparsity,
         final_residual_energy=float(np.sum(np.abs(final_res) ** 2)),
         termination_reason=reason,
     )
@@ -197,36 +166,37 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     subcarriers, which for a common-sparsity channel is exactly what a
     per-subcarrier scheme gets wrong.
     """
-    r, phi = _check_inputs(received, operators)
+    r, op = _check_inputs(received, operators)
     if residual_threshold <= 0:
         raise ValueError("residual_threshold must be positive")
-    n_pilots, rows, dim = phi.shape
+    n_pilots, rows, dim = op.shape
+    col_norms = op.column_norms()
+    col_norms[col_norms == 0] = np.inf
     estimates = np.zeros((n_pilots, dim), dtype=np.complex128)
     union = np.array([], dtype=int)
     total_picks = 0
     all_below = True
     final_res = 0.0
     for p in range(n_pilots):
-        col_norms = np.linalg.norm(phi[p], axis=0)
-        col_norms[col_norms == 0] = np.inf
+        # One subcarrier at a time, kept as a batch of one.
+        sub, r_p = op[p : p + 1], r[p : p + 1]
         support: list[int] = []
-        residual = r[p].copy()
+        residual = r_p
         res_energy = float(np.vdot(residual, residual).real)
-        coefs = np.zeros(0, dtype=np.complex128)
+        coefs = np.zeros((1, 0), dtype=np.complex128)
         while res_energy > residual_threshold and len(support) < rows:
-            corr = np.abs(phi[p].conj().T @ residual) / col_norms
+            corr = np.abs(sub.adjoint(residual)[0]) / col_norms[p]
             corr[support] = -1.0  # never re-pick
             support.append(int(np.argmax(corr)))
-            cols = np.array(sorted(support))
-            sol = np.linalg.lstsq(phi[p][:, cols], r[p], rcond=LSTSQ_RCOND)[0]
-            residual = r[p] - phi[p][:, cols] @ sol
+            cols = sub.columns(sorted(support))
+            coefs = _fit(cols, r_p)
+            residual = _residual(r_p, cols, coefs)
             res_energy = float(np.vdot(residual, residual).real)
-            coefs = sol
             total_picks += 1
         if support:
-            cols = np.array(sorted(support))
-            estimates[p, cols] = coefs
-            union = np.union1d(union, cols)
+            picked = np.array(sorted(support))
+            estimates[p, picked] = coefs[0]
+            union = np.union1d(union, picked)
         if res_energy > residual_threshold:
             all_below = False
         final_res += res_energy
@@ -242,10 +212,10 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
 
 def oracle_ls(received, operators, true_support) -> EstimationResult:
     """Genie-aided least squares on the true support; the performance bound."""
-    r, phi = _check_inputs(received, operators)
+    r, op = _check_inputs(received, operators)
     support = np.asarray(true_support, dtype=int)
     support = np.unique(support)
-    rows, dim = phi.shape[1], phi.shape[2]
+    rows, dim = op.shape[1], op.shape[2]
     if support.size > rows:
         raise ValueError(
             f"support size {support.size} exceeds measurement rows {rows}; "
@@ -253,11 +223,11 @@ def oracle_ls(received, operators, true_support) -> EstimationResult:
         )
     if support.size and (support.min() < 0 or support.max() >= dim):
         raise ValueError("support indices out of range")
-    coefs = _solve_on(phi, r, support)
-    estimates = _scatter(coefs, support, dim)
-    residual = r - np.einsum("prd,pd->pr", phi, estimates)
+    cols = op.columns(support)
+    coefs = _fit(cols, r)
+    residual = _residual(r, cols, coefs)
     return EstimationResult(
-        estimates=estimates,
+        estimates=_scatter(coefs, support, dim),
         support=support,
         iterations=0,
         stages=int(support.size),

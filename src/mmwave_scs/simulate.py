@@ -238,6 +238,8 @@ def sweep(
         raise ValueError("values must be non-empty")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     rows = []
     for value in values:
         cast = int(value) if field == "n_slots" else float(value)

@@ -208,10 +208,11 @@ def test_primary_7_property_suites():
             break
 
     # SNR calibration within 0.1 dB (2000 fresh noise draws)
+    dense = ops.dense()
     signal = sum(
-        float(np.sum(np.abs(ops[p] @ aset.vectors[p]) ** 2)) for p in range(ops.shape[0])
+        float(np.sum(np.abs(dense[p] @ aset.vectors[p]) ** 2)) for p in range(ops.shape[0])
     )
-    clean = np.einsum("prd,pd->pr", ops, aset.vectors)
+    clean = np.einsum("prd,pd->pr", dense, aset.vectors)
     noise_energy, n_entries = 0.0, 0
     for draw in range(2000):
         rec = synthesize_received(ops, aset.vectors, sigma2, 70_000 + draw)

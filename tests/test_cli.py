@@ -248,6 +248,19 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert "numerical error" in captured.err
 
 
+def test_exit_code_workers_below_one(tmp_path, capsys):
+    code = main(
+        [
+            "sweep-mse", "--config", _desk_config(tmp_path), "--variable", "snr",
+            "--values", "10", "--trials", "1", "--workers", "0",
+            "--out", str(tmp_path / "r"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and "--workers" in captured.err
+
+
 def test_version_subprocess():
     result = subprocess.run(
         [sys.executable, "-m", "mmwave_scs.cli", "--version"],

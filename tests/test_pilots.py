@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from mmwave_scs.channel import DftPair, SystemConfig, dft_pair, draw_multipath
@@ -12,12 +14,10 @@ from mmwave_scs.pilots import (
     calibrate_noise_variance,
     combiner_matrix,
     draw_ensemble,
-    measurement_operator,
     measurement_operators,
     pilot_subcarrier_indices,
     pilot_vector,
     slot_measurement,
-    stack_measurements,
     synthesize_received,
 )
 
@@ -134,28 +134,20 @@ def test_stacking_order():
     cfg = DESK_EXACT
     dft = dft_pair(cfg)
     ens = draw_ensemble(cfg, 9)
-    full = measurement_operator(ens, dft, pilot=0)
+    full = measurement_operators(ens, dft).dense()[0]
     assert full.shape == (cfg.measurement_rows, cfg.angular_dimension)
     chains = cfg.n_chain_user
     for t in (0, 1, cfg.n_slots - 1):
-        np.testing.assert_array_equal(
-            full[t * chains : (t + 1) * chains], slot_measurement(ens, dft, t, 0)
+        slot = slot_measurement(ens, dft, t, 0)
+        np.testing.assert_allclose(
+            full[t * chains : (t + 1) * chains], slot, rtol=0, atol=1e-13 * np.abs(slot).max()
         )
-
-
-def test_stack_validation():
-    with pytest.raises(ValueError):
-        stack_measurements([])
-    with pytest.raises(ValueError, match="columns"):
-        stack_measurements([np.zeros((2, 4)), np.zeros((2, 5))])
-    single = [np.arange(8.0).reshape(2, 4)]
-    np.testing.assert_array_equal(stack_measurements(single), single[0])
 
 
 def test_operator_entry_statistics():
     # default config: 16 operators of 32 x 512 = 262144 entries
     cfg = SystemConfig()
-    ops = measurement_operators(draw_ensemble(cfg, 31), dft_pair(cfg))
+    ops = measurement_operators(draw_ensemble(cfg, 31), dft_pair(cfg)).dense()
     assert ops.shape == (16, 32, 512)
     entries = ops.ravel()
     assert abs(entries.mean()) <= 0.01 * entries.std()
@@ -164,9 +156,100 @@ def test_operator_entry_statistics():
 
 
 def test_operators_differ_across_subcarriers():
-    ops = measurement_operators(draw_ensemble(DESK_EXACT, 12), dft_pair(DESK_EXACT))
+    ops = measurement_operators(draw_ensemble(DESK_EXACT, 12), dft_pair(DESK_EXACT)).dense()
     for p in range(1, ops.shape[0]):
         assert np.max(np.abs(ops[p] - ops[0])) > 1e-6
+
+
+# Small geometries for the operator properties: every stage size from one
+# upward, P = N pilot subcarriers, zero delay spread.
+geometries = st.builds(
+    lambda ant_bs, chain_bs, ant_user, chain_user, n_bs, slots, pilots: SystemConfig(
+        n_ant_bs=ant_bs, n_chain_bs=min(chain_bs, ant_bs), n_ant_user=ant_user,
+        n_chain_user=min(chain_user, ant_user), n_bs=n_bs, n_paths=1,
+        n_subcarriers=pilots, n_pilot_subcarriers=pilots, n_slots=slots,
+        max_delay_s=0.0,
+    ),
+    st.integers(1, 6), st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+    st.integers(1, 3), st.integers(1, 4), st.integers(1, 3),
+)
+
+
+def _cnormal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestKroneckerOperator:
+    @settings(max_examples=40, deadline=None)
+    @given(geometries, st.integers(0, 2**32 - 1))
+    def test_dense_is_the_stacked_slot_formula(self, cfg, seed):
+        ens = draw_ensemble(cfg, seed)
+        dft = dft_pair(cfg)
+        op = measurement_operators(ens, dft)
+        formula = np.array(
+            [
+                np.vstack([slot_measurement(ens, dft, t, p) for t in range(cfg.n_slots)])
+                for p in range(cfg.n_pilot_subcarriers)
+            ]
+        )
+        assert op.shape == formula.shape
+        dense = op.dense()
+        assert np.linalg.norm(dense - formula) <= 1e-13 * np.linalg.norm(formula)
+
+    @settings(max_examples=40, deadline=None)
+    @given(geometries, st.integers(0, 2**32 - 1))
+    def test_operations_match_the_dense_tensor(self, cfg, seed):
+        op = measurement_operators(draw_ensemble(cfg, seed), dft_pair(cfg))
+        dense = op.dense()
+        n_pilots, rows, dim = op.shape
+        rng = np.random.default_rng(seed)
+        x = _cnormal(rng, (n_pilots, dim))
+        r = _cnormal(rng, (n_pilots, rows))
+        tol = 1e-12 * np.linalg.norm(dense)
+        np.testing.assert_allclose(op.apply(x), np.einsum("prd,pd->pr", dense, x), rtol=0,
+                                   atol=tol * np.linalg.norm(x))
+        np.testing.assert_allclose(op.adjoint(r), np.einsum("prd,pr->pd", dense.conj(), r),
+                                   rtol=0, atol=tol * np.linalg.norm(r))
+        # <Phi x, r> = <x, Phi^H r>
+        lhs = np.vdot(r, op.apply(x))
+        rhs = np.vdot(op.adjoint(r), x)
+        assert abs(lhs - rhs) <= tol * np.linalg.norm(x) * np.linalg.norm(r)
+        idx = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
+        np.testing.assert_array_equal(op.columns(idx), dense[:, :, idx])
+        np.testing.assert_allclose(op.column_norms(), np.linalg.norm(dense, axis=1),
+                                   rtol=1e-12)
+        sub = slice(int(rng.integers(0, n_pilots)), n_pilots)
+        np.testing.assert_array_equal(op[sub].dense(), dense[sub])
+        picked = np.array([n_pilots - 1, 0])
+        np.testing.assert_array_equal(op[picked].dense(), dense[picked])
+        assert op.nbytes == op.left.nbytes + op.right.nbytes
+
+    def test_factor_shapes_validated(self):
+        op = measurement_operators(draw_ensemble(DESK_EXACT, 1), dft_pair(DESK_EXACT))
+        with pytest.raises(ValueError, match="expected left"):
+            type(op)(op.left, op.right[:, :1])
+        with pytest.raises(ValueError, match="expected left"):
+            op[0]  # an integer drops the subcarrier axis
+
+    def test_published_scale_stays_small(self):
+        # dim 65,536, P = 64, G = 9: the dense tensor would take 1.2 GB
+        cfg = SystemConfig(
+            n_ant_bs=512, n_chain_bs=8, n_ant_user=32, n_chain_user=2, n_bs=4,
+            n_paths=4, n_subcarriers=64, n_pilot_subcarriers=64, n_slots=9,
+            max_delay_s=100e-9,
+        )
+        op = measurement_operators(draw_ensemble(cfg, 1), dft_pair(cfg))
+        assert op.shape == (64, 18, 65536)
+        assert 64 * 18 * 65536 * 16 > 1.2e9
+        assert op.nbytes < 32 * 2**20
+        rng = np.random.default_rng(2)
+        r = _cnormal(rng, (64, 18))
+        proxy = op.adjoint(r)
+        assert proxy.shape == (64, 65536)
+        y = op.apply(proxy)
+        assert y.shape == (64, 18)
+        # <Phi Phi^H r, r> = ||Phi^H r||^2
+        assert np.vdot(r, y).real == pytest.approx(np.sum(np.abs(proxy) ** 2), rel=1e-10)
 
 
 def test_pilot_subcarrier_indices():
@@ -213,11 +296,12 @@ class TestNoiseCalibration:
         # realised SNR over 1e4 fresh noise draws stays within 0.1 dB
         cfg = DESK_SNR20
         aset, ops, _, sigma2 = synth(cfg, 77, 78, 0)
+        dense = ops.dense()
         signal = sum(
-            float(np.sum(np.abs(ops[p] @ aset.vectors[p]) ** 2))
+            float(np.sum(np.abs(dense[p] @ aset.vectors[p]) ** 2))
             for p in range(ops.shape[0])
         )
-        clean = np.einsum("prd,pd->pr", ops, aset.vectors)
+        clean = np.einsum("prd,pd->pr", dense, aset.vectors)
         noise_energy = 0.0
         n_entries = 0
         for draw in range(10**4):
@@ -255,6 +339,16 @@ class TestSynthesize:
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
 
+    def test_noise_drawn_per_subcarrier(self):
+        # real parts then imaginary parts, subcarrier by subcarrier
+        op = measurement_operators(draw_ensemble(DESK_SNR20, 3), dft_pair(DESK_SNR20))
+        n_pilots, rows, dim = op.shape
+        rec = synthesize_received(op, np.zeros((n_pilots, dim)), 0.5, 8)
+        rng = np.random.default_rng(8)
+        for p in range(n_pilots):
+            noise = 0.5 * (rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
+            np.testing.assert_array_equal(rec[p], noise)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             synthesize_received(np.ones((1, 2, 1)), np.ones((1, 1)), -1.0, 0)
@@ -268,10 +362,7 @@ def test_build_measurement_set():
     ens = draw_ensemble(cfg, 42)
     mset = build_measurement_set(ens, dft, cfg, aset.vectors, None, 43)
     assert mset.noise_variance == 0.0
-    clean = np.stack(
-        [mset.operators[p] @ aset.vectors[p] for p in range(mset.operators.shape[0])]
-    )
-    np.testing.assert_array_equal(mset.received, clean)
+    np.testing.assert_array_equal(mset.received, mset.operators.apply(aset.vectors))
     np.testing.assert_array_equal(mset.pilot_indices, pilot_subcarrier_indices(cfg))
     noisy = build_measurement_set(ens, dft, cfg, aset.vectors, 20.0, 43)
     assert noisy.noise_variance > 0.0

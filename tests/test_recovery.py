@@ -203,11 +203,12 @@ class TestSsampBehavior:
 
     def test_ls_residual_orthogonality(self):
         # the refit residual must be orthogonal to every selected column
-        aset, ops, received, _ = synth(DESK_SNR20, 51, 52, 53)
+        aset, op, received, _ = synth(DESK_SNR20, 51, 52, 53)
         scale = np.sqrt(DESK_SNR20.n_ant_user * DESK_SNR20.n_ant_bs)
-        result = ssamp(received / scale, ops, p_th_for_snr(DESK_SNR20.snr_db))
+        result = ssamp(received / scale, op, p_th_for_snr(DESK_SNR20.snr_db))
         assert result.support.size > 0
-        genie = oracle_ls(received, ops, aset.support)
+        genie = oracle_ls(received, op, aset.support)
+        ops = op.dense()
         for estimate, measurement, support in (
             (result.estimates, received / scale, result.support),
             (genie.estimates, received, aset.support),
@@ -289,6 +290,32 @@ class TestOracleLs:
             assert nmse_db(genie.estimates, aset.vectors) <= (
                 nmse_db(pursuit.estimates, aset.vectors) + 1e-9
             )
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [
+        lambda y, ops: ssamp(y, ops, 0.01),
+        lambda y, ops: adaptive_omp(y, ops, 1e-6),
+        lambda y, ops: oracle_ls(y, ops, [1, 3]),
+    ],
+    ids=["ssamp", "adaptive_omp", "oracle_ls"],
+)
+def test_non_finite_input_rejected(estimate):
+    aset, op, received, _ = synth(DESK_SNR20, 31, 32, 33)
+    for bad in (np.nan, np.inf, -np.inf):
+        y = received.copy()
+        y[1, 2] = bad
+        with pytest.raises(ValueError, match="received pilots contain non-finite"):
+            estimate(y, op)
+        dense = op.dense().copy()
+        dense[0, 3, 5] = bad
+        with pytest.raises(ValueError, match="operators contain non-finite"):
+            estimate(received, dense)
+        right = op.right.copy()
+        right[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="operators contain non-finite"):
+            estimate(received, type(op)(op.left, right))
 
 
 def test_joint_support_beats_per_subcarrier():

@@ -106,6 +106,9 @@ class TestSweep:
             sweep(DESK_SNR20, "snr", [], 1, 0)
         with pytest.raises(ValueError):
             sweep(DESK_SNR20, "snr", [10.0], 0, 0)
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                sweep(DESK_SNR20, "snr", [10.0], 1, 0, workers=workers)
 
     def test_more_slots_help(self):
         # at the published-style scale ratio (S_a = 8, 2 S_a / N_chain = 8),
