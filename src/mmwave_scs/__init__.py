@@ -21,9 +21,7 @@ from .channel import (
 )
 from .pilots import (
     KroneckerOperator,
-    MeasurementSet,
     PilotEnsemble,
-    build_measurement_set,
     calibrate_noise_variance,
     draw_ensemble,
     measurement_operators,

@@ -59,9 +59,10 @@ def path_loss_db(params: LinkBudgetParams) -> float:
 class SystemConfig:
     """Array, OFDM and training geometry for one multi-BS downlink.
 
-    Defaults are the desk-scale setup used throughout the test suite; they run
-    in seconds.  The large published-style setup (512-antenna BS, 64
-    subcarriers) is accepted too but takes far longer per trial.
+    The defaults are a small setup whose trials run in tens of milliseconds
+    (the test suite's desk setups, tests/conftest.py, are smaller still).  The
+    large published-style setup (512-antenna BS, 64 subcarriers) is accepted
+    too but takes far longer per trial.
     """
 
     n_ant_bs: int = 32          # BS ULA size

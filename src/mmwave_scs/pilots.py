@@ -177,49 +177,22 @@ class KroneckerOperator:
         return blocks.transpose(1, 0, 2, 3, 4).reshape(p, rows, dim)
 
 
-class DenseOperator:
-    """A (P, rows, dim) array of sensing matrices behind the operator interface.
+def as_operator(operators) -> KroneckerOperator:
+    """A KroneckerOperator as it is; a (P, rows, dim) array as an exact one.
 
-    For matrices with no Kronecker structure (random test ensembles, the
-    theory module's instances).  The conjugate transpose is formed once here
-    rather than on every adjoint.
+    Any stack of matrices Phi_p is a KroneckerOperator with one slot per row,
+    one chain per slot and one beam of value 1: left[t, p, 0] = Phi_p[t] and
+    right[t, p] = [1].  Random test ensembles and the theory module's
+    instances go through this path.
     """
-
-    def __init__(self, matrices):
-        phi = np.asarray(matrices, dtype=np.complex128)
-        if phi.ndim != 3:
-            raise ValueError(f"expected operators (P, rows, dim), got shape {phi.shape}")
-        self._phi = phi
-        self._phi_h = phi.conj().transpose(0, 2, 1)
-
-    @property
-    def shape(self) -> tuple:
-        return self._phi.shape
-
-    def __getitem__(self, key) -> "DenseOperator":
-        return DenseOperator(self._phi[key])
-
-    def apply(self, x) -> np.ndarray:
-        return (self._phi @ np.asarray(x)[..., None])[..., 0]
-
-    def adjoint(self, r) -> np.ndarray:
-        return (self._phi_h @ np.asarray(r)[..., None])[..., 0]
-
-    def columns(self, support) -> np.ndarray:
-        return self._phi[:, :, np.asarray(support, dtype=int)]
-
-    def column_norms(self) -> np.ndarray:
-        return np.linalg.norm(self._phi, axis=1)
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self._phi).all())
-
-
-def as_operator(operators):
-    """A KroneckerOperator or DenseOperator as it is; any array as a DenseOperator."""
-    if isinstance(operators, (KroneckerOperator, DenseOperator)):
+    if isinstance(operators, KroneckerOperator):
         return operators
-    return DenseOperator(operators)
+    phi = np.asarray(operators, dtype=np.complex128)
+    if phi.ndim != 3:
+        raise ValueError(f"expected operators (P, rows, dim), got shape {phi.shape}")
+    n_pilots, rows, _ = phi.shape
+    left = phi.transpose(1, 0, 2)[:, :, None, :]  # (rows, P, 1, dim)
+    return KroneckerOperator(left, np.ones((rows, n_pilots, 1)))
 
 
 def measurement_operators(ensemble: PilotEnsemble, dft: DftPair) -> KroneckerOperator:
@@ -277,33 +250,3 @@ def synthesize_received(operators, vectors, noise_variance: float, seed: int) ->
     draws = np.random.default_rng(seed).standard_normal((n_pilots, 2, rows))
     noise = np.sqrt(noise_variance / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
     return op.apply(vectors) + noise
-
-
-@dataclass(frozen=True)
-class MeasurementSet:
-    """Everything the recovery stage needs for one training run."""
-
-    operators: KroneckerOperator
-    received: np.ndarray         # (P, rows)
-    noise_variance: float
-    pilot_indices: np.ndarray
-
-
-def build_measurement_set(
-    ensemble: PilotEnsemble,
-    dft: DftPair,
-    config: SystemConfig,
-    vectors,
-    snr_db,
-    noise_seed: int,
-) -> MeasurementSet:
-    """Stack operators, calibrate noise to snr_db (None = noiseless), receive."""
-    ops = measurement_operators(ensemble, dft)
-    sigma2 = 0.0 if snr_db is None else calibrate_noise_variance(ops, vectors, snr_db)
-    received = synthesize_received(ops, vectors, sigma2, noise_seed)
-    return MeasurementSet(
-        operators=ops,
-        received=received,
-        noise_variance=sigma2,
-        pilot_indices=pilot_subcarrier_indices(config),
-    )

@@ -94,6 +94,10 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     p_th (sparsity overshoot) or when a new stage makes the residual worse
     than the previous stage's, and returns the last saved stage estimate.
 
+    T is not capped at the row count: a stage may fit more columns than
+    there are rows, and that fit is the minimum-norm one (cutoff
+    LSTSQ_RCOND), so the returned support can be larger than the rows.
+
     p_th compares against sum_p |c_lmin|^2 / P, so it lives on the squared
     scale of the coefficients; see simulate.run_trial for the scaling used
     with synthesized channels.  `operators` is a KroneckerOperator or a

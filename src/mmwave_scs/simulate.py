@@ -47,14 +47,7 @@ BER_COLUMNS = ("snr_db", "csi_source", "ber", "symbols")
 # Adaptive-OMP stop rule: residual energy down to sigma^2 * rows * (1 + margin).
 OMP_THRESHOLD_MARGIN = 0.1
 
-_SWEEP_FIELDS = {
-    "n_slots": "n_slots",
-    "slots": "n_slots",
-    "G": "n_slots",
-    "g": "n_slots",
-    "snr_db": "snr_db",
-    "snr": "snr_db",
-}
+_SWEEP_FIELDS = {"slots": "n_slots", "snr": "snr_db"}
 
 
 @dataclass(frozen=True)
@@ -220,18 +213,19 @@ def sweep(
 ) -> ResultTable:
     """Paired Monte-Carlo sweep over slot count or SNR.
 
-    Trial t uses seed base_seed + t at every sweep value, so estimator and
-    sweep-point comparisons are paired.  The per-trial NMSE ratios are
-    averaged in the linear domain and reported in dB; stderr is the delta-
-    method standard error of that mean.  workers > 1 runs trials in separate
-    processes; aggregation order is fixed, so results match the serial run
-    bit for bit.
+    `variable` is "slots" or "snr"; the rows name the swept config field
+    (n_slots or snr_db) in their sweep_var column.  Trial t uses seed
+    base_seed + t at every sweep value, so estimator and sweep-point
+    comparisons are paired.  The per-trial NMSE ratios are averaged in the
+    linear domain and reported in dB; stderr is the delta-method standard
+    error of that mean.  workers > 1 runs trials in separate processes;
+    aggregation order is fixed, so results match the serial run bit for bit.
     """
     field = _SWEEP_FIELDS.get(variable)
     if field is None:
         raise ValueError(
             f"unknown sweep variable {variable!r}; expected one of "
-            f"{sorted(set(_SWEEP_FIELDS))}"
+            f"{sorted(_SWEEP_FIELDS)}"
         )
     values = list(values)
     if not values:
@@ -302,43 +296,28 @@ def _los_beams(chan, config: SystemConfig):
 
 def _per_bs_matrices(vectors, config: SystemConfig, dft):
     """Angular vectors (P, dim) back to per-BS channel matrices (P, M, U, B)."""
-    n_p = vectors.shape[0]
-    block = config.n_ant_user * config.n_ant_bs
-    out = np.empty(
-        (n_p, config.n_bs, config.n_ant_user, config.n_ant_bs), dtype=np.complex128
-    )
-    for p in range(n_p):
-        for m in range(config.n_bs):
-            ang = vectors[p, m * block : (m + 1) * block].reshape(
-                (config.n_ant_user, config.n_ant_bs), order="F"
-            )
-            out[p, m] = inverse_angular_transform(ang, dft)
-    return out
+    # Each BS block is its (U, B) angular matrix stacked column-major.
+    ang = np.reshape(vectors, (-1, config.n_bs, config.n_ant_bs, config.n_ant_user))
+    return inverse_angular_transform(ang.swapaxes(-1, -2), dft)
 
 
 def _effective_channels(h_matrices, bs_indices, precoders, combiners):
-    """2x2 combined channel per subcarrier for one CSI source."""
-    n_p = h_matrices.shape[0]
-    h_eff = np.empty((n_p, 2, 2), dtype=np.complex128)
-    for p in range(n_p):
-        for k, m in enumerate(bs_indices):
-            h_eff[p, :, k] = combiners.conj().T @ (h_matrices[p, m] @ precoders[:, k])
-    return h_eff
+    """2x2 combined channel per subcarrier for one CSI source: column k is
+    combiners^H H_{bs_indices[k]} precoders[:, k]."""
+    return np.einsum(
+        "ua,pkub,bk->pak", combiners.conj(), h_matrices[:, bs_indices], precoders
+    )
 
 
 def _zf_precoders(h_eff):
-    """Per-subcarrier zero-forcing precoders with unit average transmit power."""
-    n_p = h_eff.shape[0]
-    precoders = np.zeros_like(h_eff)
-    betas = np.zeros(n_p)
-    for p in range(n_p):
-        inv = np.linalg.pinv(h_eff[p], rcond=1e-10)
-        norm = np.linalg.norm(inv)
-        if norm == 0.0:
-            betas[p] = 1.0  # degenerate CSI (all-zero estimate): transmit nothing
-        else:
-            precoders[p] = inv
-            betas[p] = np.sqrt(2.0) / norm
+    """Per-subcarrier zero-forcing precoders with unit average transmit power.
+
+    Degenerate CSI (an all-zero estimate) has an all-zero pseudo-inverse, so
+    that subcarrier transmits nothing, with beta = 1.
+    """
+    precoders = np.linalg.pinv(h_eff, rcond=1e-10)
+    norms = np.linalg.norm(precoders, axis=(1, 2))
+    betas = np.sqrt(2.0) / np.where(norms == 0.0, np.sqrt(2.0), norms)
     return precoders, betas
 
 

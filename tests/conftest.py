@@ -7,19 +7,8 @@ Monte-Carlo tests stay fast.
 
 from dataclasses import replace
 
-from mmwave_scs.channel import (
-    SystemConfig,
-    angular_channel_set,
-    dft_pair,
-    draw_multipath,
-)
-from mmwave_scs.pilots import (
-    calibrate_noise_variance,
-    draw_ensemble,
-    measurement_operators,
-    pilot_subcarrier_indices,
-    synthesize_received,
-)
+from mmwave_scs.channel import SystemConfig
+from mmwave_scs.simulate import _synthesize
 
 DESK_EXACT = SystemConfig(
     n_ant_bs=16,
@@ -40,11 +29,5 @@ DESK_SNR10 = replace(DESK_SNR20, snr_db=10.0)
 
 def synth(config, chan_seed, ens_seed, noise_seed):
     """One end-to-end synthesis: (channel set, operators, received, sigma2)."""
-    chan = draw_multipath(config, chan_seed)
-    dft = dft_pair(config)
-    aset = angular_channel_set(chan, config, dft, pilot_subcarrier_indices(config))
-    ens = draw_ensemble(config, ens_seed)
-    ops = measurement_operators(ens, dft)
-    sigma2 = calibrate_noise_variance(ops, aset.vectors, config.snr_db)
-    received = synthesize_received(ops, aset.vectors, sigma2, noise_seed)
+    _, _, aset, ops, received, sigma2 = _synthesize(config, chan_seed, ens_seed, noise_seed)
     return aset, ops, received, sigma2

@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from mmwave_scs.channel import DftPair, SystemConfig, dft_pair, draw_multipath
-from mmwave_scs.channel import angular_channel_set
+from mmwave_scs.channel import DftPair, SystemConfig, dft_pair
 from mmwave_scs.pilots import (
     PilotEnsemble,
-    build_measurement_set,
+    as_operator,
     calibrate_noise_variance,
     combiner_matrix,
     draw_ensemble,
@@ -179,6 +178,31 @@ def _cnormal(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _check_against_dense(op, dense, rng):
+    """apply, adjoint, columns, column_norms and slicing of `op` against `dense`."""
+    n_pilots, rows, dim = op.shape
+    x = _cnormal(rng, (n_pilots, dim))
+    r = _cnormal(rng, (n_pilots, rows))
+    tol = 1e-12 * np.linalg.norm(dense)
+    np.testing.assert_allclose(op.apply(x), np.einsum("prd,pd->pr", dense, x), rtol=0,
+                               atol=tol * np.linalg.norm(x))
+    np.testing.assert_allclose(op.adjoint(r), np.einsum("prd,pr->pd", dense.conj(), r),
+                               rtol=0, atol=tol * np.linalg.norm(r))
+    # <Phi x, r> = <x, Phi^H r>
+    lhs = np.vdot(r, op.apply(x))
+    rhs = np.vdot(op.adjoint(r), x)
+    assert abs(lhs - rhs) <= tol * np.linalg.norm(x) * np.linalg.norm(r)
+    idx = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
+    np.testing.assert_array_equal(op.columns(idx), dense[:, :, idx])
+    np.testing.assert_allclose(op.column_norms(), np.linalg.norm(dense, axis=1),
+                               rtol=1e-12)
+    sub = slice(int(rng.integers(0, n_pilots)), n_pilots)
+    np.testing.assert_array_equal(op[sub].dense(), dense[sub])
+    picked = np.array([n_pilots - 1, 0])
+    np.testing.assert_array_equal(op[picked].dense(), dense[picked])
+    assert op.nbytes == op.left.nbytes + op.right.nbytes
+
+
 class TestKroneckerOperator:
     @settings(max_examples=40, deadline=None)
     @given(geometries, st.integers(0, 2**32 - 1))
@@ -200,29 +224,24 @@ class TestKroneckerOperator:
     @given(geometries, st.integers(0, 2**32 - 1))
     def test_operations_match_the_dense_tensor(self, cfg, seed):
         op = measurement_operators(draw_ensemble(cfg, seed), dft_pair(cfg))
-        dense = op.dense()
-        n_pilots, rows, dim = op.shape
+        _check_against_dense(op, op.dense(), np.random.default_rng(seed))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_wrapped_array(self, n_pilots, rows, dim, seed):
         rng = np.random.default_rng(seed)
-        x = _cnormal(rng, (n_pilots, dim))
-        r = _cnormal(rng, (n_pilots, rows))
-        tol = 1e-12 * np.linalg.norm(dense)
-        np.testing.assert_allclose(op.apply(x), np.einsum("prd,pd->pr", dense, x), rtol=0,
-                                   atol=tol * np.linalg.norm(x))
-        np.testing.assert_allclose(op.adjoint(r), np.einsum("prd,pr->pd", dense.conj(), r),
-                                   rtol=0, atol=tol * np.linalg.norm(r))
-        # <Phi x, r> = <x, Phi^H r>
-        lhs = np.vdot(r, op.apply(x))
-        rhs = np.vdot(op.adjoint(r), x)
-        assert abs(lhs - rhs) <= tol * np.linalg.norm(x) * np.linalg.norm(r)
-        idx = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
-        np.testing.assert_array_equal(op.columns(idx), dense[:, :, idx])
-        np.testing.assert_allclose(op.column_norms(), np.linalg.norm(dense, axis=1),
-                                   rtol=1e-12)
-        sub = slice(int(rng.integers(0, n_pilots)), n_pilots)
-        np.testing.assert_array_equal(op[sub].dense(), dense[sub])
-        picked = np.array([n_pilots - 1, 0])
-        np.testing.assert_array_equal(op[picked].dense(), dense[picked])
-        assert op.nbytes == op.left.nbytes + op.right.nbytes
+        phi = _cnormal(rng, (n_pilots, rows, dim))
+        op = as_operator(phi)
+        assert op.shape == phi.shape
+        np.testing.assert_array_equal(op.dense(), phi)
+        _check_against_dense(op, phi, rng)
+
+    def test_wrapping_rejects_other_ranks(self):
+        op = measurement_operators(draw_ensemble(DESK_EXACT, 1), dft_pair(DESK_EXACT))
+        assert as_operator(op) is op
+        for shape in ((4, 6), (1, 2, 4, 6)):
+            with pytest.raises(ValueError, match="expected operators"):
+                as_operator(np.ones(shape))
 
     def test_factor_shapes_validated(self):
         op = measurement_operators(draw_ensemble(DESK_EXACT, 1), dft_pair(DESK_EXACT))
@@ -321,7 +340,10 @@ class TestSynthesize:
         vecs = rng.standard_normal((2, 6)) + 0j
         rec = synthesize_received(ops, vecs, 0.0, 99)
         # bit-exact: zero variance must add literally nothing
-        np.testing.assert_array_equal(rec, np.stack([ops[p] @ vecs[p] for p in range(2)]))
+        np.testing.assert_array_equal(rec, as_operator(ops).apply(vecs))
+        np.testing.assert_allclose(
+            rec, np.stack([ops[p] @ vecs[p] for p in range(2)]), rtol=1e-13
+        )
 
     def test_zero_channel_noise_variance(self):
         ops = np.zeros((1, 100_000, 1))
@@ -352,18 +374,3 @@ class TestSynthesize:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             synthesize_received(np.ones((1, 2, 1)), np.ones((1, 1)), -1.0, 0)
-
-
-def test_build_measurement_set():
-    cfg = DESK_EXACT
-    chan = draw_multipath(cfg, 41)
-    dft = dft_pair(cfg)
-    aset = angular_channel_set(chan, cfg, dft, pilot_subcarrier_indices(cfg))
-    ens = draw_ensemble(cfg, 42)
-    mset = build_measurement_set(ens, dft, cfg, aset.vectors, None, 43)
-    assert mset.noise_variance == 0.0
-    np.testing.assert_array_equal(mset.received, mset.operators.apply(aset.vectors))
-    np.testing.assert_array_equal(mset.pilot_indices, pilot_subcarrier_indices(cfg))
-    noisy = build_measurement_set(ens, dft, cfg, aset.vectors, 20.0, 43)
-    assert noisy.noise_variance > 0.0
-    assert np.any(noisy.received != mset.received)

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmwave_scs.recovery import (
     P_TH_NOISELESS,
@@ -340,6 +342,84 @@ def test_joint_support_beats_per_subcarrier():
         omp_hits += set(omp.support.tolist()) == truth
     assert joint_hits / 200 > single_hits / single_total
     assert omp_hits <= joint_hits
+
+
+def _property_instance(kind, seed):
+    """(received, operators, oracle support, p_th, OMP threshold) for one draw.
+
+    "kronecker" is a DESK_SNR20 trial through measurement_operators; "array"
+    is a random (P, 8, 16) array, which the estimators wrap.
+    """
+    if kind == "kronecker":
+        aset, ops, received, sigma2 = synth(DESK_SNR20, *_trial_seeds(seed))
+        gain = DESK_SNR20.n_ant_user * DESK_SNR20.n_ant_bs
+        omp_threshold = _omp_threshold(sigma2, ops.shape[1], received)
+        return received, ops, aset.support, p_th_for_snr(20.0) * gain, omp_threshold
+    received, phis = _random_instance(seed)
+    support = np.random.default_rng(seed).choice(phis.shape[2], 2, replace=False)
+    # _random_instance's noise has variance 2 * 0.05^2 per entry
+    return received, phis, support, 0.01, _omp_threshold(0.005, phis.shape[1], received)
+
+
+def _estimate_all(received, operators, support, p_th, omp_threshold):
+    return (
+        ssamp(received, operators, p_th),
+        adaptive_omp(received, operators, omp_threshold),
+        oracle_ls(received, operators, support),
+    )
+
+
+operator_kinds = st.sampled_from(["kronecker", "array"])
+
+
+class TestProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(operator_kinds, st.integers(0, 2**32 - 1), st.integers(-8, 8))
+    def test_scale_equivariance(self, kind, seed, k):
+        # powers of two scale every float operation exactly
+        received, ops, support, p_th, omp_threshold = _property_instance(kind, seed)
+        base = _estimate_all(received, ops, support, p_th, omp_threshold)
+        scaled = _estimate_all(
+            received * 2.0**k, ops, support, p_th * 4.0**k, omp_threshold * 4.0**k
+        )
+        for a, b in zip(base, scaled):
+            np.testing.assert_array_equal(b.support, a.support)
+            assert b.iterations == a.iterations
+            assert b.termination_reason == a.termination_reason
+            np.testing.assert_array_equal(b.estimates, a.estimates * 2.0**k)
+
+    # Fixed examples: ssamp's stage tests compare residual energies, and a
+    # rounding-level tie (1 DESK_SNR20 draw in 3,000 with supports below the
+    # row count) flips with the order of the sums over subcarriers.
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(operator_kinds, st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    def test_subcarrier_permutation_invariance(self, kind, seed, perm_seed):
+        received, ops, support, p_th, omp_threshold = _property_instance(kind, seed)
+        perm = np.random.default_rng(perm_seed).permutation(received.shape[0])
+        base = _estimate_all(received, ops, support, p_th, omp_threshold)
+        permuted = _estimate_all(received[perm], ops[perm], support, p_th, omp_threshold)
+        pairs = list(zip(base, permuted))
+        if max(base[0].support.size, permuted[0].support.size) >= ops.shape[1]:
+            pairs = pairs[1:]  # ssamp at the row count: see the test below
+        for a, b in pairs:
+            np.testing.assert_array_equal(b.support, a.support)
+            np.testing.assert_allclose(
+                b.estimates, a.estimates[perm], rtol=1e-9,
+                atol=1e-12 * np.abs(a.estimates).max(),
+            )
+
+    def test_permutation_beyond_row_count(self):
+        """ssamp does not cap its stage sparsity at the row count.  Past it the
+        stage fits are minimum-norm with residual energies at the rounding
+        floor, so the stage decisions follow the order of the subcarrier sums."""
+        received, ops, _, p_th, _ = _property_instance("kronecker", 644563)
+        base = ssamp(received, ops, p_th)
+        assert base.support.size > ops.shape[1]
+        perm = np.random.default_rng(0).permutation(received.shape[0])
+        permuted = ssamp(received[perm], ops[perm], p_th)
+        if not np.array_equal(permuted.support, base.support):
+            pytest.xfail("known: reordering the subcarriers changes a support "
+                         "larger than the row count")
 
 
 class TestNmse:

@@ -5,12 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mmwave_scs.channel import SystemConfig
+from mmwave_scs.channel import SystemConfig, aggregate_sparse_vector, dft_pair
 from mmwave_scs.simulate import (
     BER_COLUMNS,
     ESTIMATORS,
     MSE_COLUMNS,
+    _effective_channels,
+    _per_bs_matrices,
     _trial_seeds,
+    _zf_precoders,
     ber_experiment,
     qam16_hard_bits,
     qam16_modulate,
@@ -90,18 +93,11 @@ class TestSweep:
         parallel = sweep(DESK_SNR20, "snr", [10.0, 20.0], 8, 11, workers=2)
         assert serial.rows == parallel.rows
 
-    def test_variable_aliases(self):
-        a = sweep(DESK_SNR20, "G", [6], 2, 3)
-        b = sweep(DESK_SNR20, "slots", [6], 2, 3)
-        c = sweep(DESK_SNR20, "n_slots", [6], 2, 3)
-        assert a.rows == b.rows == c.rows
-        d = sweep(DESK_SNR20, "snr", [15.0], 2, 3)
-        e = sweep(DESK_SNR20, "snr_db", [15.0], 2, 3)
-        assert d.rows == e.rows
-
     def test_validation(self):
-        with pytest.raises(ValueError, match="sweep variable"):
-            sweep(DESK_SNR20, "bandwidth", [1.0], 1, 0)
+        # only the spellings the CLI passes, "slots" and "snr"
+        for variable in ("bandwidth", "G", "n_slots", "snr_db"):
+            with pytest.raises(ValueError, match="sweep variable"):
+                sweep(DESK_SNR20, variable, [1.0], 1, 0)
         with pytest.raises(ValueError):
             sweep(DESK_SNR20, "snr", [], 1, 0)
         with pytest.raises(ValueError):
@@ -143,6 +139,34 @@ class TestBer:
         a = ber_experiment(cfg, [10.0], 10**4, 21, n_realizations=1)
         b = ber_experiment(cfg, [10.0], 10**4, 21, n_realizations=1)
         assert a.rows == b.rows
+
+    def test_channel_algebra(self):
+        # the batched zero-forcing chain against a per-subcarrier, per-BS reading
+        cfg = replace(DESK_EXACT, n_bs=3)
+        dft = dft_pair(cfg)
+        rng = np.random.default_rng(5)
+        shape = (2, cfg.n_bs, cfg.n_ant_user, cfg.n_ant_bs)
+        ang = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        vectors = np.stack([aggregate_sparse_vector(a)[0] for a in ang])
+        mats = _per_bs_matrices(vectors, cfg, dft)
+        bs_indices = [2, 0]
+        precoders = rng.standard_normal((cfg.n_ant_bs, 2)) + 0.5j
+        combiners = rng.standard_normal((cfg.n_ant_user, 2)) - 0.5j
+        h_eff = _effective_channels(mats, bs_indices, precoders, combiners)
+        for p in range(2):
+            for m in range(cfg.n_bs):
+                h_freq = dft.rx @ ang[p, m] @ dft.tx.conj().T
+                np.testing.assert_allclose(mats[p, m], h_freq, rtol=0, atol=1e-12)
+            for k, m in enumerate(bs_indices):
+                np.testing.assert_allclose(
+                    h_eff[p, :, k], combiners.conj().T @ mats[p, m] @ precoders[:, k],
+                    rtol=1e-12,
+                )
+        h_eff[1] = 0.0  # degenerate CSI: an all-zero estimate
+        zf, betas = _zf_precoders(h_eff)
+        np.testing.assert_allclose(h_eff[0] @ zf[0], np.eye(2), rtol=0, atol=1e-12)
+        assert betas[0] == pytest.approx(np.sqrt(2.0) / np.linalg.norm(zf[0]))
+        assert not zf[1].any() and betas[1] == 1.0
 
     def test_validation(self):
         single_bs = replace(DESK_EXACT, n_bs=1)
