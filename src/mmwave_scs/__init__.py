@@ -17,7 +17,6 @@ from .channel import (
     delay_to_frequency,
     inverse_angular_transform,
     path_loss_db,
-    steering_vector,
 )
 from .pilots import (
     KroneckerOperator,
@@ -26,7 +25,6 @@ from .pilots import (
     draw_ensemble,
     measurement_operators,
     pilot_subcarrier_indices,
-    slot_measurement,
     synthesize_received,
 )
 from .recovery import (

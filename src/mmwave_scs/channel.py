@@ -8,6 +8,9 @@ becomes sparse with a support that is shared by all subcarriers.  This module
 draws such channels, maps them from the delay domain onto pilot subcarriers,
 and vectorises the per-BS angular matrices into the joint sparse vectors that
 the recovery stage estimates.
+
+Angles are on-grid: every AoA and AoD is a bin of the DFT grids (which fixes
+half-wavelength antenna spacing), so each path fills one angular entry.
 """
 
 from dataclasses import dataclass, field
@@ -76,7 +79,6 @@ class SystemConfig:
     n_slots: int = 16           # training slots G
     bandwidth_hz: float = 0.25e9
     max_delay_s: float = 50e-9
-    antenna_spacing_ratio: float = 0.5
     rician_k_db: float = 10.0
     snr_db: float = 20.0
 
@@ -121,8 +123,6 @@ class SystemConfig:
                 f"({self.bandwidth_hz}) must be < n_subcarriers "
                 f"({self.n_subcarriers})"
             )
-        if self.antenna_spacing_ratio <= 0:
-            raise ValueError("antenna_spacing_ratio must be positive")
 
     @property
     def angular_dimension(self) -> int:
@@ -136,22 +136,20 @@ class SystemConfig:
 
     @property
     def aggregate_sparsity_bound(self) -> int:
-        """Upper bound on the joint support size for on-grid channels."""
+        """Upper bound on the joint support size."""
         return self.n_bs * self.n_paths
 
 
 @dataclass(frozen=True)
 class PathComponent:
-    """One specular path of a BS-to-user link."""
+    """One specular path of a BS-to-user link, with its AoA and AoD as bins
+    of the user and BS DFT grids."""
 
     gain: complex
     delay_s: float
     aoa_grid_index: int
     aod_grid_index: int
     is_los: bool
-    # Fractional grid offsets; zero for on-grid draws.
-    aoa_offset: float = 0.0
-    aod_offset: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -185,34 +183,21 @@ def dft_pair(config: SystemConfig) -> DftPair:
     return DftPair(rx=unitary_dft(config.n_ant_user), tx=unitary_dft(config.n_ant_bs))
 
 
-def steering_vector(n_antennas: int, sin_angle: float, spacing_ratio: float = 0.5) -> np.ndarray:
-    """ULA response exp(+2j pi k spacing_ratio sin_angle), k = 0..n-1."""
-    if n_antennas < 1:
-        raise ValueError("n_antennas must be >= 1")
-    if abs(sin_angle) > 1.0:
-        raise ValueError(f"sin_angle must lie in [-1, 1], got {sin_angle}")
-    k = np.arange(n_antennas)
-    return np.exp(2j * np.pi * k * spacing_ratio * sin_angle)
-
-
-def grid_steering_vector(n_antennas: int, grid_position: float) -> np.ndarray:
-    """ULA response at a (possibly fractional) DFT grid position.
-
-    Integer positions land exactly on columns of unitary_dft(n) scaled by
-    sqrt(n); fractional positions model off-grid leakage.
-    """
+def grid_steering_vector(n_antennas: int, grid_position: int) -> np.ndarray:
+    """ULA response at a DFT grid bin: column grid_position of unitary_dft(n)
+    scaled by sqrt(n)."""
     k = np.arange(n_antennas)
     return np.exp(2j * np.pi * k * grid_position / n_antennas)
 
 
-def draw_multipath(config: SystemConfig, seed: int, on_grid: bool = True) -> MultipathChannel:
+def draw_multipath(config: SystemConfig, seed: int) -> MultipathChannel:
     """Draw a Rician multipath channel for every BS link.
 
     Path 0 of each link is the LOS component with mean power K/(K+1); the
     remaining L-1 paths split 1/(K+1) evenly.  All gains are zero-mean complex
     Gaussian, delays are uniform on [0, max_delay_s].  AoD grid bins are drawn
     without replacement within a link, so the (AoA, AoD) pairs never collide
-    and the on-grid aggregate sparsity stays exactly n_bs * n_paths; AoA bins
+    and the aggregate sparsity stays exactly n_bs * n_paths; AoA bins
     are drawn independently and may repeat.  n_paths = 1 degenerates to a
     pure-LOS link.
     """
@@ -238,12 +223,6 @@ def draw_multipath(config: SystemConfig, seed: int, on_grid: bool = True) -> Mul
         delays = rng.uniform(0.0, config.max_delay_s, n_paths)
         aoa = rng.integers(0, config.n_ant_user, size=n_paths)
         aod = rng.choice(config.n_ant_bs, size=n_paths, replace=False)
-        if on_grid:
-            aoa_off = np.zeros(n_paths)
-            aod_off = np.zeros(n_paths)
-        else:
-            aoa_off = rng.uniform(-0.5, 0.5, n_paths)
-            aod_off = rng.uniform(-0.5, 0.5, n_paths)
         link = tuple(
             PathComponent(
                 gain=complex(gains[l]),
@@ -251,8 +230,6 @@ def draw_multipath(config: SystemConfig, seed: int, on_grid: bool = True) -> Mul
                 aoa_grid_index=int(aoa[l]),
                 aod_grid_index=int(aod[l]),
                 is_los=(l == 0),
-                aoa_offset=float(aoa_off[l]),
-                aod_offset=float(aod_off[l]),
             )
             for l in range(n_paths)
         )
@@ -284,12 +261,8 @@ def delay_to_frequency(
     delay_scale = config.bandwidth_hz / config.n_subcarriers
     for m, link in enumerate(channel.links):
         for path in link:
-            a_rx = grid_steering_vector(
-                config.n_ant_user, path.aoa_grid_index + path.aoa_offset
-            )
-            a_tx = grid_steering_vector(
-                config.n_ant_bs, path.aod_grid_index + path.aod_offset
-            )
+            a_rx = grid_steering_vector(config.n_ant_user, path.aoa_grid_index)
+            a_tx = grid_steering_vector(config.n_ant_bs, path.aod_grid_index)
             ramp = np.exp(-2j * np.pi * (idx - 1) * path.delay_s * delay_scale)
             out[:, m] += (
                 path.gain * ramp[:, None, None] * np.outer(a_rx, a_tx.conj())[None]
@@ -332,8 +305,8 @@ def aggregate_sparse_vector(angular_matrices: np.ndarray):
 class AngularChannelSet:
     """Aggregate angular vectors for all pilot subcarriers plus their support.
 
-    `support` is the union of per-subcarrier supports; for on-grid channels
-    every subcarrier has exactly this support (common-support property).
+    `support` is the union of per-subcarrier supports; every subcarrier has
+    exactly this support (common-support property).
     """
 
     vectors: np.ndarray          # (P, n_bs * n_ant_bs * n_ant_user)

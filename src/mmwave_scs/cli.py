@@ -9,6 +9,7 @@ version.  Exit codes: 0 success, 2 config error, 3 numerical failure.
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, fields, replace
@@ -210,11 +211,31 @@ def cmd_estimate(args) -> int:
     return 0
 
 
+def _sweep_values(variable, text) -> list:
+    """--values as slot counts (positive integers) or SNRs in dB (inf: noiseless)."""
+    values = []
+    for item in filter(None, (v.strip() for v in text.split(","))):
+        try:
+            value = float(item)
+        except ValueError:
+            raise ConfigError(f"--values: malformed number {item!r}") from None
+        if variable == "slots" and not (value.is_integer() and value >= 1):
+            raise ConfigError(f"--values: slot counts must be positive integers, got {item!r}")
+        if variable == "snr" and (math.isnan(value) or value == -math.inf):
+            raise ConfigError(f"--values: SNR must be a number or inf, got {item!r}")
+        values.append(int(value) if variable == "slots" else value)
+    if not values:
+        raise ConfigError("--values is empty")
+    return values
+
+
 def cmd_sweep_mse(args) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
+    values = _sweep_values(args.variable, args.values)
     config = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
     table = sweep(config, args.variable, values, args.trials, args.seed, args.workers)
     summary = {
         "variable": args.variable,

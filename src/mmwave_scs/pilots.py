@@ -68,44 +68,15 @@ def draw_ensemble(config: SystemConfig, seed: int) -> PilotEnsemble:
     )
 
 
-def combiner_matrix(ensemble: PilotEnsemble, slot: int, pilot: int) -> np.ndarray:
-    """Two-stage user combiner Z = Z_RF Z_BB for one slot and subcarrier."""
-    return ensemble.rf_combiner[slot] @ ensemble.bb_combiner[slot, pilot]
-
-
-def pilot_vector(ensemble: PilotEnsemble, slot: int, pilot: int, bs: int) -> np.ndarray:
-    """Per-BS transmitted pilot f = F_RF s, scaled to unit transmit power."""
-    return (
-        ensemble.rf_precoder[slot, bs] @ ensemble.eff_training[slot, pilot, bs]
-    ) * ensemble.pilot_scale
-
-
-def slot_measurement(
-    ensemble: PilotEnsemble, dft: DftPair, slot: int, pilot: int
-) -> np.ndarray:
-    """Angular sensing matrix of one slot for one pilot subcarrier.
-
-    Phi = (A_TX^H f per BS, stacked)^T kron (Z^H A_RX), with shape
-    (N_chain_US, M * N_BS * N_US).  Column blocks follow the aggregate
-    vector layout of channel.aggregate_sparse_vector.
-    """
-    n_bs = ensemble.rf_precoder.shape[1]
-    z = combiner_matrix(ensemble, slot, pilot)
-    left = z.conj().T @ dft.rx  # (N_chain_US, N_US)
-    beams = [
-        dft.tx.conj().T @ pilot_vector(ensemble, slot, pilot, m) for m in range(n_bs)
-    ]
-    right = np.concatenate(beams)  # (M * N_BS,)
-    return np.kron(right[None, :], left)
-
-
 class KroneckerOperator:
     """Stacked angular sensing matrices of every pilot subcarrier, as factors.
 
     Slot t's block of subcarrier p's matrix is kron(right[t, p][None, :],
-    left[t, p]) (see slot_measurement), so entry (t * N_chain_US + c,
-    b * N_US + u) is right[t, p, b] * left[t, p, c, u].  The factors hold
-    G * P * (N_chain_US * N_US + M * N_BS) numbers against the
+    left[t, p]): the user's angular combiner Z^H A_RX times every BS's
+    angular beam A_TX^H f.  Entry (t * N_chain_US + c, b * N_US + u) is
+    right[t, p, b] * left[t, p, c, u], and the column blocks follow the
+    aggregate vector layout of channel.aggregate_sparse_vector.  The factors
+    hold G * P * (N_chain_US * N_US + M * N_BS) numbers against the
     P * G * N_chain_US * M * N_BS * N_US of the dense (P, rows, dim) tensor.
 
       left   (G, P, N_chain_US, N_US)   Z^H A_RX
@@ -198,8 +169,10 @@ def as_operator(operators) -> KroneckerOperator:
 def measurement_operators(ensemble: PilotEnsemble, dft: DftPair) -> KroneckerOperator:
     """The stacked operators of every pilot subcarrier, as Kronecker factors.
 
-    Slot for slot the same matrices as slot_measurement, with the
-    subcarrier-independent analog stages applied to the DFT bases first.
+    With the user combiner Z = Z_RF Z_BB and the per-BS pilot f = F_RF s
+    scaled by pilot_scale, slot t of subcarrier p is
+    kron((A_TX^H f per BS, stacked)[None, :], Z^H A_RX).  The
+    subcarrier-independent analog stages are applied to the DFT bases first.
     """
     g, p = ensemble.n_slots, ensemble.n_pilot_subcarriers
     # Z^H A_RX = Z_BB^H (Z_RF^H A_RX)

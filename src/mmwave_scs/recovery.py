@@ -99,8 +99,9 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     LSTSQ_RCOND), so the returned support can be larger than the rows.
 
     p_th compares against sum_p |c_lmin|^2 / P, so it lives on the squared
-    scale of the coefficients; see simulate.run_trial for the scaling used
-    with synthesized channels.  `operators` is a KroneckerOperator or a
+    scale of the coefficients: synthesized on-grid coefficients carry the
+    array gain sqrt(N_US * N_BS), so simulate._ssamp_threshold passes
+    p_th_for_snr times N_US * N_BS.  `operators` is a KroneckerOperator or a
     (P, rows, dim) array.
     """
     r, op = _check_inputs(received, operators)
@@ -150,13 +151,13 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
         else:
             support, residuals, residual_energy = omega, residual, res_energy
 
-    final_res = _residual(r, op.columns(saved_support), saved_coefs)
+    final_energy = saved_residual_energy if saved_sparsity else float(np.sum(np.abs(r) ** 2))
     return EstimationResult(
         estimates=_scatter(saved_coefs, saved_support, dim),
         support=saved_support.copy(),
         iterations=passes,
         stages=saved_sparsity,
-        final_residual_energy=float(np.sum(np.abs(final_res) ** 2)),
+        final_residual_energy=final_energy,
         termination_reason=reason,
     )
 

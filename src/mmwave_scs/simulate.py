@@ -105,22 +105,14 @@ def _synthesize(config: SystemConfig, chan_seed: int, ens_seed: int, noise_seed:
     return chan, dft, aset, operators, received, sigma2
 
 
-def _ssamp_gain_scaled(received, operators, config: SystemConfig, p_th: float):
-    """Run ssamp with coefficients re-anchored at path-gain scale.
+def _ssamp_threshold(config: SystemConfig) -> float:
+    """ssamp's p_th for synthesized channels: the table value times N_US * N_BS.
 
-    On-grid angular coefficients carry a sqrt(N_US * N_BS) array factor; the
-    p_th schedule is calibrated for unit-mean-power path gains, so the
-    received pilots are scaled down before recovery and the estimates scaled
-    back.  ssamp is exactly scale-equivariant apart from the p_th test, so
-    this changes nothing but the threshold anchor.
+    The p_th schedule is calibrated for unit-mean-power path gains, and every
+    on-grid angular coefficient carries the array gain sqrt(N_US * N_BS), so
+    the threshold on squared coefficients carries its square.
     """
-    scale = np.sqrt(config.n_ant_user * config.n_ant_bs)
-    result = ssamp(np.asarray(received) / scale, operators, p_th)
-    return replace(
-        result,
-        estimates=result.estimates * scale,
-        final_residual_energy=result.final_residual_energy * scale**2,
-    )
+    return p_th_for_snr(config.snr_db) * config.n_ant_user * config.n_ant_bs
 
 
 def _omp_threshold(sigma2: float, rows: int, received) -> float:
@@ -144,36 +136,23 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
     )
     rows = operators.shape[1]
     true_set = set(aset.support.tolist())
-
+    estimators = {
+        "ssamp": lambda: ssamp(received, operators, _ssamp_threshold(config)),
+        "adaptive_omp": lambda: adaptive_omp(
+            received, operators, _omp_threshold(sigma2, rows, received)
+        ),
+        "oracle_ls": lambda: oracle_ls(received, operators, aset.support),
+    }
     metrics = {}
-
-    start = time.perf_counter()
-    est = _ssamp_gain_scaled(received, operators, config, p_th_for_snr(config.snr_db))
-    metrics["ssamp"] = EstimatorMetrics(
-        nmse_db=nmse_db(est.estimates, aset.vectors),
-        exact_support_match=set(est.support.tolist()) == true_set,
-        iterations=est.iterations,
-        wall_time_s=time.perf_counter() - start,
-    )
-
-    start = time.perf_counter()
-    est = adaptive_omp(received, operators, _omp_threshold(sigma2, rows, received))
-    metrics["adaptive_omp"] = EstimatorMetrics(
-        nmse_db=nmse_db(est.estimates, aset.vectors),
-        exact_support_match=set(est.support.tolist()) == true_set,
-        iterations=est.iterations,
-        wall_time_s=time.perf_counter() - start,
-    )
-
-    start = time.perf_counter()
-    est = oracle_ls(received, operators, aset.support)
-    metrics["oracle_ls"] = EstimatorMetrics(
-        nmse_db=nmse_db(est.estimates, aset.vectors),
-        exact_support_match=True,
-        iterations=est.iterations,
-        wall_time_s=time.perf_counter() - start,
-    )
-
+    for name, estimate in estimators.items():
+        start = time.perf_counter()
+        est = estimate()
+        metrics[name] = EstimatorMetrics(
+            nmse_db=nmse_db(est.estimates, aset.vectors),
+            exact_support_match=set(est.support.tolist()) == true_set,
+            iterations=est.iterations,
+            wall_time_s=time.perf_counter() - start,
+        )
     return TrialRecord(
         seed=seed, config=config, true_sparsity=aset.sparsity, metrics=metrics
     )
@@ -214,7 +193,8 @@ def sweep(
     """Paired Monte-Carlo sweep over slot count or SNR.
 
     `variable` is "slots" or "snr"; the rows name the swept config field
-    (n_slots or snr_db) in their sweep_var column.  Trial t uses seed
+    (n_slots or snr_db) in their sweep_var column; slot counts must be
+    integers (8.0 is taken as 8, 8.5 is rejected).  Trial t uses seed
     base_seed + t at every sweep value, so estimator and sweep-point
     comparisons are paired.  The per-trial NMSE ratios are averaged in the
     linear domain and reported in dB; stderr is the delta-method standard
@@ -228,6 +208,9 @@ def sweep(
             f"{sorted(_SWEEP_FIELDS)}"
         )
     values = list(values)
+    if field == "n_slots" and not all(float(v).is_integer() for v in values):
+        raise ValueError(f"slot counts must be integers, got {values}")
+    values = [int(v) if field == "n_slots" else float(v) for v in values]
     if not values:
         raise ValueError("values must be non-empty")
     if n_trials < 1:
@@ -236,15 +219,14 @@ def sweep(
         raise ValueError(f"workers must be at least 1, got {workers}")
     rows = []
     for value in values:
-        cast = int(value) if field == "n_slots" else float(value)
-        cfg = replace(config, **{field: cast})
+        cfg = replace(config, **{field: value})
         seeds = [base_seed + t for t in range(n_trials)]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 records = list(pool.map(run_trial, repeat(cfg), seeds, chunksize=8))
         else:
             records = [run_trial(cfg, s) for s in seeds]
-        rows.extend(_aggregate(records, field, cast))
+        rows.extend(_aggregate(records, field, value))
     return ResultTable(columns=MSE_COLUMNS, rows=tuple(rows))
 
 
@@ -279,19 +261,13 @@ def _los_beams(chan, config: SystemConfig):
     los = [(m, link[0]) for m, link in enumerate(chan.links)]
     los.sort(key=lambda item: (-abs(item[1].gain), item[0]))
     serving = los[:2]
-    precoders = []
-    combiners = []
-    for _, path in serving:
-        precoders.append(
-            grid_steering_vector(config.n_ant_bs, path.aod_grid_index + path.aod_offset)
-            / np.sqrt(config.n_ant_bs)
-        )
-        combiners.append(
-            grid_steering_vector(config.n_ant_user, path.aoa_grid_index + path.aoa_offset)
-            / np.sqrt(config.n_ant_user)
-        )
-    bs_indices = [m for m, _ in serving]
-    return bs_indices, np.column_stack(precoders), np.column_stack(combiners)
+    precoders = np.column_stack(
+        [grid_steering_vector(config.n_ant_bs, path.aod_grid_index) for _, path in serving]
+    ) / np.sqrt(config.n_ant_bs)
+    combiners = np.column_stack(
+        [grid_steering_vector(config.n_ant_user, path.aoa_grid_index) for _, path in serving]
+    ) / np.sqrt(config.n_ant_user)
+    return [m for m, _ in serving], precoders, combiners
 
 
 def _per_bs_matrices(vectors, config: SystemConfig, dft):
@@ -367,9 +343,7 @@ def ber_experiment(
             chan, dft, aset, operators, received, sigma2 = _synthesize(
                 cfg, chan_seed, ens_seed, noise_seed
             )
-            est_ssamp = _ssamp_gain_scaled(
-                received, operators, cfg, p_th_for_snr(snr_db)
-            )
+            est_ssamp = ssamp(received, operators, _ssamp_threshold(cfg))
             est_omp = adaptive_omp(
                 received,
                 operators,

@@ -18,6 +18,9 @@ import numpy as np
 # largest are zero.
 RANK_REL_TOL = 1e-8
 
+# run_certificate_battery draws at most this many instances per requested one.
+MAX_ATTEMPTS_FACTOR = 50
+
 SPARK_MAX_COLUMNS = 24
 L0_MAX_COLUMNS = 16
 L0_MAX_SPARSITY = 3
@@ -169,11 +172,11 @@ def uniqueness_check(instance: GmmvInstance) -> UniquenessCertificate:
     )
 
 
-def exhaustive_l0_solve(instance: GmmvInstance, rel_tol: float = RANK_REL_TOL):
+def exhaustive_l0_solve(instance: GmmvInstance):
     """All common supports of size <= S consistent with every measurement.
 
     A support is consistent when each y_p lies in the span of the selected
-    columns of its own operator (projection residual <= rel_tol relative).
+    columns of its own operator (projection residual <= RANK_REL_TOL relative).
     Returns a list of sorted index tuples; a superset of a consistent support
     is consistent too, so uniqueness is judged on the minimal size (see
     unique_minimal_support).
@@ -201,7 +204,7 @@ def exhaustive_l0_solve(instance: GmmvInstance, rel_tol: float = RANK_REL_TOL):
                     break
                 block = instance.operators[p][:, idx]
                 coef = np.linalg.lstsq(block, y[p], rcond=RANK_REL_TOL)[0]
-                if np.linalg.norm(y[p] - block @ coef) > rel_tol * norms[p]:
+                if np.linalg.norm(y[p] - block @ coef) > RANK_REL_TOL * norms[p]:
                     ok = False
                     break
             if ok:
@@ -263,7 +266,7 @@ class CertificateRecord:
         return self.l0_unique and self.l0_matches_truth
 
 
-def run_certificate_battery(n_instances: int, seed: int, max_attempts_factor: int = 50):
+def run_certificate_battery(n_instances: int, seed: int):
     """Random instances whose certificate holds, cross-checked against l0.
 
     Draws random shapes (m in 4..8, n in 8..16, S in 1..3, P in 1..4), keeps
@@ -276,7 +279,7 @@ def run_certificate_battery(n_instances: int, seed: int, max_attempts_factor: in
     rng = np.random.default_rng(seed)
     records = []
     attempts = 0
-    limit = max_attempts_factor * n_instances
+    limit = MAX_ATTEMPTS_FACTOR * n_instances
     while len(records) < n_instances and attempts < limit:
         attempts += 1
         m = int(rng.integers(4, 9))

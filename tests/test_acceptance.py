@@ -23,19 +23,24 @@ from mmwave_scs.channel import (
 from mmwave_scs.cli import _PATH_LOSS_NOTE
 from mmwave_scs.pilots import (
     calibrate_noise_variance,
-    combiner_matrix,
     draw_ensemble,
     measurement_operators,
     pilot_subcarrier_indices,
-    pilot_vector,
-    slot_measurement,
     synthesize_received,
 )
 from mmwave_scs.recovery import P_TH_NOISELESS, nmse_db, oracle_ls, ssamp
 from mmwave_scs.simulate import ber_experiment, run_trial, sweep
 from mmwave_scs.theory import min_time_slots, run_certificate_battery
 
-from conftest import DESK_EXACT, DESK_SNR10, DESK_SNR20, synth
+from conftest import (
+    DESK_EXACT,
+    DESK_SNR10,
+    DESK_SNR20,
+    combiner_matrix,
+    pilot_vector,
+    slot_measurement,
+    synth,
+)
 from test_recovery import ssamp_reference, _random_instance
 
 

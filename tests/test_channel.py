@@ -17,7 +17,6 @@ from mmwave_scs.channel import (
     grid_steering_vector,
     inverse_angular_transform,
     path_loss_db,
-    steering_vector,
     unitary_dft,
 )
 from mmwave_scs.pilots import pilot_subcarrier_indices
@@ -68,32 +67,6 @@ def test_link_budget_rejects_bad_params(kwargs):
 
 
 # ------------------------------------------------------------------- steering
-
-
-def test_steering_broadside_is_all_ones():
-    np.testing.assert_allclose(steering_vector(4, 0.0), np.ones(4))
-
-
-def test_steering_endfire_alternates():
-    np.testing.assert_allclose(
-        steering_vector(2, 1.0, 0.5), np.array([1.0, -1.0]), atol=1e-12
-    )
-
-
-def test_steering_self_product_and_dft_peak():
-    v = steering_vector(8, 0.25, 0.5)
-    assert np.vdot(v, v).real == pytest.approx(8.0)
-    # sin 0.25 at half-wavelength spacing lands exactly on grid bin 1.
-    spectrum = np.abs(unitary_dft(8).conj().T @ v)
-    assert int(np.argmax(spectrum)) == 1
-    assert spectrum[1] == pytest.approx(np.sqrt(8.0))
-
-
-def test_steering_rejects_invalid_sine():
-    with pytest.raises(ValueError):
-        steering_vector(8, 1.5)
-    with pytest.raises(ValueError):
-        steering_vector(0, 0.0)
 
 
 def test_grid_steering_matches_dft_columns():

@@ -237,15 +237,55 @@ def test_exit_code_ber_needs_two_bs(tmp_path, capsys):
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):
+    # a finite SNR so low that the calibrated noise variance overflows to inf
     code = main(
         [
             "sweep-mse", "--config", _desk_config(tmp_path), "--variable", "snr",
-            "--values", " ", "--trials", "1", "--out", str(tmp_path / "r"),
+            "--values=-3100", "--trials", "1", "--out", str(tmp_path / "r"),
         ]
     )
     captured = capsys.readouterr()
     assert code == 3
-    assert "numerical error" in captured.err
+    assert "numerical error" in captured.err and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "variable, values, trials, message",
+    [
+        ("slots", "8,8.5", "1", "slot counts must be positive integers, got '8.5'"),
+        ("slots", "0", "1", "slot counts must be positive integers, got '0'"),
+        ("snr", "nan", "1", "SNR must be a number or inf, got 'nan'"),
+        ("snr", "-inf", "1", "SNR must be a number or inf, got '-inf'"),
+        ("snr", "ten", "1", "malformed number 'ten'"),
+        ("snr", " , ", "1", "--values is empty"),
+        ("snr", "10", "0", "--trials must be at least 1, got 0"),
+    ],
+    ids=["fractional-slots", "zero-slots", "nan-snr", "minus-inf-snr", "malformed",
+         "empty", "zero-trials"],
+)
+def test_exit_code_sweep_arguments(tmp_path, capsys, variable, values, trials, message):
+    out = tmp_path / "r"
+    code = main(
+        [
+            "sweep-mse", "--config", _desk_config(tmp_path), "--variable", variable,
+            f"--values={values}", "--trials", trials, "--out", str(out),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and message in captured.err
+    assert not out.exists()  # rejected before any trial runs
+
+
+def test_exit_code_removed_spacing_key(tmp_path, capsys):
+    # the DFT grids fix half-wavelength spacing; the key is no longer accepted
+    path = tmp_path / "old.cfg"
+    path.write_text("n_bs = 2\nantenna_spacing_ratio = 0.5\n")
+    code = main(["estimate", "--config", str(path), "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "unknown key 'antenna_spacing_ratio'" in captured.err
+    assert f"{path}:2" in captured.err
 
 
 def test_exit_code_workers_below_one(tmp_path, capsys):

@@ -11,16 +11,20 @@ from mmwave_scs.pilots import (
     PilotEnsemble,
     as_operator,
     calibrate_noise_variance,
-    combiner_matrix,
     draw_ensemble,
     measurement_operators,
     pilot_subcarrier_indices,
-    pilot_vector,
-    slot_measurement,
     synthesize_received,
 )
 
-from conftest import DESK_EXACT, DESK_SNR20, synth
+from conftest import (
+    DESK_EXACT,
+    DESK_SNR20,
+    combiner_matrix,
+    pilot_vector,
+    slot_measurement,
+    synth,
+)
 
 
 def test_all_stages_unit_modulus():

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mmwave_scs.recovery import (
@@ -25,7 +25,7 @@ from mmwave_scs.recovery import (
     ssamp,
     support_metrics,
 )
-from mmwave_scs.simulate import _omp_threshold, _ssamp_gain_scaled, _trial_seeds
+from mmwave_scs.simulate import _omp_threshold, _ssamp_threshold, _trial_seeds
 
 from conftest import DESK_EXACT, DESK_SNR20, synth
 
@@ -325,17 +325,16 @@ def test_joint_support_beats_per_subcarrier():
     work at this SNR; running it per subcarrier almost never recovers the
     support, and the OMP baseline never beats the joint run."""
     cfg = replace(DESK_EXACT, snr_db=10.0)
-    p_th = p_th_for_snr(cfg.snr_db)
-    scale = np.sqrt(cfg.n_ant_user * cfg.n_ant_bs)
+    p_th = _ssamp_threshold(cfg)
     joint_hits, single_hits, single_total, omp_hits = 0, 0, 0, 0
     for t in range(200):
         chan_seed, ens_seed, noise_seed = _trial_seeds(4000 + t)
         aset, ops, received, sigma2 = synth(cfg, chan_seed, ens_seed, noise_seed)
         truth = set(aset.support.tolist())
-        joint = _ssamp_gain_scaled(received, ops, cfg, p_th)
+        joint = ssamp(received, ops, p_th)
         joint_hits += set(joint.support.tolist()) == truth
         for p in range(received.shape[0]):
-            alone = ssamp(received[p : p + 1] / scale, ops[p : p + 1], p_th)
+            alone = ssamp(received[p : p + 1], ops[p : p + 1], p_th)
             single_hits += set(alone.support.tolist()) == truth
             single_total += 1
         omp = adaptive_omp(received, ops, _omp_threshold(sigma2, ops.shape[1], received))
@@ -352,9 +351,8 @@ def _property_instance(kind, seed):
     """
     if kind == "kronecker":
         aset, ops, received, sigma2 = synth(DESK_SNR20, *_trial_seeds(seed))
-        gain = DESK_SNR20.n_ant_user * DESK_SNR20.n_ant_bs
         omp_threshold = _omp_threshold(sigma2, ops.shape[1], received)
-        return received, ops, aset.support, p_th_for_snr(20.0) * gain, omp_threshold
+        return received, ops, aset.support, _ssamp_threshold(DESK_SNR20), omp_threshold
     received, phis = _random_instance(seed)
     support = np.random.default_rng(seed).choice(phis.shape[2], 2, replace=False)
     # _random_instance's noise has variance 2 * 0.05^2 per entry
@@ -407,6 +405,21 @@ class TestProperties:
                 b.estimates, a.estimates[perm], rtol=1e-9,
                 atol=1e-12 * np.abs(a.estimates).max(),
             )
+
+    # Fixed examples over trial draws.  When ssamp locks the true support, its
+    # saved stage is the LS fit on the same columns that oracle_ls fits.
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.sampled_from(["DESK_EXACT", "DESK_SNR20"]), st.integers(0, 2**32 - 1))
+    def test_exact_support_is_the_oracle_fit(self, config_name, seed):
+        config = {"DESK_EXACT": DESK_EXACT, "DESK_SNR20": DESK_SNR20}[config_name]
+        aset, ops, received, _ = synth(config, *_trial_seeds(seed))
+        est = ssamp(received, ops, _ssamp_threshold(config))
+        assume(np.array_equal(est.support, aset.support))
+        oracle = oracle_ls(received, ops, aset.support)
+        np.testing.assert_array_equal(est.estimates, oracle.estimates)
+        assert est.final_residual_energy == oracle.final_residual_energy
+        if config is DESK_EXACT:
+            assert nmse_db(est.estimates, aset.vectors) <= -60.0
 
     def test_permutation_beyond_row_count(self):
         """ssamp does not cap its stage sparsity at the row count.  Past it the

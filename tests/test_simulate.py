@@ -1,6 +1,6 @@
 """Monte-Carlo harness: paired trials, sweeps, BER study, QAM mapping."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -63,6 +63,28 @@ class TestRunTrial:
                 lin[name].append(10.0 ** (record.metrics[name].nmse_db / 10.0))
         assert np.mean(lin["oracle_ls"]) <= np.mean(lin["ssamp"])
 
+    def test_every_config_field_is_read(self):
+        """Each SystemConfig field, set to another valid value, changes the
+        seeded record: a field that nothing reads would leave it as it is.
+        The one exception is n_subcarriers with P fixed, because the pilot
+        frequencies are k B / P whatever N is."""
+        others = {
+            "n_ant_bs": 8, "n_chain_bs": 2, "n_ant_user": 8, "n_chain_user": 1,
+            "n_bs": 3, "n_paths": 3, "n_pilot_subcarriers": 4, "n_slots": 8,
+            "bandwidth_hz": 0.2e9, "max_delay_s": 20e-9, "rician_k_db": 3.0,
+            "snr_db": 10.0,
+        }
+        assert {f.name for f in fields(SystemConfig)} == set(others) | {"n_subcarriers"}
+
+        def record(config):
+            trial = run_trial(config, 0)
+            return trial.true_sparsity, _strip_time(trial.metrics)
+
+        base = record(DESK_SNR20)
+        for name, value in others.items():
+            assert record(replace(DESK_SNR20, **{name: value})) != base, name
+        assert record(replace(DESK_SNR20, n_subcarriers=16)) == base
+
     def test_trial_seeds(self):
         assert _trial_seeds(0) == _trial_seeds(0)
         assert _trial_seeds(0) != _trial_seeds(1)
@@ -102,6 +124,9 @@ class TestSweep:
             sweep(DESK_SNR20, "snr", [], 1, 0)
         with pytest.raises(ValueError):
             sweep(DESK_SNR20, "snr", [10.0], 0, 0)
+        for values in ([8.5], [6, 12.5], [float("nan")]):
+            with pytest.raises(ValueError, match="slot counts must be integers"):
+                sweep(DESK_SNR20, "slots", values, 1, 0)
         for workers in (0, -2):
             with pytest.raises(ValueError, match="workers"):
                 sweep(DESK_SNR20, "snr", [10.0], 1, 0, workers=workers)

@@ -1,0 +1,60 @@
+"""Fixed seed panel.  `PYTHONPATH=src python3 tools/seed_panel.py dump OUT.json`
+runs run_trial on DESK_SNR20 seeds 3000-3199, DESK_SNR10 seeds 0-49,
+SystemConfig(n_slots=G) for G = 9/12/16 seeds 0-39 and the perfbench trial-wide
+point seeds 0-3, keeping per estimator [NMSE as float hex, exact-support flag,
+iterations], plus one desk-scale ber_experiment table.  `compare A.json B.json`
+prints the NMSE delta (dB) of every trial that differs and exits 1 if any trial
+or BER row differs.
+"""
+
+import json
+import sys
+
+
+def dump(path):
+    from mmwave_scs import SystemConfig, ber_experiment, run_trial
+
+    desk = dict(n_ant_bs=16, n_ant_user=4, n_paths=2, n_subcarriers=8,
+                n_pilot_subcarriers=8, n_slots=6, max_delay_s=25e-9)
+    wide = dict(n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2, n_subcarriers=16,
+                n_pilot_subcarriers=8, n_slots=12, max_delay_s=25e-9)
+    panel = [("desk20", SystemConfig(**desk), range(3000, 3200)),
+             ("desk10", SystemConfig(**desk, snr_db=10.0), range(50)),
+             *((f"default-G{g}", SystemConfig(n_slots=g), range(40)) for g in (9, 12, 16)),
+             ("wide", SystemConfig(**wide), range(4))]
+    trials = {}
+    for name, config, seeds in panel:
+        for seed in seeds:
+            trials[f"{name}/{seed}"] = {
+                est: [float(m.nmse_db).hex(), bool(m.exact_support_match), m.iterations]
+                for est, m in run_trial(config, seed).metrics.items()
+            }
+    table = ber_experiment(SystemConfig(**desk), [10.0, 20.0, 30.0], 10**4, 0, n_realizations=2)
+    with open(path, "w") as handle:
+        json.dump({"trials": trials, "ber": [list(row) for row in table.rows]}, handle, indent=1)
+    return 0
+
+
+def compare(path_a, path_b):
+    a, b = (json.load(open(path)) for path in (path_a, path_b))
+    keys = sorted(a["trials"].keys() | b["trials"].keys())
+    differ = [key for key in keys if a["trials"].get(key) != b["trials"].get(key)]
+    missing = ["nan", None, None]
+    for key in differ:
+        ta, tb = a["trials"].get(key, {}), b["trials"].get(key, {})
+        for est in sorted(e for e in ta.keys() | tb.keys() if ta.get(e) != tb.get(e)):
+            (na, ea, ia), (nb, eb, ib) = ta.get(est, missing), tb.get(est, missing)
+            delta = float.fromhex(nb) - float.fromhex(na)
+            print(f"{key} {est}: {delta:+.3g} dB, exact {ea} -> {eb}, iterations {ia} -> {ib}")
+    same_ber = a["ber"] == b["ber"]
+    print(f"{len(differ)} of {len(keys)} trials differ; "
+          f"BER table {'identical' if same_ber else 'differs'}")
+    return 1 if differ or not same_ber else 0
+
+
+if __name__ == "__main__":
+    commands = {"dump": (dump, 1), "compare": (compare, 2)}
+    name, args = (sys.argv[1:2] or [""])[0], sys.argv[2:]
+    if name not in commands or len(args) != commands[name][1]:
+        sys.exit(__doc__)
+    sys.exit(commands[name][0](*args))
