@@ -116,6 +116,8 @@ class SystemConfig:
             raise ValueError("bandwidth_hz must be positive")
         if self.max_delay_s < 0:
             raise ValueError("max_delay_s must be non-negative")
+        if np.isnan(self.snr_db) or self.snr_db == -np.inf:
+            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db!r}")
         # Delay spread must fit inside the cyclic prefix implied by the FFT.
         if self.max_delay_s * self.bandwidth_hz >= self.n_subcarriers:
             raise ValueError(

@@ -119,17 +119,21 @@ class KroneckerOperator:
     def adjoint(self, r) -> np.ndarray:
         """Phi_p^H r_p for every subcarrier: (P, rows) -> (P, dim)."""
         g, p, c, u = self.left.shape
-        slots = np.asarray(r).reshape(p, g, 1, c)
-        per_slot = (slots @ self.left.transpose(1, 0, 2, 3).conj())[:, :, 0]  # (P, G, N_US)
-        out = self.right.conj().transpose(1, 2, 0) @ per_slot
-        return out.reshape(p, -1)
+        # As conj(right^T conj(per_slot)): no conjugated copy of right per call.
+        slots = np.asarray(r).conj().reshape(p, g, 1, c)
+        per_slot = (slots @ self.left.transpose(1, 0, 2, 3))[:, :, 0]  # (P, G, N_US)
+        out = self.right.transpose(1, 2, 0) @ per_slot
+        return np.conjugate(out, out=out).reshape(p, -1)
 
     def columns(self, support) -> np.ndarray:
-        """Phi_p[:, support] for every subcarrier: (P, rows, |support|)."""
+        """Phi_p[:, support], or Phi_p[:, support[p]] for a (P, K) support: (P, rows, K)."""
         g, p, c, u = self.left.shape
         beam, rx = np.divmod(np.asarray(support, dtype=int), u)
-        cols = self.right[:, :, None, beam] * self.left[..., rx]  # (G, P, N_chain_US, K)
-        return cols.transpose(1, 0, 2, 3).reshape(p, g * c, beam.size)
+        sub = np.arange(p)[:, None]
+        right = self.right.transpose(1, 2, 0)[sub, beam]  # (P, K, G)
+        left = self.left.transpose(1, 3, 0, 2)[sub, rx]  # (P, K, G, N_chain_US)
+        cols = right[..., None] * left
+        return cols.transpose(0, 2, 3, 1).reshape(p, g * c, beam.shape[-1])
 
     def column_norms(self) -> np.ndarray:
         """Euclidean norm of every column of every Phi_p: (P, dim)."""
@@ -200,14 +204,18 @@ def calibrate_noise_variance(operators, vectors, snr_db: float) -> float:
 
     SNR is the realised signal energy summed over subcarriers divided by
     rows * P * sigma^2, so sigma^2 = sum_p ||Phi_p h_p||^2 / (rows * P *
-    10^(SNR/10)).  Raises when every signal is zero (SNR undefined).
+    10^(SNR/10)).  Raises when every signal is zero (SNR undefined) and when
+    10^(SNR/10) underflows to zero (SNR = -inf or below about -3,235 dB).
     """
     op = as_operator(operators)
     energy = float(np.sum(np.abs(op.apply(vectors)) ** 2))
     if energy == 0.0:
         raise ValueError("all-zero signals: SNR is undefined")
+    snr_lin = 10.0 ** (snr_db / 10.0)
+    if snr_lin == 0.0:
+        raise ValueError(f"SNR {snr_db} dB underflows to zero: noise variance is infinite")
     n_pilots, rows, _ = op.shape
-    return energy / (rows * n_pilots * 10.0 ** (snr_db / 10.0))
+    return energy / (rows * n_pilots * snr_lin)
 
 
 def synthesize_received(operators, vectors, noise_variance: float, seed: int) -> np.ndarray:

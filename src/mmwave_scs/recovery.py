@@ -17,6 +17,9 @@ from .pilots import as_operator
 # Least-squares cutoff: singular values below LSTSQ_RCOND times the largest
 # are treated as zero (minimum-norm solutions on rank-deficient blocks).
 LSTSQ_RCOND = 1e-10
+# Normal equations lose about cond(Gram) * eps of relative accuracy; blocks
+# whose Gram matrix is worse conditioned than this take the lstsq path.
+GRAM_COND_LIMIT = 1e6
 
 TERM_THRESHOLD = "weakest-coefficient-below-threshold"
 TERM_RESIDUAL = "residual-increase-vs-last-stage"
@@ -44,15 +47,34 @@ class EstimationResult:
 
 
 def _top_indices(energy: np.ndarray, count: int) -> np.ndarray:
-    """Indices of the `count` largest entries; ties go to the lowest index."""
-    order = np.argsort(-energy, kind="stable")
-    return np.sort(order[:count])
+    """Sorted indices of the `count` largest entries; ties go to the lowest index."""
+    if count >= energy.size:
+        return np.arange(energy.size)
+    cutoff = np.partition(energy, -count)[-count]
+    above = np.flatnonzero(energy > cutoff)
+    ties = np.flatnonzero(energy == cutoff)[: count - above.size]
+    return np.union1d(above, ties)
 
 
 def _fit(cols, received):
-    """Per-subcarrier minimum-norm LS coefficients on a (P, rows, K) column block."""
-    coefs = np.empty((cols.shape[0], cols.shape[2]), dtype=np.complex128)
-    for p in range(cols.shape[0]):
+    """Per-subcarrier minimum-norm LS coefficients on a (P, rows, K) column block.
+
+    The normal equations solve all blocks at once; blocks with K > rows or a
+    Gram matrix whose 1-norm condition number reaches GRAM_COND_LIMIT are
+    solved again by lstsq with cutoff LSTSQ_RCOND.
+    """
+    n_pilots, rows, k = cols.shape
+    herm = cols.conj().swapaxes(1, 2)
+    gram = herm @ cols
+    with np.errstate(all="ignore"):
+        try:
+            inverse = np.linalg.inv(gram)
+        except np.linalg.LinAlgError:  # an exactly singular block
+            inverse = np.full_like(gram, np.inf)
+        coefs = (inverse @ (herm @ received[..., None]))[..., 0]
+        cond = np.abs(gram).sum(axis=1).max(axis=1, initial=0.0)
+        cond *= np.abs(inverse).sum(axis=1).max(axis=1, initial=0.0)
+    for p in np.flatnonzero(~(cond < GRAM_COND_LIMIT) | (k > rows)):
         coefs[p] = np.linalg.lstsq(cols[p], received[p], rcond=LSTSQ_RCOND)[0]
     return coefs
 
@@ -167,7 +189,8 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
 
     Each subcarrier greedily adds its own best-correlated column and refits
     until the residual energy drops to residual_threshold or the support
-    reaches the row count.  The reported support is the union across
+    reaches the row count; the subcarriers still picking advance together,
+    one pick per step.  The reported support is the union across
     subcarriers, which for a common-sparsity channel is exactly what a
     per-subcarrier scheme gets wrong.
     """
@@ -178,39 +201,39 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     col_norms = op.column_norms()
     col_norms[col_norms == 0] = np.inf
     estimates = np.zeros((n_pilots, dim), dtype=np.complex128)
-    union = np.array([], dtype=int)
+    picked = np.zeros(dim, dtype=bool)
+    res_energy = np.sum(np.abs(r) ** 2, axis=1)
+    # The subcarriers still picking, with their data, picks and residuals.
+    active = np.flatnonzero(res_energy > residual_threshold)
+    sub, norms, r_act = op[active], col_norms[active], r[active]
+    picks = np.zeros((active.size, 0), dtype=int)
+    residual = r_act
     total_picks = 0
-    all_below = True
-    final_res = 0.0
-    for p in range(n_pilots):
-        # One subcarrier at a time, kept as a batch of one.
-        sub, r_p = op[p : p + 1], r[p : p + 1]
-        support: list[int] = []
-        residual = r_p
-        res_energy = float(np.vdot(residual, residual).real)
-        coefs = np.zeros((1, 0), dtype=np.complex128)
-        while res_energy > residual_threshold and len(support) < rows:
-            corr = np.abs(sub.adjoint(residual)[0]) / col_norms[p]
-            corr[support] = -1.0  # never re-pick
-            support.append(int(np.argmax(corr)))
-            cols = sub.columns(sorted(support))
-            coefs = _fit(cols, r_p)
-            residual = _residual(r_p, cols, coefs)
-            res_energy = float(np.vdot(residual, residual).real)
-            total_picks += 1
-        if support:
-            picked = np.array(sorted(support))
-            estimates[p, picked] = coefs[0]
-            union = np.union1d(union, picked)
-        if res_energy > residual_threshold:
-            all_below = False
-        final_res += res_energy
+    while active.size:
+        corr = np.abs(sub.adjoint(residual)) / norms
+        np.put_along_axis(corr, picks, -1.0, axis=1)  # never re-pick
+        picks = np.column_stack([picks, np.argmax(corr, axis=1)])
+        support = np.sort(picks, axis=1)
+        cols = sub.columns(support)
+        coefs = _fit(cols, r_act)
+        residual = _residual(r_act, cols, coefs)
+        res_energy[active] = np.sum(np.abs(residual) ** 2, axis=1)
+        total_picks += active.size
+        done = (res_energy[active] <= residual_threshold) | (picks.shape[1] == rows)
+        if done.any():
+            estimates[active[done, None], support[done]] = coefs[done]
+            picked[support[done]] = True
+            keep = ~done
+            active, picks, residual = active[keep], picks[keep], residual[keep]
+            sub, norms, r_act = sub[keep], norms[keep], r_act[keep]
+    union = np.flatnonzero(picked)
+    all_below = bool(np.all(res_energy <= residual_threshold))
     return EstimationResult(
         estimates=estimates,
-        support=union.astype(int),
+        support=union,
         iterations=total_picks,
         stages=int(union.size),
-        final_residual_energy=final_res,
+        final_residual_energy=float(np.sum(res_energy)),
         termination_reason=TERM_THRESHOLD if all_below else TERM_MAXITER,
     )
 

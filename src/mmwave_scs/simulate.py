@@ -11,7 +11,6 @@ CSI quality propagates into hard-decision errors.
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -198,8 +197,9 @@ def sweep(
     base_seed + t at every sweep value, so estimator and sweep-point
     comparisons are paired.  The per-trial NMSE ratios are averaged in the
     linear domain and reported in dB; stderr is the delta-method standard
-    error of that mean.  workers > 1 runs trials in separate processes;
-    aggregation order is fixed, so results match the serial run bit for bit.
+    error of that mean.  workers > 1 runs the trials of all values through
+    one process pool; aggregation order is fixed, so results match the
+    serial run bit for bit.
     """
     field = _SWEEP_FIELDS.get(variable)
     if field is None:
@@ -217,16 +217,19 @@ def sweep(
         raise ValueError("n_trials must be positive")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    # Every (value, trial) pair, value-major, through one pool.
+    configs = [replace(config, **{field: value}) for value in values for _ in range(n_trials)]
+    seeds = [base_seed + t for _ in values for t in range(n_trials)]
+    if workers > 1:
+        # About four chunks per worker: few round trips, balanced load.
+        chunksize = -(-len(seeds) // (4 * workers))
+        with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
+            records = list(pool.map(run_trial, configs, seeds, chunksize=chunksize))
+    else:
+        records = list(map(run_trial, configs, seeds))
     rows = []
-    for value in values:
-        cfg = replace(config, **{field: value})
-        seeds = [base_seed + t for t in range(n_trials)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                records = list(pool.map(run_trial, repeat(cfg), seeds, chunksize=8))
-        else:
-            records = [run_trial(cfg, s) for s in seeds]
-        rows.extend(_aggregate(records, field, value))
+    for i, value in enumerate(values):
+        rows.extend(_aggregate(records[i * n_trials : (i + 1) * n_trials], field, value))
     return ResultTable(columns=MSE_COLUMNS, rows=tuple(rows))
 
 

@@ -249,6 +249,30 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert "numerical error" in captured.err and "non-finite" in captured.err
 
 
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+def test_exit_code_bad_config_snr(tmp_path, capsys, value):
+    path = tmp_path / "snr.cfg"
+    path.write_text(f"snr_db = {value}\n")
+    code = main(["estimate", "--config", str(path), "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert f"snr_db must be a number or inf, got {value}" in captured.err
+
+
+def test_exit_code_snr_underflow(tmp_path, capsys):
+    # 10^(-400) underflows to zero: the noise variance would be infinite
+    code = main(
+        [
+            "sweep-mse", "--config", _desk_config(tmp_path), "--variable", "snr",
+            "--values=-4000", "--trials", "1", "--out", str(tmp_path / "r"),
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical error: SNR -4000.0 dB underflows to zero" in captured.err
+
+
 @pytest.mark.parametrize(
     "variable, values, trials, message",
     [

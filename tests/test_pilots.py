@@ -204,6 +204,10 @@ def _check_against_dense(op, dense, rng):
     np.testing.assert_array_equal(op[sub].dense(), dense[sub])
     picked = np.array([n_pilots - 1, 0])
     np.testing.assert_array_equal(op[picked].dense(), dense[picked])
+    # one support per subcarrier, repeats allowed
+    per_sub = rng.integers(0, dim, size=(n_pilots, int(rng.integers(0, dim + 1))))
+    gathered = np.stack([dense[q][:, per_sub[q]] for q in range(n_pilots)])
+    np.testing.assert_array_equal(op.columns(per_sub), gathered)
     assert op.nbytes == op.left.nbytes + op.right.nbytes
 
 
@@ -308,6 +312,13 @@ class TestNoiseCalibration:
         vecs = rng.standard_normal((1, 6)) + 0j
         sig = [calibrate_noise_variance(ops, vecs, s) for s in (0.0, 10.0, 20.0)]
         assert sig[0] > sig[1] > sig[2] > 0.0
+
+    def test_underflowing_snr_rejected(self):
+        ops = np.ones((1, 4, 6))
+        vecs = np.ones((1, 6))
+        for snr_db in (-4000.0, -np.inf):
+            with pytest.raises(ValueError, match="underflows to zero"):
+                calibrate_noise_variance(ops, vecs, snr_db)
 
     def test_all_zero_signal_rejected(self):
         ops = np.zeros((2, 4, 6))

@@ -4,6 +4,8 @@ ssamp_reference below is a second, independently written implementation of the
 staged pursuit (explicit per-step records, python-loop proxies, lstsq on
 sorted index lists).  The equivalence battery pins the packaged ssamp() to it
 output-for-output, which is a much stronger check than spot values.
+omp_reference is the per-subcarrier OMP loop that adaptive_omp() runs for all
+subcarriers at once, with one lstsq per fit.
 """
 
 from dataclasses import replace
@@ -13,11 +15,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mmwave_scs.pilots import as_operator
 from mmwave_scs.recovery import (
+    LSTSQ_RCOND,
     P_TH_NOISELESS,
     TERM_MAXITER,
     TERM_RESIDUAL,
     TERM_THRESHOLD,
+    _fit,
+    _top_indices,
     adaptive_omp,
     nmse_db,
     oracle_ls,
@@ -98,6 +104,41 @@ def ssamp_reference(received, operators, p_th, max_iterations=None):
     if best[0].size:
         est[:, best[0]] = best[1]
     return est, best[0], reason, passes, stage_targets, stage_traces
+
+
+def omp_reference(received, operators, residual_threshold):
+    """OMP one subcarrier at a time, one lstsq per pick.
+
+    Returns (estimates, per-subcarrier sorted supports, picks, reason).
+    """
+    y = np.asarray(received, dtype=complex)
+    op = as_operator(operators)
+    n_vec, rows, dim = op.shape
+    norms = op.column_norms()
+    norms[norms == 0] = np.inf
+    est = np.zeros((n_vec, dim), dtype=complex)
+    supports, picks, all_below = [], 0, True
+    for q in range(n_vec):
+        sub, support, resid = op[q : q + 1], [], y[q]
+        energy = float(np.vdot(resid, resid).real)
+        while energy > residual_threshold and len(support) < rows:
+            corr = np.abs(sub.adjoint(resid[None])[0]) / norms[q]
+            corr[support] = -1.0  # never re-pick
+            support.append(int(np.argmax(corr)))
+            cols = sub.columns(sorted(support))[0]
+            co = np.linalg.lstsq(cols, y[q], rcond=1e-10)[0]
+            resid = y[q] - cols @ co
+            energy = float(np.vdot(resid, resid).real)
+            picks += 1
+        if support:
+            est[q, sorted(support)] = co
+        supports.append(sorted(support))
+        all_below &= energy <= residual_threshold
+    return est, supports, picks, TERM_THRESHOLD if all_below else TERM_MAXITER
+
+
+def _cnormal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _random_instance(seed, n_vec=None):
@@ -253,6 +294,58 @@ class TestAdaptiveOmp:
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             adaptive_omp(np.zeros((1, 2)), np.zeros((1, 2, 3)), 0.0)
+
+
+class TestFit:
+    """_fit against one lstsq per subcarrier, the minimum-norm LS solution."""
+
+    @staticmethod
+    def _lstsq(cols, received):
+        return np.stack([np.linalg.lstsq(c, r, rcond=LSTSQ_RCOND)[0]
+                         for c, r in zip(cols, received)])
+
+    def test_full_rank(self):
+        rng = np.random.default_rng(11)
+        cols = _cnormal(rng, (5, 12, 6))
+        received = _cnormal(rng, (5, 12))
+        np.testing.assert_allclose(_fit(cols, received), self._lstsq(cols, received),
+                                   rtol=1e-12)
+
+    def test_more_columns_than_rows(self):
+        rng = np.random.default_rng(12)
+        cols = _cnormal(rng, (3, 4, 7))
+        received = _cnormal(rng, (3, 4))
+        coefs = _fit(cols, received)
+        np.testing.assert_array_equal(coefs, self._lstsq(cols, received))
+        np.testing.assert_allclose(coefs, (np.linalg.pinv(cols) @ received[..., None])[..., 0],
+                                   rtol=1e-10)
+
+    def test_nearly_equal_columns(self):
+        # block 0 has columns 2 and 3 equal up to 1e-13: lstsq treats it as
+        # rank 4 and splits the weight evenly; the other blocks are full rank
+        rng = np.random.default_rng(13)
+        cols = _cnormal(rng, (3, 10, 5))
+        cols[0, :, 3] = cols[0, :, 2] + 1e-13 * _cnormal(rng, 10)
+        received = _cnormal(rng, (3, 10))
+        coefs = _fit(cols, received)
+        reference = self._lstsq(cols, received)
+        np.testing.assert_array_equal(coefs[0], reference[0])
+        pinv = np.linalg.pinv(cols[0], rcond=LSTSQ_RCOND)
+        np.testing.assert_allclose(coefs[0], pinv @ received[0], rtol=1e-8)
+        assert abs(coefs[0, 2] - coefs[0, 3]) < 1e-6 * abs(coefs[0, 2])
+        np.testing.assert_allclose(coefs[1:], reference[1:], rtol=1e-12)
+
+    def test_empty_block(self):
+        assert _fit(np.zeros((2, 3, 0), dtype=complex), np.ones((2, 3))).shape == (2, 0)
+
+
+# Integer energies make ties frequent; the reference is a stable argsort.
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=40), st.integers(1, 45))
+def test_top_indices_matches_stable_argsort(values, count):
+    energy = np.array(values, dtype=float)
+    expected = np.sort(np.argsort(-energy, kind="stable")[:count])
+    np.testing.assert_array_equal(_top_indices(energy, count), expected)
 
 
 class TestOracleLs:
@@ -425,14 +518,31 @@ class TestProperties:
         """ssamp does not cap its stage sparsity at the row count.  Past it the
         stage fits are minimum-norm with residual energies at the rounding
         floor, so the stage decisions follow the order of the subcarrier sums."""
-        received, ops, _, p_th, _ = _property_instance("kronecker", 644563)
+        received, ops, _, p_th, _ = _property_instance("kronecker", 206)
         base = ssamp(received, ops, p_th)
         assert base.support.size > ops.shape[1]
-        perm = np.random.default_rng(0).permutation(received.shape[0])
+        perm = np.random.default_rng(207).permutation(received.shape[0])
         permuted = ssamp(received[perm], ops[perm], p_th)
         if not np.array_equal(permuted.support, base.support):
             pytest.xfail("known: reordering the subcarriers changes a support "
                          "larger than the row count")
+
+    # Fixed examples: the reference solves with lstsq, _fit mostly with the
+    # normal equations, so a pick decided by rounding could differ.  The
+    # 1e-6 threshold scale runs most subcarriers to the row count.
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(operator_kinds, st.integers(0, 2**32 - 1), st.sampled_from([1.0, 1e-6]))
+    def test_adaptive_omp_matches_reference(self, kind, seed, threshold_scale):
+        received, ops, _, _, omp_threshold = _property_instance(kind, seed)
+        threshold = omp_threshold * threshold_scale
+        got = adaptive_omp(received, ops, threshold)
+        est, supports, picks, reason = omp_reference(received, ops, threshold)
+        for q, support in enumerate(supports):
+            np.testing.assert_array_equal(np.flatnonzero(got.estimates[q]), support)
+        np.testing.assert_array_equal(got.support, sorted(set().union(*supports)))
+        assert got.iterations == picks
+        assert got.termination_reason == reason
+        np.testing.assert_allclose(got.estimates, est, rtol=1e-9)
 
 
 class TestNmse:

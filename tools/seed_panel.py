@@ -3,8 +3,9 @@ runs run_trial on DESK_SNR20 seeds 3000-3199, DESK_SNR10 seeds 0-49,
 SystemConfig(n_slots=G) for G = 9/12/16 seeds 0-39 and the perfbench trial-wide
 point seeds 0-3, keeping per estimator [NMSE as float hex, exact-support flag,
 iterations], plus one desk-scale ber_experiment table.  `compare A.json B.json`
-prints the NMSE delta (dB) of every trial that differs and exits 1 if any trial
-or BER row differs.
+prints the NMSE delta (dB) of every trial that differs, then per estimator the
+exact-support flips, iteration-count changes and largest |delta|, and exits 1
+if any trial or BER row differs.
 """
 
 import json
@@ -40,12 +41,18 @@ def compare(path_a, path_b):
     keys = sorted(a["trials"].keys() | b["trials"].keys())
     differ = [key for key in keys if a["trials"].get(key) != b["trials"].get(key)]
     missing = ["nan", None, None]
+    summary = {}  # estimator: (exact-support flips, iteration changes, largest |dB|)
     for key in differ:
         ta, tb = a["trials"].get(key, {}), b["trials"].get(key, {})
         for est in sorted(e for e in ta.keys() | tb.keys() if ta.get(e) != tb.get(e)):
             (na, ea, ia), (nb, eb, ib) = ta.get(est, missing), tb.get(est, missing)
             delta = float.fromhex(nb) - float.fromhex(na)
             print(f"{key} {est}: {delta:+.3g} dB, exact {ea} -> {eb}, iterations {ia} -> {ib}")
+            flips, changes, largest = summary.get(est, (0, 0, 0.0))
+            summary[est] = (flips + (ea != eb), changes + (ia != ib), max(largest, abs(delta)))
+    for est, (flips, changes, largest) in sorted(summary.items()):
+        print(f"{est}: {flips} exact-support flips, {changes} iteration changes, "
+              f"largest |delta| {largest:.3g} dB")
     same_ber = a["ber"] == b["ber"]
     print(f"{len(differ)} of {len(keys)} trials differ; "
           f"BER table {'identical' if same_ber else 'differs'}")
