@@ -211,21 +211,21 @@ def cmd_estimate(args) -> int:
     return 0
 
 
-def _sweep_values(variable, text) -> list:
-    """--values as slot counts (positive integers) or SNRs in dB (inf: noiseless)."""
+def _sweep_values(variable, text, flag="--values") -> list:
+    """flag's values as slot counts (positive integers) or SNRs in dB (inf: noiseless)."""
     values = []
     for item in filter(None, (v.strip() for v in text.split(","))):
         try:
             value = float(item)
         except ValueError:
-            raise ConfigError(f"--values: malformed number {item!r}") from None
+            raise ConfigError(f"{flag}: malformed number {item!r}") from None
         if variable == "slots" and not (value.is_integer() and value >= 1):
-            raise ConfigError(f"--values: slot counts must be positive integers, got {item!r}")
+            raise ConfigError(f"{flag}: slot counts must be positive integers, got {item!r}")
         if variable == "snr" and (math.isnan(value) or value == -math.inf):
-            raise ConfigError(f"--values: SNR must be a number or inf, got {item!r}")
+            raise ConfigError(f"{flag}: SNR must be a number or inf, got {item!r}")
         values.append(int(value) if variable == "slots" else value)
     if not values:
-        raise ConfigError("--values is empty")
+        raise ConfigError(f"{flag} is empty")
     return values
 
 
@@ -248,10 +248,14 @@ def cmd_sweep_mse(args) -> int:
 
 
 def cmd_sweep_ber(args) -> int:
+    if args.symbols < 10**4:
+        raise ConfigError(f"--symbols must be at least 10^4, got {args.symbols}")
+    if args.realizations < 1:
+        raise ConfigError(f"--realizations must be at least 1, got {args.realizations}")
+    snrs = _sweep_values("snr", args.snrs, "--snrs")
     config = _load_config(args)
     if config.n_bs < 2:
         raise ConfigError("sweep-ber needs n_bs >= 2 (two LOS streams)")
-    snrs = [float(v) for v in args.snrs.split(",") if v.strip()]
     table = ber_experiment(
         config, snrs, args.symbols, args.seed, n_realizations=args.realizations
     )

@@ -236,27 +236,86 @@ def sweep(
 # 16-QAM, Gray mapped: per axis bits (b0, b1) -> level index 2 b0 + (b0 xor b1),
 # levels (-3, -1, 1, 3)/sqrt(10) so symbol energy is 1.
 _QAM_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+# Level of each per-axis bit pair, indexed by 2 b0 + b1, and the bit pair of
+# each level index.
+_PAIR_LEVELS = _QAM_LEVELS[[0, 1, 3, 2]]
+_GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 
 
 def qam16_modulate(bits) -> np.ndarray:
-    """Map bits (length divisible by 4) to Gray-coded unit-energy 16-QAM."""
-    b = np.asarray(bits, dtype=int).reshape(-1, 4)
-    i_idx = 2 * b[:, 0] + (b[:, 0] ^ b[:, 1])
-    q_idx = 2 * b[:, 2] + (b[:, 2] ^ b[:, 3])
-    return _QAM_LEVELS[i_idx] + 1j * _QAM_LEVELS[q_idx]
+    """Map bits (0s and 1s, length divisible by 4) to Gray-coded unit-energy 16-QAM."""
+    b = np.asarray(bits, dtype=int)
+    if b.size % 4:
+        raise ValueError(f"bit count must be a multiple of 4, got {b.size}")
+    if b.size and (b.min() < 0 or b.max() > 1):
+        raise ValueError(f"bits must be 0 or 1, got values in [{b.min()}, {b.max()}]")
+    pairs = b.reshape(-1, 2)  # (I pair, Q pair) per symbol, interleaved
+    out = np.empty(b.size // 4, dtype=complex)
+    np.take(_PAIR_LEVELS, 2 * pairs[:, 0] + pairs[:, 1], out=out.view(np.float64))
+    return out
+
+
+def _exact_levels(x) -> np.ndarray:
+    """Per-axis decisions by the definition: for each float in x the first
+    index k minimising fl(|x - level_k|), as uint8, exactly as argmin over the
+    four distances gives it.
+
+    a_k = fl(x - level_k) does not increase with k, so |a_k| falls and then
+    rises, with plateaus where rounding makes distances equal (|x| from about
+    1e15); the first minimum is the level after the last strict decrease.
+    Given a_{k+1} <= a_k, |a_{k+1}| < |a_k| is exactly
+    (a_k + a_{k+1} > 0) & (a_{k+1} < a_k).  NaN and +-inf compare false
+    throughout and get level 0, as argmin gives them.
+    """
+    index = np.zeros(x.shape, dtype=np.uint8)
+    above = x - _QAM_LEVELS[0]
+    for k in (1, 2, 3):
+        below = x - _QAM_LEVELS[k]
+        closer = (above + below > 0.0) & (below < above)
+        np.maximum(index, closer.view(np.uint8) * np.uint8(k), out=index)
+        above = below
+    return index
+
+
+def _flip_point(k: int) -> float:
+    """Smallest float x at which level k + 1 is strictly nearer than level k,
+    both distances rounded as in _exact_levels; found by bisection between the
+    two levels, where that test is monotone in x (see _FLIP_RANGE)."""
+    lo, hi = float(_QAM_LEVELS[k]), float(_QAM_LEVELS[k + 1])
+    while True:
+        mid = lo + (hi - lo) / 2.0
+        if mid in (lo, hi):
+            return hi
+        if abs(mid - _QAM_LEVELS[k + 1]) < abs(mid - _QAM_LEVELS[k]):
+            hi = mid
+        else:
+            lo = mid
+
+
+# Below 2^50 in magnitude the ulp is at most 0.25, under half the level
+# spacing, so a_{k+1} < a_k always holds and "level k + 1 is nearer" reduces
+# to fl(a_k + a_{k+1}) > 0, which is monotone in x: true from flip point k
+# on.  The decision is then the number of flip points at or below x.
+_FLIP_RANGE = 2.0**50
+_FLIP_POINTS = [_flip_point(k) for k in range(3)]
 
 
 def qam16_hard_bits(symbols) -> np.ndarray:
-    """Nearest-level hard decisions back to bits; inverse of qam16_modulate."""
-    s = np.asarray(symbols).ravel()
-    i_idx = np.argmin(np.abs(s.real[:, None] - _QAM_LEVELS[None, :]), axis=1)
-    q_idx = np.argmin(np.abs(s.imag[:, None] - _QAM_LEVELS[None, :]), axis=1)
-    out = np.empty((s.size, 4), dtype=int)
-    out[:, 0] = i_idx >> 1
-    out[:, 1] = out[:, 0] ^ (i_idx & 1)
-    out[:, 2] = q_idx >> 1
-    out[:, 3] = out[:, 2] ^ (q_idx & 1)
-    return out.ravel()
+    """Nearest-level hard decisions back to bits (uint8); inverse of
+    qam16_modulate.  Ties go to the lower level.
+
+    Each axis takes three comparisons with the flip points when every part
+    is below _FLIP_RANGE in magnitude; otherwise (NaN, +-inf, larger values)
+    the whole call takes _exact_levels.  Both give argmin's decisions.
+    """
+    x = np.ascontiguousarray(symbols, dtype=complex).ravel().view(np.float64)
+    if x.size and not (-_FLIP_RANGE < x.min() and x.max() < _FLIP_RANGE):
+        index = _exact_levels(x)
+    else:
+        index = (x >= _FLIP_POINTS[0]).view(np.uint8)
+        index += (x >= _FLIP_POINTS[1]).view(np.uint8)
+        index += (x >= _FLIP_POINTS[2]).view(np.uint8)
+    return np.take(_GRAY_BITS, index, axis=0).ravel()
 
 
 def _los_beams(chan, config: SystemConfig):
@@ -289,13 +348,14 @@ def _effective_channels(h_matrices, bs_indices, precoders, combiners):
 
 
 def _zf_precoders(h_eff):
-    """Per-subcarrier zero-forcing precoders with unit average transmit power.
+    """Zero-forcing precoders with unit average transmit power for each 2x2
+    channel of a (..., 2, 2) stack, and their power scales beta (...).
 
     Degenerate CSI (an all-zero estimate) has an all-zero pseudo-inverse, so
     that subcarrier transmits nothing, with beta = 1.
     """
     precoders = np.linalg.pinv(h_eff, rcond=1e-10)
-    norms = np.linalg.norm(precoders, axis=(1, 2))
+    norms = np.linalg.norm(precoders, axis=(-2, -1))
     betas = np.sqrt(2.0) / np.where(norms == 0.0, np.sqrt(2.0), norms)
     return precoders, betas
 
@@ -335,7 +395,7 @@ def ber_experiment(
     for point, snr_db in enumerate(snr_values):
         cfg = replace(config, snr_db=snr_db)
         snr_lin = 10.0 ** (snr_db / 10.0)
-        errors = {name: 0 for name in CSI_SOURCES}
+        errors = np.zeros(len(CSI_SOURCES), dtype=np.int64)
         total_bits = 0
         total_symbols = 0
         for real in range(n_realizations):
@@ -354,37 +414,37 @@ def ber_experiment(
             )
 
             bs_indices, precoders, combiners = _los_beams(chan, cfg)
-            channels = {
-                "perfect": _per_bs_matrices(aset.vectors, cfg, dft),
-                "ssamp": _per_bs_matrices(est_ssamp.estimates, cfg, dft),
-                "adaptive_omp": _per_bs_matrices(est_omp.estimates, cfg, dft),
-            }
-            h_eff = {
-                name: _effective_channels(mats, bs_indices, precoders, combiners)
-                for name, mats in channels.items()
-            }
-            zf = {name: _zf_precoders(h_eff[name]) for name in CSI_SOURCES}
+            # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
+            h_eff = np.stack([
+                _effective_channels(
+                    _per_bs_matrices(vectors, cfg, dft), bs_indices, precoders, combiners
+                )
+                for vectors in (aset.vectors, est_ssamp.estimates, est_omp.estimates)
+            ])
+            zf, betas = _zf_precoders(h_eff)
             # Data noise is calibrated on the perfect-CSI link and shared by
             # all sources, as are the payload bits.
-            beta_true = zf["perfect"][1]
+            beta_true = betas[0]
             rng = np.random.default_rng(data_seed)
+            noise = np.empty((cfg.n_ant_user, n_vec), dtype=complex)  # reused per subcarrier
             for p in range(n_p):
                 bits = rng.integers(0, 2, size=2 * n_vec * 4)
                 sym = qam16_modulate(bits).reshape(2, n_vec)
                 sigma_d2 = beta_true[p] ** 2 / snr_lin
-                noise = np.sqrt(sigma_d2 / 2.0) * (
-                    rng.standard_normal((cfg.n_ant_user, n_vec))
-                    + 1j * rng.standard_normal((cfg.n_ant_user, n_vec))
-                )
+                noise.real = rng.standard_normal((cfg.n_ant_user, n_vec))
+                noise.imag = rng.standard_normal((cfg.n_ant_user, n_vec))
+                noise *= np.sqrt(sigma_d2 / 2.0)
                 eta = combiners.conj().T @ noise
-                for name in CSI_SOURCES:
-                    precoder, beta = zf[name][0][p], zf[name][1][p]
-                    tx = beta * (precoder @ sym)
-                    rx = h_eff["perfect"][p] @ tx + eta
-                    decided = qam16_hard_bits((rx / beta).ravel())
-                    errors[name] += int(np.sum(decided != bits))
+                # All CSI sources at once, (source, stream, n_vec), with the
+                # per-source arithmetic of a one-source loop.
+                beta = betas[:, p, None, None]
+                tx = beta * (zf[:, p] @ sym)
+                rx = h_eff[0, p] @ tx + eta
+                rx /= beta
+                decided = qam16_hard_bits(rx).reshape(len(CSI_SOURCES), -1)
+                errors += np.count_nonzero(decided != bits.astype(np.uint8), axis=1)
                 total_bits += bits.size
                 total_symbols += sym.size
-        for name in CSI_SOURCES:
-            rows.append((snr_db, name, errors[name] / total_bits, total_symbols))
+        for name, count in zip(CSI_SOURCES, errors.tolist()):
+            rows.append((snr_db, name, count / total_bits, total_symbols))
     return ResultTable(columns=BER_COLUMNS, rows=tuple(rows))

@@ -301,6 +301,27 @@ def test_exit_code_sweep_arguments(tmp_path, capsys, variable, values, trials, m
     assert not out.exists()  # rejected before any trial runs
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--snrs", "nan"], "--snrs: SNR must be a number or inf, got 'nan'"),
+        (["--snrs=-inf"], "--snrs: SNR must be a number or inf, got '-inf'"),
+        (["--snrs="], "--snrs is empty"),
+        (["--snrs", "10,abc"], "--snrs: malformed number 'abc'"),
+        (["--snrs", "10", "--symbols", "100"], "--symbols must be at least 10^4, got 100"),
+        (["--snrs", "10", "--realizations", "0"], "--realizations must be at least 1, got 0"),
+    ],
+    ids=["nan-snr", "minus-inf-snr", "empty", "malformed", "few-symbols", "zero-realizations"],
+)
+def test_exit_code_sweep_ber_arguments(tmp_path, capsys, argv, message):
+    out = tmp_path / "r"
+    code = main(["sweep-ber", "--config", _desk_config(tmp_path), *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and message in captured.err
+    assert not out.exists()  # rejected before any realisation runs
+
+
 def test_exit_code_removed_spacing_key(tmp_path, capsys):
     # the DFT grids fix half-wavelength spacing; the key is no longer accepted
     path = tmp_path / "old.cfg"

@@ -5,13 +5,20 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from mmwave_scs import simulate
 from mmwave_scs.channel import SystemConfig, aggregate_sparse_vector, dft_pair
+from mmwave_scs.recovery import adaptive_omp, ssamp
 from mmwave_scs.simulate import (
     BER_COLUMNS,
+    CSI_SOURCES,
     ESTIMATORS,
     MSE_COLUMNS,
     _effective_channels,
+    _los_beams,
+    _omp_threshold,
     _per_bs_matrices,
+    _ssamp_threshold,
+    _synthesize,
     _trial_seeds,
     _zf_precoders,
     ber_experiment,
@@ -22,6 +29,85 @@ from mmwave_scs.simulate import (
 )
 
 from conftest import DESK_EXACT, DESK_SNR20
+
+# The 16-QAM mapping, argmin demodulator and BER data stage written as one
+# subcarrier and one CSI source at a time, kept as references for the
+# comparison-based demodulator and the stacked data stage.
+LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+
+
+def modulate_reference(bits):
+    b = np.asarray(bits, dtype=int).reshape(-1, 4)
+    i_idx = 2 * b[:, 0] + (b[:, 0] ^ b[:, 1])
+    q_idx = 2 * b[:, 2] + (b[:, 2] ^ b[:, 3])
+    return LEVELS[i_idx] + 1j * LEVELS[q_idx]
+
+
+def argmin_hard_bits(symbols):
+    """The first level index minimising |x - level| per axis, Gray-mapped to bits."""
+    s = np.asarray(symbols).ravel()
+    i_idx = np.argmin(np.abs(s.real[:, None] - LEVELS[None, :]), axis=1)
+    q_idx = np.argmin(np.abs(s.imag[:, None] - LEVELS[None, :]), axis=1)
+    out = np.empty((s.size, 4), dtype=int)
+    out[:, 0] = i_idx >> 1
+    out[:, 1] = out[:, 0] ^ (i_idx & 1)
+    out[:, 2] = q_idx >> 1
+    out[:, 3] = out[:, 2] ^ (q_idx & 1)
+    return out.ravel()
+
+
+def ber_reference(config, snr_values, n_symbols, seed, n_realizations):
+    """ber_experiment's rows from a loop over subcarriers and CSI sources."""
+    n_p = config.n_pilot_subcarriers
+    n_vec = -(-n_symbols // (n_realizations * n_p * 2))
+    rows = []
+    for point, snr_db in enumerate(snr_values):
+        cfg = replace(config, snr_db=snr_db)
+        snr_lin = 10.0 ** (snr_db / 10.0)
+        errors = {name: 0 for name in CSI_SOURCES}
+        total_bits = total_symbols = 0
+        for real in range(n_realizations):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
+            chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
+            chan, dft, aset, operators, received, sigma2 = _synthesize(
+                cfg, chan_seed, ens_seed, noise_seed
+            )
+            est_ssamp = ssamp(received, operators, _ssamp_threshold(cfg))
+            est_omp = adaptive_omp(
+                received, operators, _omp_threshold(sigma2, operators.shape[1], received)
+            )
+            bs_indices, precoders, combiners = _los_beams(chan, cfg)
+            vectors = {"perfect": aset.vectors, "ssamp": est_ssamp.estimates,
+                       "adaptive_omp": est_omp.estimates}
+            h_eff = {
+                name: _effective_channels(
+                    _per_bs_matrices(vectors[name], cfg, dft), bs_indices, precoders, combiners
+                )
+                for name in CSI_SOURCES
+            }
+            zf = {name: _zf_precoders(h_eff[name]) for name in CSI_SOURCES}
+            beta_true = zf["perfect"][1]
+            rng = np.random.default_rng(data_seed)
+            for p in range(n_p):
+                bits = rng.integers(0, 2, size=2 * n_vec * 4)
+                sym = modulate_reference(bits).reshape(2, n_vec)
+                sigma_d2 = beta_true[p] ** 2 / snr_lin
+                noise = np.sqrt(sigma_d2 / 2.0) * (
+                    rng.standard_normal((cfg.n_ant_user, n_vec))
+                    + 1j * rng.standard_normal((cfg.n_ant_user, n_vec))
+                )
+                eta = combiners.conj().T @ noise
+                for name in CSI_SOURCES:
+                    precoder, beta = zf[name][0][p], zf[name][1][p]
+                    tx = beta * (precoder @ sym)
+                    rx = h_eff["perfect"][p] @ tx + eta
+                    decided = argmin_hard_bits((rx / beta).ravel())
+                    errors[name] += int(np.sum(decided != bits))
+                total_bits += bits.size
+                total_symbols += sym.size
+        for name in CSI_SOURCES:
+            rows.append((snr_db, name, errors[name] / total_bits, total_symbols))
+    return tuple(rows)
 
 
 def _strip_time(metrics):
@@ -193,6 +279,26 @@ class TestBer:
         assert betas[0] == pytest.approx(np.sqrt(2.0) / np.linalg.norm(zf[0]))
         assert not zf[1].any() and betas[1] == 1.0
 
+    def test_data_stage_matches_reference(self, monkeypatch):
+        exact_sizes = []
+        exact = simulate._exact_levels
+
+        def counted(x):
+            exact_sizes.append(x.size)
+            return exact(x)
+
+        monkeypatch.setattr(simulate, "_exact_levels", counted)
+        snrs = [10.0, 20.0, 30.0]
+        for config, seed, n_realizations in [
+            *((DESK_SNR20, seed, 2) for seed in range(4)),
+            (SystemConfig(), 0, 1),
+        ]:
+            expected = ber_reference(config, snrs, 10**4, seed, n_realizations)
+            assert ber_experiment(config, snrs, 10**4, seed, n_realizations).rows == expected
+        # Near-degenerate estimated CSI feeds the demodulator values past the
+        # comparison range (up to about 8e17 here), so both paths ran.
+        assert exact_sizes
+
     def test_validation(self):
         single_bs = replace(DESK_EXACT, n_bs=1)
         with pytest.raises(ValueError, match="n_bs"):
@@ -209,7 +315,61 @@ class TestQam:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
         bits = rng.integers(0, 2, size=4000)
-        np.testing.assert_array_equal(qam16_hard_bits(qam16_modulate(bits)), bits)
+        symbols = qam16_modulate(bits)
+        np.testing.assert_array_equal(symbols, modulate_reference(bits))
+        np.testing.assert_array_equal(qam16_hard_bits(symbols), bits)
+        assert qam16_modulate([]).size == 0 and qam16_hard_bits([]).size == 0
+
+    @pytest.mark.parametrize(
+        "bits, message",
+        [
+            ([0, 1, -1, 0], r"bits must be 0 or 1, got values in \[-1, 1\]"),
+            ([0, 2, 1, 0, 1, 1, 0, 0], r"bits must be 0 or 1, got values in \[0, 2\]"),
+            ([0, 1, 1, 0, 1], "bit count must be a multiple of 4, got 5"),
+        ],
+        ids=["minus-one", "two", "length-5"],
+    )
+    def test_modulate_rejects_bad_bits(self, bits, message):
+        with pytest.raises(ValueError, match=message):
+            qam16_modulate(bits)
+
+    def test_matches_argmin_reference(self):
+        def check(symbols):
+            np.testing.assert_array_equal(qam16_hard_bits(symbols), argmin_hard_bits(symbols))
+            # One infinite part sends the whole call through the exact rule.
+            forced = np.append(symbols, complex(np.inf, 0.0))
+            np.testing.assert_array_equal(qam16_hard_bits(forced), argmin_hard_bits(forced))
+
+        # Random draws at every decade from 1e-300 to 1e300, and densely
+        # from 1e14 to 1e20, where rounding makes distances equal.
+        rng = np.random.default_rng(2024)
+        for scale in np.concatenate([10.0 ** np.arange(-300, 301), np.logspace(14, 20, 241)]):
+            parts = scale * rng.standard_normal((2, 500))
+            check(parts[0] + 1j * parts[1])
+
+        # A few hundred ulps around every decision boundary (the midpoints
+        # and the flip points the comparisons use), the levels and the
+        # limit of the comparison range, one value per call.
+        def ulp_walk(center, steps=200):
+            up, down = [center], [center]
+            for _ in range(steps):
+                up.append(np.nextafter(up[-1], np.inf))
+                down.append(np.nextafter(down[-1], -np.inf))
+            return down[::-1] + up[1:]
+
+        centers = [*(LEVELS[:-1] + LEVELS[1:]) / 2, *simulate._FLIP_POINTS, *LEVELS, 0.0,
+                   2.0**-55, 2.0**50, -(2.0**50), 2.0**51, 2.0**52, 3e15]
+        for center in centers:
+            walk = np.array(ulp_walk(center))
+            check(walk + 1j * walk[::-1])
+            for value in walk[::20]:
+                check(np.array([complex(value, -value)]))
+
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 0.3, -1.2, 1e17]
+        mixed = np.array([complex(a, b) for a in special for b in special])
+        check(mixed)
+        for value in mixed:
+            check(np.array([value]))
 
     def test_unit_energy(self):
         all_bits = np.array(

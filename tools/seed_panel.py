@@ -2,10 +2,13 @@
 runs run_trial on DESK_SNR20 seeds 3000-3199, DESK_SNR10 seeds 0-49,
 SystemConfig(n_slots=G) for G = 9/12/16 seeds 0-39 and the perfbench trial-wide
 point seeds 0-3, keeping per estimator [NMSE as float hex, exact-support flag,
-iterations], plus one desk-scale ber_experiment table.  `compare A.json B.json`
-prints the NMSE delta (dB) of every trial that differs, then per estimator the
-exact-support flips, iteration-count changes and largest |delta|, and exits 1
-if any trial or BER row differs.
+iterations], plus two ber_experiment tables at 10/20/30 dB: one at desk scale
+(10^4 symbols, 2 realisations) and one at SystemConfig(), the geometry of the
+perfbench ber-long workload (10^5 symbols, 1 realisation).  `compare A.json
+B.json` prints the NMSE delta (dB) of every trial that differs, then per
+estimator the exact-support flips, iteration-count changes and largest
+|delta|, then whether each BER table is identical, and exits 1 if any trial or
+BER row differs.
 """
 
 import json
@@ -30,9 +33,12 @@ def dump(path):
                 est: [float(m.nmse_db).hex(), bool(m.exact_support_match), m.iterations]
                 for est, m in run_trial(config, seed).metrics.items()
             }
-    table = ber_experiment(SystemConfig(**desk), [10.0, 20.0, 30.0], 10**4, 0, n_realizations=2)
+    snrs = [10.0, 20.0, 30.0]
+    tables = {"desk": ber_experiment(SystemConfig(**desk), snrs, 10**4, 0, n_realizations=2),
+              "default": ber_experiment(SystemConfig(), snrs, 10**5, 0, n_realizations=1)}
+    ber = {name: [list(row) for row in table.rows] for name, table in tables.items()}
     with open(path, "w") as handle:
-        json.dump({"trials": trials, "ber": [list(row) for row in table.rows]}, handle, indent=1)
+        json.dump({"trials": trials, "ber": ber}, handle, indent=1)
     return 0
 
 
@@ -53,9 +59,12 @@ def compare(path_a, path_b):
     for est, (flips, changes, largest) in sorted(summary.items()):
         print(f"{est}: {flips} exact-support flips, {changes} iteration changes, "
               f"largest |delta| {largest:.3g} dB")
-    same_ber = a["ber"] == b["ber"]
-    print(f"{len(differ)} of {len(keys)} trials differ; "
-          f"BER table {'identical' if same_ber else 'differs'}")
+    print(f"{len(differ)} of {len(keys)} trials differ")
+    same_ber = True
+    for name in sorted(a["ber"].keys() | b["ber"].keys()):
+        same = a["ber"].get(name) == b["ber"].get(name)
+        same_ber &= same
+        print(f"BER table {name}: {'identical' if same else 'differs'}")
     return 1 if differ or not same_ber else 0
 
 
