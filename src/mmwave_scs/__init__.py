@@ -9,12 +9,9 @@ from .channel import (
     MultipathChannel,
     PathComponent,
     SystemConfig,
-    aggregate_sparse_vector,
     angular_channel_set,
-    angular_transform,
     dft_pair,
     draw_multipath,
-    delay_to_frequency,
     inverse_angular_transform,
     path_loss_db,
 )

@@ -5,22 +5,18 @@ with a larger ULA, over an OFDM grid.  Every link carries a few specular paths
 (one line-of-sight plus Rician-weighted scatterers), so once both array
 responses are projected onto DFT angle grids the per-subcarrier channel matrix
 becomes sparse with a support that is shared by all subcarriers.  This module
-draws such channels, maps them from the delay domain onto pilot subcarriers,
-and vectorises the per-BS angular matrices into the joint sparse vectors that
-the recovery stage estimates.
+draws such channels and writes them, per pilot subcarrier, into the joint
+sparse vectors that the recovery stage estimates.
 
 Angles are on-grid: every AoA and AoD is a bin of the DFT grids (which fixes
-half-wavelength antenna spacing), so each path fills one angular entry.
+half-wavelength antenna spacing), so each path fills one angular entry and
+the vectors are built from the paths directly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
-
-# Magnitudes below SUPPORT_REL_TOL times the largest magnitude count as zero
-# when reading a support off a vector.
-SUPPORT_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,9 +103,15 @@ class SystemConfig:
                 f"n_chain_bs ({self.n_chain_bs}) must be <= "
                 f"n_ant_bs ({self.n_ant_bs})"
             )
-        if self.n_pilot_subcarriers > self.n_subcarriers:
+        if self.n_paths > self.n_ant_bs:
             raise ValueError(
-                f"n_pilot_subcarriers ({self.n_pilot_subcarriers}) must be <= "
+                f"n_paths ({self.n_paths}) must be <= n_ant_bs ({self.n_ant_bs}): "
+                "AoD bins are drawn without replacement"
+            )
+        # Pilots sit every N / P subcarriers.
+        if self.n_subcarriers % self.n_pilot_subcarriers != 0:
+            raise ValueError(
+                f"n_pilot_subcarriers ({self.n_pilot_subcarriers}) must divide "
                 f"n_subcarriers ({self.n_subcarriers})"
             )
         if self.bandwidth_hz <= 0:
@@ -205,11 +207,6 @@ def draw_multipath(config: SystemConfig, seed: int) -> MultipathChannel:
     """
     rng = np.random.default_rng(seed)
     n_paths = config.n_paths
-    if n_paths > config.n_ant_bs:
-        raise ValueError(
-            f"n_paths ({n_paths}) exceeds the transmit angular grid "
-            f"({config.n_ant_bs}); AoD bins are drawn without replacement"
-        )
     k_lin = 10.0 ** (config.rician_k_db / 10.0)
     if n_paths == 1:
         powers = np.array([1.0])
@@ -239,14 +236,40 @@ def draw_multipath(config: SystemConfig, seed: int) -> MultipathChannel:
     return MultipathChannel(links=tuple(links))
 
 
-def delay_to_frequency(
-    channel: MultipathChannel, config: SystemConfig, subcarrier_indices
-) -> np.ndarray:
-    """Per-subcarrier frequency-domain channel matrices.
+def inverse_angular_transform(angular_matrices: np.ndarray, dft: DftPair) -> np.ndarray:
+    """Angular-domain matrices back to antenna-domain ones: A_rx H_a A_tx^H."""
+    return dft.rx @ angular_matrices @ dft.tx.conj().T
 
-    Returns an array of shape (len(indices), n_bs, n_ant_user, n_ant_bs) with
-    entry [p, m] = sum_l gain_l a_rx(l) a_tx(l)^H exp(-2j pi (xi_p - 1)
-    delay_l B / N).  Subcarrier indices are 1-based and must lie in [1, N].
+
+@dataclass(frozen=True)
+class AngularChannelSet:
+    """Aggregate angular vectors for all pilot subcarriers plus their support.
+
+    `support` is the sorted set of nonzero columns; every subcarrier has
+    exactly this support (common-support property).
+    """
+
+    vectors: np.ndarray          # (P, n_bs * n_ant_bs * n_ant_user)
+    support: np.ndarray          # sorted indices
+
+    @property
+    def sparsity(self) -> int:
+        return int(self.support.size)
+
+
+def angular_channel_set(
+    channel: MultipathChannel, config: SystemConfig, subcarrier_indices
+) -> AngularChannelSet:
+    """Build the joint sparse vectors seen by the recovery stage.
+
+    Row p is the per-BS angular matrices A_rx^H H_m[xi_p] A_tx stacked
+    column-major: entry (aoa, aod) of BS m lands at column
+    (m * N_BS + aod) * N_US + aoa.  An on-grid path fills exactly that entry,
+    with gain * sqrt(N_US * N_BS) * exp(-2j pi (xi_p - 1) delay B / N), and
+    paths that share a bin add.  Subcarrier indices xi are 1-based and must
+    lie in [1, N], and every bin must lie on its grid.  The support is the
+    set of path columns that are nonzero on some subcarrier; every other
+    column is zero by construction.
     """
     idx = np.asarray(subcarrier_indices, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
@@ -255,88 +278,24 @@ def delay_to_frequency(
         raise ValueError(
             f"subcarrier indices must lie in [1, {config.n_subcarriers}]"
         )
-    n_p = idx.size
-    out = np.zeros(
-        (n_p, config.n_bs, config.n_ant_user, config.n_ant_bs), dtype=np.complex128
-    )
+    vectors = np.zeros((idx.size, config.angular_dimension), dtype=np.complex128)
     # Normalised delay: tau * B / N cycles per subcarrier step.
     delay_scale = config.bandwidth_hz / config.n_subcarriers
+    array_gain = math.sqrt(config.n_ant_user * config.n_ant_bs)
+    columns = []
     for m, link in enumerate(channel.links):
         for path in link:
-            a_rx = grid_steering_vector(config.n_ant_user, path.aoa_grid_index)
-            a_tx = grid_steering_vector(config.n_ant_bs, path.aod_grid_index)
+            if not (0 <= path.aoa_grid_index < config.n_ant_user
+                    and 0 <= path.aod_grid_index < config.n_ant_bs):
+                raise ValueError(
+                    f"link {m} has a path off the angular grids: AoA bin "
+                    f"{path.aoa_grid_index}, AoD bin {path.aod_grid_index}"
+                )
+            column = (m * config.n_ant_bs + path.aod_grid_index) * config.n_ant_user
+            column += path.aoa_grid_index
             ramp = np.exp(-2j * np.pi * (idx - 1) * path.delay_s * delay_scale)
-            out[:, m] += (
-                path.gain * ramp[:, None, None] * np.outer(a_rx, a_tx.conj())[None]
-            )
-    return out
-
-
-def angular_transform(freq_matrices: np.ndarray, dft: DftPair) -> np.ndarray:
-    """Project channel matrices onto the angular grids: A_rx^H H A_tx."""
-    return dft.rx.conj().T @ freq_matrices @ dft.tx
-
-
-def inverse_angular_transform(angular_matrices: np.ndarray, dft: DftPair) -> np.ndarray:
-    """Undo angular_transform: A_rx H_a A_tx^H."""
-    return dft.rx @ angular_matrices @ dft.tx.conj().T
-
-
-def aggregate_sparse_vector(angular_matrices: np.ndarray):
-    """Stack per-BS angular matrices column-major into one vector.
-
-    angular_matrices has shape (n_bs, n_ant_user, n_ant_bs).  Entry (r, c) of
-    block m lands at index m*N_BS*N_US + c*N_US + r.  Returns (vector,
-    support) where support holds indices whose magnitude exceeds
-    SUPPORT_REL_TOL times the maximum (empty for an all-zero vector).
-    """
-    mats = np.asarray(angular_matrices)
-    if mats.ndim != 3:
-        raise ValueError("expected shape (n_bs, n_ant_user, n_ant_bs)")
-    vec = np.concatenate([mats[m].flatten(order="F") for m in range(mats.shape[0])])
-    mags = np.abs(vec)
-    peak = mags.max() if vec.size else 0.0
-    if peak == 0.0:
-        support = np.array([], dtype=int)
-    else:
-        support = np.flatnonzero(mags > SUPPORT_REL_TOL * peak)
-    return vec, support
-
-
-@dataclass(frozen=True)
-class AngularChannelSet:
-    """Aggregate angular vectors for all pilot subcarriers plus their support.
-
-    `support` is the union of per-subcarrier supports; every subcarrier has
-    exactly this support (common-support property).
-    """
-
-    vectors: np.ndarray          # (P, n_bs * n_ant_bs * n_ant_user)
-    support: np.ndarray          # sorted indices
-    subcarrier_indices: np.ndarray
-
-    @property
-    def sparsity(self) -> int:
-        return int(self.support.size)
-
-
-def angular_channel_set(
-    channel: MultipathChannel,
-    config: SystemConfig,
-    dft: DftPair,
-    subcarrier_indices,
-) -> AngularChannelSet:
-    """Build the joint sparse vectors seen by the recovery stage."""
-    freq = delay_to_frequency(channel, config, subcarrier_indices)
-    ang = angular_transform(freq, dft)
-    vectors = []
-    support = np.array([], dtype=int)
-    for p in range(ang.shape[0]):
-        vec, supp = aggregate_sparse_vector(ang[p])
-        vectors.append(vec)
-        support = np.union1d(support, supp)
-    return AngularChannelSet(
-        vectors=np.array(vectors),
-        support=support.astype(int),
-        subcarrier_indices=np.asarray(subcarrier_indices, dtype=int),
-    )
+            vectors[:, column] += path.gain * array_gain * ramp
+            columns.append(column)
+    columns = np.unique(np.array(columns, dtype=int))
+    support = columns[vectors[:, columns].any(axis=0)]
+    return AngularChannelSet(vectors=vectors, support=support)

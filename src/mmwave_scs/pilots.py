@@ -75,7 +75,7 @@ class KroneckerOperator:
     left[t, p]): the user's angular combiner Z^H A_RX times every BS's
     angular beam A_TX^H f.  Entry (t * N_chain_US + c, b * N_US + u) is
     right[t, p, b] * left[t, p, c, u], and the column blocks follow the
-    aggregate vector layout of channel.aggregate_sparse_vector.  The factors
+    aggregate vector layout of channel.angular_channel_set.  The factors
     hold G * P * (N_chain_US * N_US + M * N_BS) numbers against the
     P * G * N_chain_US * M * N_BS * N_US of the dense (P, rows, dim) tensor.
 
@@ -190,12 +190,8 @@ def measurement_operators(ensemble: PilotEnsemble, dft: DftPair) -> KroneckerOpe
 
 
 def pilot_subcarrier_indices(config: SystemConfig) -> np.ndarray:
-    """Equi-spaced 1-based pilot positions; requires P to divide N."""
+    """Equi-spaced 1-based pilot positions (SystemConfig checks that P divides N)."""
     n, p = config.n_subcarriers, config.n_pilot_subcarriers
-    if n % p != 0:
-        raise ValueError(
-            f"n_pilot_subcarriers ({p}) must divide n_subcarriers ({n})"
-        )
     return 1 + (n // p) * np.arange(p)
 
 

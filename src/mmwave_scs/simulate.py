@@ -95,8 +95,7 @@ def _synthesize(config: SystemConfig, chan_seed: int, ens_seed: int, noise_seed:
     """Channel + pilots + noisy measurements for one realisation."""
     chan = draw_multipath(config, chan_seed)
     dft = dft_pair(config)
-    indices = pilot_subcarrier_indices(config)
-    aset = angular_channel_set(chan, config, dft, indices)
+    aset = angular_channel_set(chan, config, pilot_subcarrier_indices(config))
     ensemble = draw_ensemble(config, ens_seed)
     operators = measurement_operators(ensemble, dft)
     sigma2 = calibrate_noise_variance(operators, aset.vectors, config.snr_db)

@@ -1,5 +1,6 @@
-"""Shared desk-scale configurations, the synthesis pipeline helper and the
-per-slot reference formula of the measurement operator.
+"""Shared desk-scale configurations, the synthesis pipeline helper, and the
+reference formulas of the system model: the frequency-domain channel and its
+angular projection, and the per-slot measurement operator.
 
 The desk geometry (2 BSs x 2 paths on a 16x4 grid, 8 subcarriers, all
 carrying pilots) keeps one full trial in the millisecond range so the
@@ -10,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mmwave_scs.channel import SystemConfig
+from mmwave_scs.channel import SystemConfig, grid_steering_vector
 from mmwave_scs.simulate import _synthesize
 
 DESK_EXACT = SystemConfig(
@@ -36,6 +37,46 @@ def synth(config, chan_seed, ens_seed, noise_seed):
     return aset, ops, received, sigma2
 
 
+# The frequency-domain channel and its angular projection, written from the
+# system model and kept apart from channel.angular_channel_set, which writes
+# each on-grid path straight into its angular entry and is pinned against them.
+
+
+def delay_to_frequency(channel, config, subcarrier_indices):
+    """Per-subcarrier frequency-domain channel matrices.
+
+    Returns an array of shape (len(indices), n_bs, n_ant_user, n_ant_bs) with
+    entry [p, m] = sum_l gain_l a_rx(l) a_tx(l)^H exp(-2j pi (xi_p - 1)
+    delay_l B / N).  Subcarrier indices are 1-based.
+    """
+    idx = np.asarray(subcarrier_indices, dtype=int)
+    out = np.zeros(
+        (idx.size, config.n_bs, config.n_ant_user, config.n_ant_bs), dtype=np.complex128
+    )
+    delay_scale = config.bandwidth_hz / config.n_subcarriers
+    for m, link in enumerate(channel.links):
+        for path in link:
+            a_rx = grid_steering_vector(config.n_ant_user, path.aoa_grid_index)
+            a_tx = grid_steering_vector(config.n_ant_bs, path.aod_grid_index)
+            ramp = np.exp(-2j * np.pi * (idx - 1) * path.delay_s * delay_scale)
+            out[:, m] += (
+                path.gain * ramp[:, None, None] * np.outer(a_rx, a_tx.conj())[None]
+            )
+    return out
+
+
+def angular_transform(freq_matrices, dft):
+    """Project channel matrices onto the angular grids: A_rx^H H A_tx."""
+    return dft.rx.conj().T @ freq_matrices @ dft.tx
+
+
+def stack_angular(angular_matrices):
+    """(..., n_bs, n_ant_user, n_ant_bs) angular matrices to the aggregate
+    vectors (..., dim): each BS block stacked column-major, BS by BS."""
+    mats = np.asarray(angular_matrices)
+    return mats.swapaxes(-1, -2).reshape(*mats.shape[:-3], -1)
+
+
 # The per-slot formula, written from the system model and kept apart from the
 # factored pilots.measurement_operators that the tests pin against it.
 
@@ -57,7 +98,7 @@ def slot_measurement(ensemble, dft, slot, pilot):
 
     Phi = (A_TX^H f per BS, stacked)^T kron (Z^H A_RX), with shape
     (N_chain_US, M * N_BS * N_US).  Column blocks follow the aggregate
-    vector layout of channel.aggregate_sparse_vector.
+    vector layout of channel.angular_channel_set.
     """
     n_bs = ensemble.rf_precoder.shape[1]
     z = combiner_matrix(ensemble, slot, pilot)

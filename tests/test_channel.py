@@ -1,4 +1,6 @@
-"""Channel synthesis: link budget, steering, Rician draws, angular transforms."""
+"""Channel synthesis: link budget, steering, Rician draws, angular vectors."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,10 +10,7 @@ from mmwave_scs.channel import (
     MultipathChannel,
     PathComponent,
     SystemConfig,
-    aggregate_sparse_vector,
     angular_channel_set,
-    angular_transform,
-    delay_to_frequency,
     dft_pair,
     draw_multipath,
     grid_steering_vector,
@@ -21,7 +20,7 @@ from mmwave_scs.channel import (
 )
 from mmwave_scs.pilots import pilot_subcarrier_indices
 
-from conftest import DESK_EXACT
+from conftest import DESK_EXACT, angular_transform, delay_to_frequency, stack_angular
 
 
 # ---------------------------------------------------------------- link budget
@@ -117,10 +116,9 @@ def test_single_path_is_pure_los():
 
 
 def test_too_many_paths_rejected():
-    cfg = SystemConfig(n_ant_bs=4, n_chain_bs=2, n_paths=4)
     with pytest.raises(ValueError, match="without replacement"):
-        draw_multipath(SystemConfig(n_ant_bs=4, n_chain_bs=2, n_paths=5), 0)
-    draw_multipath(cfg, 0)  # exactly filling the grid is fine
+        SystemConfig(n_ant_bs=4, n_chain_bs=2, n_paths=5)
+    draw_multipath(SystemConfig(n_ant_bs=4, n_chain_bs=2, n_paths=4), 0)  # fills the grid
 
 
 def test_rician_power_ratio():
@@ -175,7 +173,25 @@ def test_config_derived_sizes():
 # ------------------------------------------------------ delay-domain -> OFDM
 
 
+def _channel(*links):
+    """A MultipathChannel from per-link (gain, delay_s, aoa, aod) tuples; the
+    first path of each link is the LOS one."""
+    return MultipathChannel(
+        links=tuple(
+            tuple(PathComponent(complex(g), d, u, b, is_los=(l == 0))
+                  for l, (g, d, u, b) in enumerate(link))
+            for link in links
+        )
+    )
+
+
+def _all_pilots(cfg):
+    return np.arange(1, cfg.n_subcarriers + 1)
+
+
 class TestDelayToFrequency:
+    """The delay-to-OFDM mapping as angular_channel_set carries it out."""
+
     def test_zero_delay_gives_flat_response(self):
         cfg = DESK_EXACT
         chan = draw_multipath(cfg, 11)
@@ -188,39 +204,40 @@ class TestDelayToFrequency:
                 for link in chan.links
             )
         )
-        freq = delay_to_frequency(flat, cfg, np.arange(1, cfg.n_subcarriers + 1))
-        for p in range(1, freq.shape[0]):
-            np.testing.assert_allclose(freq[p], freq[0], atol=1e-12)
+        vectors = angular_channel_set(flat, cfg, _all_pilots(cfg)).vectors
+        for p in range(1, vectors.shape[0]):
+            np.testing.assert_array_equal(vectors[p], vectors[0])
 
     def test_single_path_matrix_is_rank_one(self):
         cfg = SystemConfig(n_paths=1)
         chan = draw_multipath(cfg, 2)
-        freq = delay_to_frequency(chan, cfg, [1, 5])
+        aset = angular_channel_set(chan, cfg, [1, 5])
+        assert aset.sparsity == cfg.n_bs
+        blocks = aset.vectors.reshape(2, cfg.n_bs, cfg.n_ant_bs, cfg.n_ant_user)
+        freq = inverse_angular_transform(blocks.swapaxes(-1, -2), dft_pair(cfg))
         s = np.linalg.svd(freq[0, 0], compute_uv=False)
         assert s[0] > 1e-6 and np.all(s[1:] <= 1e-10 * s[0])
 
     def test_energy_matches_path_gains(self):
-        # On-grid departure bins are orthogonal, so the Frobenius energy per
-        # link is sum |g_l|^2 * N_US * N_BS on every subcarrier.
+        # On-grid departure bins are distinct within a link, so the energy of
+        # each link's block is sum |g_l|^2 * N_US * N_BS on every subcarrier.
         cfg = DESK_EXACT
         chan = draw_multipath(cfg, 13)
-        freq = delay_to_frequency(chan, cfg, np.arange(1, cfg.n_subcarriers + 1))
+        vectors = angular_channel_set(chan, cfg, _all_pilots(cfg)).vectors
+        block = cfg.n_ant_user * cfg.n_ant_bs
         for m, link in enumerate(chan.links):
             expect = sum(abs(p.gain) ** 2 for p in link) * cfg.n_ant_user * cfg.n_ant_bs
-            got = float(np.mean(np.sum(np.abs(freq[:, m]) ** 2, axis=(1, 2))))
+            got = np.sum(np.abs(vectors[:, m * block : (m + 1) * block]) ** 2, axis=1)
             np.testing.assert_allclose(got, expect, rtol=1e-10)
 
     def test_index_validation(self):
         chan = draw_multipath(DESK_EXACT, 1)
-        with pytest.raises(ValueError):
-            delay_to_frequency(chan, DESK_EXACT, [0])
-        with pytest.raises(ValueError):
-            delay_to_frequency(chan, DESK_EXACT, [DESK_EXACT.n_subcarriers + 1])
-        with pytest.raises(ValueError):
-            delay_to_frequency(chan, DESK_EXACT, [])
+        for bad in ([0], [DESK_EXACT.n_subcarriers + 1], [], [[1, 2]]):
+            with pytest.raises(ValueError, match="subcarrier"):
+                angular_channel_set(chan, DESK_EXACT, bad)
 
 
-# --------------------------------------------------------- angular transforms
+# ------------------------------------------------- the frequency-domain model
 
 
 def test_angular_transform_concentrates_on_grid():
@@ -252,30 +269,85 @@ def test_angular_round_trip_and_energy():
     )
 
 
+# Wide is the perfbench trial-wide point (dim 16,384).
+SYNTHESIS_GEOMETRIES = {
+    "desk": DESK_EXACT,
+    "default": SystemConfig(),
+    "single-path": SystemConfig(n_paths=1),
+    "wide": SystemConfig(n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2,
+                         n_subcarriers=16, n_pilot_subcarriers=8, n_slots=12,
+                         max_delay_s=25e-9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNTHESIS_GEOMETRIES))
+def test_channel_set_matches_frequency_reference(name):
+    """Writing each path into its angular entry gives the column-major
+    angular projection of the frequency-domain model, with the support that
+    model shows above 1e-9 of its peak."""
+    cfg = SYNTHESIS_GEOMETRIES[name]
+    idx = pilot_subcarrier_indices(cfg)
+    dft = dft_pair(cfg)
+    for seed in range(4 if name == "wide" else 40):
+        chan = draw_multipath(cfg, seed)
+        aset = angular_channel_set(chan, cfg, idx)
+        expect = stack_angular(angular_transform(delay_to_frequency(chan, cfg, idx), dft))
+        peak = np.abs(expect).max()
+        np.testing.assert_allclose(aset.vectors, expect, rtol=0, atol=1e-12 * peak)
+        reference_support = np.flatnonzero(np.abs(expect).max(axis=0) > 1e-9 * peak)
+        np.testing.assert_array_equal(aset.support, reference_support)
+
+
 def test_aggregate_layout():
-    n_bs_ant, n_us = 4, 3
-    mats = np.zeros((1, n_us, n_bs_ant), dtype=complex)
-    mats[0, 2, 1] = 2.0 + 1j
-    vec, support = aggregate_sparse_vector(mats)
-    assert vec.size == n_us * n_bs_ant
-    # column-major within the block: index = c * N_US + r
-    assert support.tolist() == [1 * n_us + 2]
-    assert vec[1 * n_us + 2] == 2.0 + 1j
+    # entry (aoa, aod) of BS m lands at (m * N_BS + aod) * N_US + aoa
+    cfg = replace(DESK_EXACT, n_bs=1, n_paths=1)
+    aset = angular_channel_set(_channel([(2.0 + 1j, 0.0, 2, 1)]), cfg, [1, 2])
+    column = 1 * cfg.n_ant_user + 2
+    assert aset.vectors.shape == (2, cfg.angular_dimension)
+    assert aset.support.tolist() == [column]
+    # gain times the array gain sqrt(4 * 16), on a zero delay
+    assert aset.vectors[0, column] == aset.vectors[1, column] == (2.0 + 1j) * 8.0
 
 
 def test_aggregate_blocks_are_disjoint():
-    mats = np.zeros((2, 3, 4), dtype=complex)
-    mats[0, 0, 0] = 1.0
-    mats[1, 1, 2] = 1.0
-    vec, support = aggregate_sparse_vector(mats)
-    assert support.tolist() == [0, 12 + 2 * 3 + 1]
+    cfg = replace(DESK_EXACT, n_paths=1)
+    chan = _channel([(1.0, 0.0, 1, 3)], [(1.0, 0.0, 1, 3)])
+    aset = angular_channel_set(chan, cfg, [1])
+    column = 3 * cfg.n_ant_user + 1
+    block = cfg.n_ant_user * cfg.n_ant_bs
+    assert aset.support.tolist() == [column, block + column]
 
 
 def test_aggregate_zero_and_bad_input():
-    vec, support = aggregate_sparse_vector(np.zeros((2, 3, 4)))
-    assert support.size == 0 and not vec.any()
-    with pytest.raises(ValueError):
-        aggregate_sparse_vector(np.zeros((3, 4)))
+    cfg = DESK_EXACT
+    idx = _all_pilots(cfg)
+    silent = _channel([(0.0, 1e-9, 1, 2), (0.0, 0.0, 3, 4)], [(0.0, 2e-9, 0, 0)] * 2)
+    aset = angular_channel_set(silent, cfg, idx)
+    assert aset.sparsity == 0 and not aset.vectors.any()
+    # a zero-gain path fills no entry; the others keep theirs
+    chan = _channel([(1.0, 1e-9, 1, 2), (0.0, 0.0, 3, 4)], [(0.5j, 2e-9, 0, 0)] * 2)
+    aset = angular_channel_set(chan, cfg, idx)
+    block = cfg.n_ant_user * cfg.n_ant_bs
+    assert aset.support.tolist() == [2 * cfg.n_ant_user + 1, block]
+    with pytest.raises(ValueError, match="1-D"):
+        angular_channel_set(chan, cfg, idx[None])
+    for aoa, aod in ((cfg.n_ant_user, 0), (0, cfg.n_ant_bs), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="off the angular grids"):
+            angular_channel_set(_channel([(1.0, 0.0, aoa, aod)]), cfg, idx)
+
+
+def test_paths_sharing_a_bin_add():
+    cfg = replace(DESK_EXACT, n_bs=1)
+    idx = _all_pilots(cfg)
+    first, second = (0.6 - 0.2j, 3e-9, 2, 5), (-0.1 + 0.4j, 17e-9, 2, 5)
+    both = angular_channel_set(_channel([first, second]), cfg, idx)
+    assert both.support.tolist() == [5 * cfg.n_ant_user + 2]
+    alone = [angular_channel_set(_channel([path]), cfg, idx).vectors for path in (first, second)]
+    np.testing.assert_array_equal(both.vectors, alone[0] + alone[1])
+    expect = stack_angular(
+        angular_transform(delay_to_frequency(_channel([first, second]), cfg, idx), dft_pair(cfg))
+    )
+    np.testing.assert_allclose(both.vectors, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
 # ------------------------------------------------------- joint channel vectors
@@ -289,7 +361,7 @@ def test_channel_set_full_sparsity():
         n_subcarriers=16, n_pilot_subcarriers=16, n_slots=16, max_delay_s=50e-9,
     )
     chan = draw_multipath(cfg, 23)
-    aset = angular_channel_set(chan, cfg, dft_pair(cfg), pilot_subcarrier_indices(cfg))
+    aset = angular_channel_set(chan, cfg, pilot_subcarrier_indices(cfg))
     assert aset.sparsity == 16 == cfg.aggregate_sparsity_bound
     assert aset.vectors.shape == (16, cfg.angular_dimension)
 
@@ -297,30 +369,16 @@ def test_channel_set_full_sparsity():
 def test_channel_set_common_support():
     cfg = DESK_EXACT
     chan = draw_multipath(cfg, 29)
-    aset = angular_channel_set(chan, cfg, dft_pair(cfg), pilot_subcarrier_indices(cfg))
+    aset = angular_channel_set(chan, cfg, pilot_subcarrier_indices(cfg))
     assert aset.sparsity <= cfg.aggregate_sparsity_bound
-    union = set(aset.support.tolist())
     for p in range(aset.vectors.shape[0]):
-        _, supp = aggregate_sparse_vector(_unstack(aset.vectors[p], cfg))
-        assert set(supp.tolist()) == union
-
-
-def _unstack(vector, cfg):
-    block = cfg.n_ant_user * cfg.n_ant_bs
-    return np.stack(
-        [
-            vector[m * block : (m + 1) * block].reshape(
-                (cfg.n_ant_user, cfg.n_ant_bs), order="F"
-            )
-            for m in range(cfg.n_bs)
-        ]
-    )
+        np.testing.assert_array_equal(np.flatnonzero(aset.vectors[p]), aset.support)
 
 
 def test_channel_set_deterministic():
     cfg = DESK_EXACT
     idx = pilot_subcarrier_indices(cfg)
-    a = angular_channel_set(draw_multipath(cfg, 31), cfg, dft_pair(cfg), idx)
-    b = angular_channel_set(draw_multipath(cfg, 31), cfg, dft_pair(cfg), idx)
+    a = angular_channel_set(draw_multipath(cfg, 31), cfg, idx)
+    b = angular_channel_set(draw_multipath(cfg, 31), cfg, idx)
     np.testing.assert_array_equal(a.vectors, b.vectors)
     np.testing.assert_array_equal(a.support, b.support)

@@ -322,6 +322,26 @@ def test_exit_code_sweep_ber_arguments(tmp_path, capsys, argv, message):
     assert not out.exists()  # rejected before any realisation runs
 
 
+@pytest.mark.parametrize(
+    "text, keys",
+    [
+        ("n_paths = 40\n", ("n_paths", "n_ant_bs")),
+        ("n_subcarriers = 16\nn_pilot_subcarriers = 6\n",
+         ("n_pilot_subcarriers", "n_subcarriers")),
+    ],
+    ids=["paths-beyond-aod-grid", "pilots-not-dividing"],
+)
+def test_exit_code_inconsistent_geometry(tmp_path, capsys, text, keys):
+    # rejected when the file is read, not later inside a trial
+    path = tmp_path / "geometry.cfg"
+    path.write_text(text)
+    code = main(["estimate", "--config", str(path), "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err
+    assert all(key in captured.err for key in keys)
+
+
 def test_exit_code_removed_spacing_key(tmp_path, capsys):
     # the DFT grids fix half-wavelength spacing; the key is no longer accepted
     path = tmp_path / "old.cfg"

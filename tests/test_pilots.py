@@ -285,9 +285,7 @@ def test_pilot_subcarrier_indices():
     half = SystemConfig(n_subcarriers=8, n_pilot_subcarriers=4, max_delay_s=25e-9)
     np.testing.assert_array_equal(pilot_subcarrier_indices(half), [1, 3, 5, 7])
     with pytest.raises(ValueError, match="divide"):
-        pilot_subcarrier_indices(
-            SystemConfig(n_subcarriers=8, n_pilot_subcarriers=3, max_delay_s=25e-9)
-        )
+        SystemConfig(n_subcarriers=8, n_pilot_subcarriers=3, max_delay_s=25e-9)
 
 
 class TestNoiseCalibration:

@@ -518,10 +518,10 @@ class TestProperties:
         """ssamp does not cap its stage sparsity at the row count.  Past it the
         stage fits are minimum-norm with residual energies at the rounding
         floor, so the stage decisions follow the order of the subcarrier sums."""
-        received, ops, _, p_th, _ = _property_instance("kronecker", 206)
+        received, ops, _, p_th, _ = _property_instance("kronecker", 2286)
         base = ssamp(received, ops, p_th)
         assert base.support.size > ops.shape[1]
-        perm = np.random.default_rng(207).permutation(received.shape[0])
+        perm = np.random.default_rng(22).permutation(received.shape[0])
         permuted = ssamp(received[perm], ops[perm], p_th)
         if not np.array_equal(permuted.support, base.support):
             pytest.xfail("known: reordering the subcarriers changes a support "

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmwave_scs import simulate
-from mmwave_scs.channel import SystemConfig, aggregate_sparse_vector, dft_pair
+from mmwave_scs.channel import SystemConfig, dft_pair
 from mmwave_scs.recovery import adaptive_omp, ssamp
 from mmwave_scs.simulate import (
     BER_COLUMNS,
@@ -28,7 +28,7 @@ from mmwave_scs.simulate import (
     sweep,
 )
 
-from conftest import DESK_EXACT, DESK_SNR20
+from conftest import DESK_EXACT, DESK_SNR20, stack_angular
 
 # The 16-QAM mapping, argmin demodulator and BER data stage written as one
 # subcarrier and one CSI source at a time, kept as references for the
@@ -258,7 +258,7 @@ class TestBer:
         rng = np.random.default_rng(5)
         shape = (2, cfg.n_bs, cfg.n_ant_user, cfg.n_ant_bs)
         ang = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        vectors = np.stack([aggregate_sparse_vector(a)[0] for a in ang])
+        vectors = stack_angular(ang)
         mats = _per_bs_matrices(vectors, cfg, dft)
         bs_indices = [2, 0]
         precoders = rng.standard_normal((cfg.n_ant_bs, 2)) + 0.5j

@@ -7,8 +7,9 @@ iterations], plus two ber_experiment tables at 10/20/30 dB: one at desk scale
 perfbench ber-long workload (10^5 symbols, 1 realisation).  `compare A.json
 B.json` prints the NMSE delta (dB) of every trial that differs, then per
 estimator the exact-support flips, iteration-count changes and largest
-|delta|, then whether each BER table is identical, and exits 1 if any trial or
-BER row differs.
+|delta|, then whether each BER table is identical with every differing row
+(table, SNR, CSI source, old -> new BER), and exits 1 if any trial or BER row
+differs.
 """
 
 import json
@@ -62,9 +63,16 @@ def compare(path_a, path_b):
     print(f"{len(differ)} of {len(keys)} trials differ")
     same_ber = True
     for name in sorted(a["ber"].keys() | b["ber"].keys()):
-        same = a["ber"].get(name) == b["ber"].get(name)
+        rows_a, rows_b = a["ber"].get(name, []), b["ber"].get(name, [])
+        same = rows_a == rows_b
         same_ber &= same
         print(f"BER table {name}: {'identical' if same else 'differs'}")
+        old = {tuple(row[:2]): row[2] for row in rows_a}
+        new = {tuple(row[:2]): row[2] for row in rows_b}
+        for snr, source in sorted(old.keys() | new.keys()):
+            if old.get((snr, source)) != new.get((snr, source)):
+                print(f"  {name} {snr:g} dB {source}: "
+                      f"{old.get((snr, source))} -> {new.get((snr, source))}")
     return 1 if differ or not same_ber else 0
 
 
