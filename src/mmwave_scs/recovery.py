@@ -134,8 +134,9 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
         max_iterations = 10 * rows
 
     sparsity = 1  # T, the target support size of the current stage
-    # Last accepted support and its residuals.
+    # Last accepted support, its coefficients and its residuals.
     support = np.array([], dtype=int)
+    support_coefs = None
     residuals = r
     residual_energy = float(np.sum(np.abs(r) ** 2))
     # Last saved stage estimate, returned when the loop quits.
@@ -154,10 +155,14 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
         trial = _fit(op.columns(union), r)
         keep = _top_indices(np.sum(np.abs(trial) ** 2, axis=0), sparsity)
         omega = union[keep]
-        cols = op.columns(omega)
-        coefs = _fit(cols, r)
-        residual = _residual(r, cols, coefs)
-        res_energy = float(np.sum(np.abs(residual) ** 2))
+        if np.array_equal(omega, support):
+            # Pruned back to the accepted support, whose fit is already known.
+            coefs, residual, res_energy = support_coefs, residuals, residual_energy
+        else:
+            cols = op.columns(omega)
+            coefs = _fit(cols, r)
+            residual = _residual(r, cols, coefs)
+            res_energy = float(np.sum(np.abs(residual) ** 2))
 
         if np.sum(np.abs(coefs) ** 2, axis=0).min() / n_pilots < p_th:
             reason = TERM_THRESHOLD
@@ -171,7 +176,8 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
             saved_sparsity, saved_residual_energy = sparsity, res_energy
             sparsity += 1
         else:
-            support, residuals, residual_energy = omega, residual, res_energy
+            support, support_coefs = omega, coefs
+            residuals, residual_energy = residual, res_energy
 
     final_energy = saved_residual_energy if saved_sparsity else float(np.sum(np.abs(r) ** 2))
     return EstimationResult(

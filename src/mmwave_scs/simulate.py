@@ -359,6 +359,24 @@ def _zf_precoders(h_eff):
     return precoders, betas
 
 
+def _noise_root(combiners):
+    """A 2x2 root L with L L^H = C^H C for the (U, 2) combiners C.
+
+    Combined noise C^H n with n ~ CN(0, s I_U) has covariance s C^H C, so it
+    is drawn as sqrt(s) L w with w ~ CN(0, I_2).  C^H C is the identity when
+    the two streams' AoA bins differ and the rank-1 all-ones matrix when they
+    share one, so L is not a Cholesky factor but the principal square root of
+    the PSD 2x2 matrix G, (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G)),
+    with det G clipped at 0.  At a shared bin its rows are equal, and so are
+    the two noise components.
+    """
+    gram = combiners.conj().T @ combiners
+    det = max(gram[0, 0].real * gram[1, 1].real - abs(gram[0, 1]) ** 2, 0.0)
+    root_det = np.sqrt(det)
+    trace = gram[0, 0].real + gram[1, 1].real
+    return (gram + root_det * np.eye(2)) / np.sqrt(trace + 2.0 * root_det)
+
+
 def ber_experiment(
     config: SystemConfig,
     snr_values,
@@ -376,6 +394,11 @@ def ber_experiment(
     n_pilot_subcarriers = n_subcarriers cover the whole grid.  At least 10^4
     symbols per SNR point, split over n_realizations channel draws; noise and
     payloads are shared across CSI sources so comparisons are paired.
+
+    The data noise on each subcarrier has variance beta_true^2 / SNR per user
+    antenna, beta_true being the perfect-CSI power scale.  Only its two
+    combined components reach the streams, so they are drawn directly:
+    eta = sigma_d L w with w ~ CN(0, I_2) and L L^H = C^H C (_noise_root).
     """
     if config.n_bs < 2:
         raise ValueError("ber_experiment needs n_bs >= 2 for two LOS streams")
@@ -421,27 +444,30 @@ def ber_experiment(
                 for vectors in (aset.vectors, est_ssamp.estimates, est_omp.estimates)
             ])
             zf, betas = _zf_precoders(h_eff)
+            # H_true zf_k per source, (source, P, 2, 2): beta_k scales the
+            # transmit side and the receiver divides it out, so it only
+            # scales the noise.
+            links = h_eff[0] @ zf
+            root = _noise_root(combiners)
             # Data noise is calibrated on the perfect-CSI link and shared by
             # all sources, as are the payload bits.
             beta_true = betas[0]
             rng = np.random.default_rng(data_seed)
-            noise = np.empty((cfg.n_ant_user, n_vec), dtype=complex)  # reused per subcarrier
+            w = np.empty((2, n_vec), dtype=complex)  # reused per subcarrier
             for p in range(n_p):
-                bits = rng.integers(0, 2, size=2 * n_vec * 4)
+                bits = np.unpackbits(rng.integers(0, 256, n_vec, dtype=np.uint8))
                 sym = qam16_modulate(bits).reshape(2, n_vec)
                 sigma_d2 = beta_true[p] ** 2 / snr_lin
-                noise.real = rng.standard_normal((cfg.n_ant_user, n_vec))
-                noise.imag = rng.standard_normal((cfg.n_ant_user, n_vec))
-                noise *= np.sqrt(sigma_d2 / 2.0)
-                eta = combiners.conj().T @ noise
+                w.real = rng.standard_normal((2, n_vec))
+                w.imag = rng.standard_normal((2, n_vec))
+                eta = (np.sqrt(sigma_d2 / 2.0) * root) @ w
                 # All CSI sources at once, (source, stream, n_vec), with the
-                # per-source arithmetic of a one-source loop.
-                beta = betas[:, p, None, None]
-                tx = beta * (zf[:, p] @ sym)
-                rx = h_eff[0, p] @ tx + eta
-                rx /= beta
+                # per-source arithmetic of a one-source loop; the in-place
+                # add saves one (source, stream, n_vec) allocation.
+                rx = links[:, p] @ sym
+                rx += eta / betas[:, p, None, None]
                 decided = qam16_hard_bits(rx).reshape(len(CSI_SOURCES), -1)
-                errors += np.count_nonzero(decided != bits.astype(np.uint8), axis=1)
+                errors += np.count_nonzero(decided != bits, axis=1)
                 total_bits += bits.size
                 total_symbols += sym.size
         for name, count in zip(CSI_SOURCES, errors.tolist()):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mmwave_scs import simulate
-from mmwave_scs.channel import SystemConfig, dft_pair
+from mmwave_scs.channel import SystemConfig, dft_pair, draw_multipath, grid_steering_vector
 from mmwave_scs.recovery import adaptive_omp, ssamp
 from mmwave_scs.simulate import (
     BER_COLUMNS,
@@ -15,6 +15,7 @@ from mmwave_scs.simulate import (
     MSE_COLUMNS,
     _effective_channels,
     _los_beams,
+    _noise_root,
     _omp_threshold,
     _per_bs_matrices,
     _ssamp_threshold,
@@ -56,58 +57,102 @@ def argmin_hard_bits(symbols):
     return out.ravel()
 
 
-def ber_reference(config, snr_values, n_symbols, seed, n_realizations):
-    """ber_experiment's rows from a loop over subcarriers and CSI sources."""
+def _reference_realisation(cfg, seed, point, real):
+    """One realisation's (data_seed, beams, per-source ZF) as ber_experiment forms them."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
+    chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
+    chan, dft, aset, operators, received, sigma2 = _synthesize(
+        cfg, chan_seed, ens_seed, noise_seed
+    )
+    est_ssamp = ssamp(received, operators, _ssamp_threshold(cfg))
+    est_omp = adaptive_omp(
+        received, operators, _omp_threshold(sigma2, operators.shape[1], received)
+    )
+    bs_indices, precoders, combiners = _los_beams(chan, cfg)
+    vectors = {"perfect": aset.vectors, "ssamp": est_ssamp.estimates,
+               "adaptive_omp": est_omp.estimates}
+    h_eff = {
+        name: _effective_channels(
+            _per_bs_matrices(vectors[name], cfg, dft), bs_indices, precoders, combiners
+        )
+        for name in CSI_SOURCES
+    }
+    zf = {name: _zf_precoders(h_eff[name]) for name in CSI_SOURCES}
+    return data_seed, combiners, h_eff["perfect"], zf
+
+
+def _reference_rows(config, snr_values, n_symbols, seed, n_realizations, data_stage):
+    """BER rows from data_stage(rng, n_vec, snr_lin, combiners, h_true, zf), which
+    returns each CSI source's bit errors over the subcarriers, n_vec symbol
+    pairs (8 bits) on each."""
     n_p = config.n_pilot_subcarriers
     n_vec = -(-n_symbols // (n_realizations * n_p * 2))
     rows = []
     for point, snr_db in enumerate(snr_values):
         cfg = replace(config, snr_db=snr_db)
-        snr_lin = 10.0 ** (snr_db / 10.0)
         errors = {name: 0 for name in CSI_SOURCES}
         total_bits = total_symbols = 0
         for real in range(n_realizations):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
-            chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
-            chan, dft, aset, operators, received, sigma2 = _synthesize(
-                cfg, chan_seed, ens_seed, noise_seed
-            )
-            est_ssamp = ssamp(received, operators, _ssamp_threshold(cfg))
-            est_omp = adaptive_omp(
-                received, operators, _omp_threshold(sigma2, operators.shape[1], received)
-            )
-            bs_indices, precoders, combiners = _los_beams(chan, cfg)
-            vectors = {"perfect": aset.vectors, "ssamp": est_ssamp.estimates,
-                       "adaptive_omp": est_omp.estimates}
-            h_eff = {
-                name: _effective_channels(
-                    _per_bs_matrices(vectors[name], cfg, dft), bs_indices, precoders, combiners
-                )
-                for name in CSI_SOURCES
-            }
-            zf = {name: _zf_precoders(h_eff[name]) for name in CSI_SOURCES}
-            beta_true = zf["perfect"][1]
+            data_seed, combiners, h_true, zf = _reference_realisation(cfg, seed, point, real)
             rng = np.random.default_rng(data_seed)
-            for p in range(n_p):
-                bits = rng.integers(0, 2, size=2 * n_vec * 4)
-                sym = modulate_reference(bits).reshape(2, n_vec)
-                sigma_d2 = beta_true[p] ** 2 / snr_lin
-                noise = np.sqrt(sigma_d2 / 2.0) * (
-                    rng.standard_normal((cfg.n_ant_user, n_vec))
-                    + 1j * rng.standard_normal((cfg.n_ant_user, n_vec))
-                )
-                eta = combiners.conj().T @ noise
-                for name in CSI_SOURCES:
-                    precoder, beta = zf[name][0][p], zf[name][1][p]
-                    tx = beta * (precoder @ sym)
-                    rx = h_eff["perfect"][p] @ tx + eta
-                    decided = argmin_hard_bits((rx / beta).ravel())
-                    errors[name] += int(np.sum(decided != bits))
-                total_bits += bits.size
-                total_symbols += sym.size
+            counts = data_stage(rng, n_vec, 10.0 ** (snr_db / 10.0), combiners, h_true, zf)
+            for name in CSI_SOURCES:
+                errors[name] += counts[name]
+            total_bits += n_p * 8 * n_vec
+            total_symbols += n_p * 2 * n_vec
         for name in CSI_SOURCES:
             rows.append((snr_db, name, errors[name] / total_bits, total_symbols))
     return tuple(rows)
+
+
+def _two_stream_data(rng, n_vec, snr_lin, combiners, h_true, zf):
+    """The specified data stage: byte-drawn bits, the two combined noise
+    components drawn as sigma_d L w, and beta folded out of the link."""
+    root = _noise_root(combiners)
+    links = {name: h_true @ zf[name][0] for name in CSI_SOURCES}
+    beta_true = zf["perfect"][1]
+    errors = {name: 0 for name in CSI_SOURCES}
+    for p in range(h_true.shape[0]):
+        bits = np.unpackbits(rng.integers(0, 256, n_vec, dtype=np.uint8))
+        sym = modulate_reference(bits).reshape(2, n_vec)
+        sigma_d2 = beta_true[p] ** 2 / snr_lin
+        w = rng.standard_normal((2, n_vec)) + 1j * rng.standard_normal((2, n_vec))
+        eta = (np.sqrt(sigma_d2 / 2.0) * root) @ w
+        for name in CSI_SOURCES:
+            rx = links[name][p] @ sym + eta / zf[name][1][p]
+            errors[name] += int(np.sum(argmin_hard_bits(rx.ravel()) != bits))
+    return errors
+
+
+def _per_antenna_data(rng, n_vec, snr_lin, combiners, h_true, zf):
+    """The earlier data stage: integer bits, noise drawn on every user antenna
+    and then combined, and beta applied at the transmitter and divided out."""
+    beta_true = zf["perfect"][1]
+    errors = {name: 0 for name in CSI_SOURCES}
+    for p in range(h_true.shape[0]):
+        bits = rng.integers(0, 2, size=2 * n_vec * 4)
+        sym = modulate_reference(bits).reshape(2, n_vec)
+        sigma_d2 = beta_true[p] ** 2 / snr_lin
+        noise = np.sqrt(sigma_d2 / 2.0) * (
+            rng.standard_normal((combiners.shape[0], n_vec))
+            + 1j * rng.standard_normal((combiners.shape[0], n_vec))
+        )
+        eta = combiners.conj().T @ noise
+        for name in CSI_SOURCES:
+            precoder, beta = zf[name][0][p], zf[name][1][p]
+            rx = h_true[p] @ (beta * (precoder @ sym)) + eta
+            errors[name] += int(np.sum(argmin_hard_bits((rx / beta).ravel()) != bits))
+    return errors
+
+
+def ber_reference(config, snr_values, n_symbols, seed, n_realizations):
+    """ber_experiment's rows from a loop over subcarriers and CSI sources."""
+    return _reference_rows(config, snr_values, n_symbols, seed, n_realizations, _two_stream_data)
+
+
+def ber_reference_per_antenna(config, snr_values, n_symbols, seed, n_realizations):
+    """The same channels and CSI with the per-antenna noise and bit draws."""
+    return _reference_rows(config, snr_values, n_symbols, seed, n_realizations, _per_antenna_data)
 
 
 def _strip_time(metrics):
@@ -299,6 +344,26 @@ class TestBer:
         # comparison range (up to about 8e17 here), so both paths ran.
         assert exact_sizes
 
+    def test_matches_per_antenna_draw_in_distribution(self):
+        # Drawing the two combined noise components instead of the per-antenna
+        # noise changes the draws, not their distribution: on the same channels
+        # and CSI the BERs differ by sampling noise, within 3 binomial standard
+        # errors of the difference of two independent BER estimates.
+        snrs = [10.0, 20.0, 30.0]
+        for config, seed, n_realizations in [
+            *((DESK_SNR20, seed, 4) for seed in range(4)),
+            *((SystemConfig(), seed, 2) for seed in range(2)),
+        ]:
+            old = ber_reference_per_antenna(config, snrs, 10**5, seed, n_realizations)
+            new = ber_experiment(config, snrs, 10**5, seed, n_realizations).rows
+            for (snr, source, ber_old, symbols), row in zip(old, new):
+                assert row[:2] == (snr, source) and row[3] == symbols
+                if source == "adaptive_omp":
+                    continue
+                bits = 4 * symbols
+                sigma = np.sqrt((ber_old * (1 - ber_old) + row[2] * (1 - row[2])) / bits)
+                assert abs(row[2] - ber_old) <= 3.0 * sigma, (config, seed, snr, source)
+
     def test_validation(self):
         single_bs = replace(DESK_EXACT, n_bs=1)
         with pytest.raises(ValueError, match="n_bs"):
@@ -309,6 +374,48 @@ class TestBer:
             ber_experiment(DESK_EXACT, [], 10**4, 0)
         with pytest.raises(ValueError):
             ber_experiment(DESK_EXACT, [10.0], 10**4, 0, n_realizations=0)
+
+
+def _ber_long_combiners(seed, real):
+    """The combiners of one 30 dB realisation of ber_experiment(SystemConfig(),
+    [10, 20, 30], ...), the benchmark's ber-long call."""
+    cfg = SystemConfig(snr_db=30.0)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, real))
+    chan = draw_multipath(cfg, int(ss.generate_state(4)[0]))
+    return _los_beams(chan, cfg)[2]
+
+
+class TestNoiseRoot:
+    @staticmethod
+    def combiners(n_ant, bins):
+        return np.column_stack([grid_steering_vector(n_ant, b) for b in bins]) / np.sqrt(n_ant)
+
+    @pytest.mark.parametrize("bins", [(1, 5), (0, 3), (2, 2), (7, 7)])
+    def test_square_root_of_combiner_gram(self, bins):
+        comb = self.combiners(8, bins)
+        root = _noise_root(comb)
+        gram = comb.conj().T @ comb
+        np.testing.assert_allclose(root @ root.conj().T, gram, rtol=0, atol=1e-12)
+        assert np.linalg.matrix_rank(gram) == (1 if bins[0] == bins[1] else 2)
+
+    def test_shared_bin_gives_equal_components(self):
+        root = _noise_root(self.combiners(8, (3, 3)))
+        rng = np.random.default_rng(0)
+        eta = root @ (rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50)))
+        assert np.array_equal(eta[0], eta[1])
+
+    @pytest.mark.parametrize("seed, real, aoa_bin", [(1, 2, 7), (2, 0, 6)])
+    def test_ber_long_realisations_sharing_an_aoa_bin(self, seed, real, aoa_bin):
+        # Both serving LOS paths of these 30 dB ber-long realisations arrive
+        # in one AoA bin, so C^H C is rank 1 and the two streams see the same
+        # noise.
+        comb = _ber_long_combiners(seed, real)
+        expected = grid_steering_vector(comb.shape[0], aoa_bin) / np.sqrt(comb.shape[0])
+        np.testing.assert_allclose(comb, np.column_stack([expected, expected]), atol=1e-15)
+        root = _noise_root(comb)
+        np.testing.assert_allclose(root @ root.conj().T, np.ones((2, 2)), rtol=0, atol=1e-12)
+        eta = root @ (np.ones((2, 3)) + 1j * np.arange(6).reshape(2, 3))
+        assert np.array_equal(eta[0], eta[1])
 
 
 class TestQam:

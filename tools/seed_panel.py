@@ -8,11 +8,13 @@ perfbench ber-long workload (10^5 symbols, 1 realisation).  `compare A.json
 B.json` prints the NMSE delta (dB) of every trial that differs, then per
 estimator the exact-support flips, iteration-count changes and largest
 |delta|, then whether each BER table is identical with every differing row
-(table, SNR, CSI source, old -> new BER), and exits 1 if any trial or BER row
-differs.
+(table, SNR, CSI source, old -> new BER and the change in binomial standard
+errors of the mean BER over 4 bits per symbol), and exits 1 if any trial or BER
+row differs.
 """
 
 import json
+import math
 import sys
 
 
@@ -43,6 +45,16 @@ def dump(path):
     return 0
 
 
+def _sigma_move(ber_a, ber_b, symbols):
+    """' (+z sigma)': the BER change in binomial standard errors
+    sqrt(p (1 - p) / bits), p the mean of both BERs and 4 bits per symbol."""
+    if ber_a is None or ber_b is None:
+        return ""
+    p = (ber_a + ber_b) / 2.0
+    sigma = math.sqrt(p * (1.0 - p) / (4 * symbols))
+    return f" ({(ber_b - ber_a) / sigma:+.2f} sigma)" if sigma else ""
+
+
 def compare(path_a, path_b):
     a, b = (json.load(open(path)) for path in (path_a, path_b))
     keys = sorted(a["trials"].keys() | b["trials"].keys())
@@ -67,12 +79,13 @@ def compare(path_a, path_b):
         same = rows_a == rows_b
         same_ber &= same
         print(f"BER table {name}: {'identical' if same else 'differs'}")
-        old = {tuple(row[:2]): row[2] for row in rows_a}
-        new = {tuple(row[:2]): row[2] for row in rows_b}
-        for snr, source in sorted(old.keys() | new.keys()):
-            if old.get((snr, source)) != new.get((snr, source)):
-                print(f"  {name} {snr:g} dB {source}: "
-                      f"{old.get((snr, source))} -> {new.get((snr, source))}")
+        old = {tuple(row[:2]): row[2:] for row in rows_a}
+        new = {tuple(row[:2]): row[2:] for row in rows_b}
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) != new.get(key):
+                (ber_a, _), (ber_b, symbols) = old.get(key, [None] * 2), new.get(key, [None] * 2)
+                print(f"  {name} {key[0]:g} dB {key[1]}: {ber_a} -> {ber_b}"
+                      f"{_sigma_move(ber_a, ber_b, symbols)}")
     return 1 if differ or not same_ber else 0
 
 
