@@ -10,14 +10,15 @@ on the aggregate sparse vector, and stacking slots gives the G N_chain-row
 operator the recovery stage inverts.  A slot's matrix is the Kronecker
 product of the BSs' angular beams and the user's angular combiner, and the
 operator is kept as those factors (KroneckerOperator), never as the dense
-(P, rows, dim) tensor.
+(P, rows, dim) tensor.  The angular bases are unitary DFTs, so the analog
+stages reach the angular grid by FFT; no DFT matrix is built.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DftPair, SystemConfig
+from .channel import SystemConfig
 
 
 @dataclass(frozen=True)
@@ -118,12 +119,22 @@ class KroneckerOperator:
 
     def adjoint(self, r) -> np.ndarray:
         """Phi_p^H r_p for every subcarrier: (P, rows) -> (P, dim)."""
+        out = self._conj_adjoint(r)
+        return np.conjugate(out, out=out).reshape(out.shape[0], -1)
+
+    def adjoint_magnitudes(self, r) -> np.ndarray:
+        """|Phi_p^H r_p| for every subcarrier, real (P, dim); equal to
+        np.abs(self.adjoint(r)) bit for bit, without its conjugate pass."""
+        out = self._conj_adjoint(r)
+        return np.abs(out).reshape(out.shape[0], -1)
+
+    def _conj_adjoint(self, r) -> np.ndarray:
+        """conj(Phi_p^H r_p) = right^T (conj(r) left) as (P, M * N_BS, N_US):
+        no conjugated copy of right per call."""
         g, p, c, u = self.left.shape
-        # As conj(right^T conj(per_slot)): no conjugated copy of right per call.
         slots = np.asarray(r).conj().reshape(p, g, 1, c)
         per_slot = (slots @ self.left.transpose(1, 0, 2, 3))[:, :, 0]  # (P, G, N_US)
-        out = self.right.transpose(1, 2, 0) @ per_slot
-        return np.conjugate(out, out=out).reshape(p, -1)
+        return self.right.transpose(1, 2, 0) @ per_slot
 
     def columns(self, support) -> np.ndarray:
         """Phi_p[:, support], or Phi_p[:, support[p]] for a (P, K) support: (P, rows, K)."""
@@ -170,20 +181,23 @@ def as_operator(operators) -> KroneckerOperator:
     return KroneckerOperator(left, np.ones((rows, n_pilots, 1)))
 
 
-def measurement_operators(ensemble: PilotEnsemble, dft: DftPair) -> KroneckerOperator:
+def measurement_operators(ensemble: PilotEnsemble) -> KroneckerOperator:
     """The stacked operators of every pilot subcarrier, as Kronecker factors.
 
     With the user combiner Z = Z_RF Z_BB and the per-BS pilot f = F_RF s
     scaled by pilot_scale, slot t of subcarrier p is
-    kron((A_TX^H f per BS, stacked)[None, :], Z^H A_RX).  The
-    subcarrier-independent analog stages are applied to the DFT bases first.
+    kron((A_TX^H f per BS, stacked)[None, :], Z^H A_RX).  The angular bases
+    are unitary DFTs (channel.unitary_dft), so the subcarrier-independent
+    analog stages go to the angular grid by FFT along their antenna axis,
+    A^H X = fft(X, norm="ortho"); no DFT matrix is built.
     """
     g, p = ensemble.n_slots, ensemble.n_pilot_subcarriers
-    # Z^H A_RX = Z_BB^H (Z_RF^H A_RX)
-    rf_rx = ensemble.rf_combiner.conj().swapaxes(-1, -2) @ dft.rx  # (G, N_chain_US, N_US)
+    # Z^H A_RX = Z_BB^H (Z_RF^H A_RX), with Z_RF^H A_RX = (A_RX^H Z_RF)^H
+    rx_rf = np.fft.fft(ensemble.rf_combiner, axis=1, norm="ortho")  # (G, N_US, N_chain_US)
+    rf_rx = rx_rf.conj().swapaxes(-1, -2)  # (G, N_chain_US, N_US)
     left = ensemble.bb_combiner.conj().swapaxes(-1, -2) @ rf_rx[:, None]
     # A_TX^H f = (A_TX^H F_RF) s * pilot_scale, per BS
-    rf_tx = dft.tx.conj().T @ ensemble.rf_precoder  # (G, M, N_BS, N_chain_BS)
+    rf_tx = np.fft.fft(ensemble.rf_precoder, axis=2, norm="ortho")  # (G, M, N_BS, N_chain_BS)
     beams = rf_tx[:, None] @ ensemble.eff_training[..., None]  # (G, P, M, N_BS, 1)
     right = beams.reshape(g, p, -1) * ensemble.pilot_scale
     return KroneckerOperator(left, right)

@@ -144,13 +144,17 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     saved_coefs = np.zeros((n_pilots, 0), dtype=np.complex128)
     saved_sparsity = 0
     saved_residual_energy = np.inf
+    # Joint proxy energy of `residuals`, recomputed only when they change.
+    proxy_energy = None
     passes = 0
     reason = TERM_MAXITER
     while passes < max_iterations:
         passes += 1
-        # Joint proxy: residual correlations, energy summed over subcarriers.
-        proxy = op.adjoint(residuals)
-        gamma = _top_indices(np.sum(np.abs(proxy) ** 2, axis=0), sparsity)
+        if proxy_energy is None:
+            # Residual correlations, energy summed over subcarriers.
+            proxy = op.adjoint_magnitudes(residuals)
+            proxy_energy = np.sum(np.square(proxy, out=proxy), axis=0)
+        gamma = _top_indices(proxy_energy, sparsity)
         union = np.union1d(support, gamma)
         trial = _fit(op.columns(union), r)
         keep = _top_indices(np.sum(np.abs(trial) ** 2, axis=0), sparsity)
@@ -178,6 +182,7 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
         else:
             support, support_coefs = omega, coefs
             residuals, residual_energy = residual, res_energy
+            proxy_energy = None
 
     final_energy = saved_residual_energy if saved_sparsity else float(np.sum(np.abs(r) ** 2))
     return EstimationResult(
@@ -216,7 +221,8 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     residual = r_act
     total_picks = 0
     while active.size:
-        corr = np.abs(sub.adjoint(residual)) / norms
+        corr = sub.adjoint_magnitudes(residual)
+        corr /= norms
         np.put_along_axis(corr, picks, -1.0, axis=1)  # never re-pick
         picks = np.column_stack([picks, np.argmax(corr, axis=1)])
         support = np.sort(picks, axis=1)

@@ -1,6 +1,7 @@
 """Shared desk-scale configurations, the synthesis pipeline helper, and the
 reference formulas of the system model: the frequency-domain channel and its
-angular projection, and the per-slot measurement operator.
+angular projection, the per-slot measurement operator and the operator
+factors built with dense DFT matrices.
 
 The desk geometry (2 BSs x 2 paths on a 16x4 grid, 8 subcarriers, all
 carrying pilots) keeps one full trial in the millisecond range so the
@@ -12,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 
 from mmwave_scs.channel import SystemConfig, grid_steering_vector
+from mmwave_scs.pilots import KroneckerOperator
 from mmwave_scs.simulate import _synthesize
 
 DESK_EXACT = SystemConfig(
@@ -33,7 +35,7 @@ DESK_SNR10 = replace(DESK_SNR20, snr_db=10.0)
 
 def synth(config, chan_seed, ens_seed, noise_seed):
     """One end-to-end synthesis: (channel set, operators, received, sigma2)."""
-    _, _, aset, ops, received, sigma2 = _synthesize(config, chan_seed, ens_seed, noise_seed)
+    _, aset, ops, received, sigma2 = _synthesize(config, chan_seed, ens_seed, noise_seed)
     return aset, ops, received, sigma2
 
 
@@ -108,3 +110,18 @@ def slot_measurement(ensemble, dft, slot, pilot):
     ]
     right = np.concatenate(beams)  # (M * N_BS,)
     return np.kron(right[None, :], left)
+
+
+def dense_measurement_operators(ensemble, dft):
+    """pilots.measurement_operators with the angular bases as the DFT matrices
+    of `dft` (a channel.DftPair): the analog stages times A_RX and A_TX^H as
+    dense products, where the package takes an FFT."""
+    g, p = ensemble.n_slots, ensemble.n_pilot_subcarriers
+    # Z^H A_RX = Z_BB^H (Z_RF^H A_RX)
+    rf_rx = ensemble.rf_combiner.conj().swapaxes(-1, -2) @ dft.rx  # (G, N_chain_US, N_US)
+    left = ensemble.bb_combiner.conj().swapaxes(-1, -2) @ rf_rx[:, None]
+    # A_TX^H f = (A_TX^H F_RF) s * pilot_scale, per BS
+    rf_tx = dft.tx.conj().T @ ensemble.rf_precoder  # (G, M, N_BS, N_chain_BS)
+    beams = rf_tx[:, None] @ ensemble.eff_training[..., None]  # (G, P, M, N_BS, 1)
+    right = beams.reshape(g, p, -1) * ensemble.pilot_scale
+    return KroneckerOperator(left, right)

@@ -1,5 +1,7 @@
 """Pilot ensembles and stacked measurement operators."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from conftest import (
     DESK_EXACT,
     DESK_SNR20,
     combiner_matrix,
+    dense_measurement_operators,
     pilot_vector,
     slot_measurement,
     synth,
@@ -137,7 +140,7 @@ def test_stacking_order():
     cfg = DESK_EXACT
     dft = dft_pair(cfg)
     ens = draw_ensemble(cfg, 9)
-    full = measurement_operators(ens, dft).dense()[0]
+    full = measurement_operators(ens).dense()[0]
     assert full.shape == (cfg.measurement_rows, cfg.angular_dimension)
     chains = cfg.n_chain_user
     for t in (0, 1, cfg.n_slots - 1):
@@ -147,10 +150,35 @@ def test_stacking_order():
         )
 
 
+# desk, SystemConfig(), the perfbench trial-wide point and a non-power-of-two
+# array: the FFT build against the dense DFT products it replaces.
+FFT_GEOMETRIES = {
+    "desk": DESK_EXACT,
+    "default": SystemConfig(),
+    "wide": SystemConfig(
+        n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2, n_subcarriers=16,
+        n_pilot_subcarriers=8, n_slots=12, max_delay_s=25e-9,
+    ),
+    "non-power-of-two": replace(DESK_EXACT, n_ant_bs=12, n_ant_user=6),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FFT_GEOMETRIES))
+def test_fft_build_matches_dense_dft_products(name):
+    cfg = FFT_GEOMETRIES[name]
+    for seed in range(3):
+        ens = draw_ensemble(cfg, seed)
+        op = measurement_operators(ens)
+        ref = dense_measurement_operators(ens, dft_pair(cfg))
+        for got, want in ((op.left, ref.left), (op.right, ref.right)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 def test_operator_entry_statistics():
     # default config: 16 operators of 32 x 512 = 262144 entries
     cfg = SystemConfig()
-    ops = measurement_operators(draw_ensemble(cfg, 31), dft_pair(cfg)).dense()
+    ops = measurement_operators(draw_ensemble(cfg, 31)).dense()
     assert ops.shape == (16, 32, 512)
     entries = ops.ravel()
     assert abs(entries.mean()) <= 0.01 * entries.std()
@@ -159,7 +187,7 @@ def test_operator_entry_statistics():
 
 
 def test_operators_differ_across_subcarriers():
-    ops = measurement_operators(draw_ensemble(DESK_EXACT, 12), dft_pair(DESK_EXACT)).dense()
+    ops = measurement_operators(draw_ensemble(DESK_EXACT, 12)).dense()
     for p in range(1, ops.shape[0]):
         assert np.max(np.abs(ops[p] - ops[0])) > 1e-6
 
@@ -192,6 +220,7 @@ def _check_against_dense(op, dense, rng):
                                atol=tol * np.linalg.norm(x))
     np.testing.assert_allclose(op.adjoint(r), np.einsum("prd,pr->pd", dense.conj(), r),
                                rtol=0, atol=tol * np.linalg.norm(r))
+    np.testing.assert_array_equal(op.adjoint_magnitudes(r), np.abs(op.adjoint(r)))
     # <Phi x, r> = <x, Phi^H r>
     lhs = np.vdot(r, op.apply(x))
     rhs = np.vdot(op.adjoint(r), x)
@@ -217,7 +246,7 @@ class TestKroneckerOperator:
     def test_dense_is_the_stacked_slot_formula(self, cfg, seed):
         ens = draw_ensemble(cfg, seed)
         dft = dft_pair(cfg)
-        op = measurement_operators(ens, dft)
+        op = measurement_operators(ens)
         formula = np.array(
             [
                 np.vstack([slot_measurement(ens, dft, t, p) for t in range(cfg.n_slots)])
@@ -231,7 +260,7 @@ class TestKroneckerOperator:
     @settings(max_examples=40, deadline=None)
     @given(geometries, st.integers(0, 2**32 - 1))
     def test_operations_match_the_dense_tensor(self, cfg, seed):
-        op = measurement_operators(draw_ensemble(cfg, seed), dft_pair(cfg))
+        op = measurement_operators(draw_ensemble(cfg, seed))
         _check_against_dense(op, op.dense(), np.random.default_rng(seed))
 
     @settings(max_examples=40, deadline=None)
@@ -245,14 +274,14 @@ class TestKroneckerOperator:
         _check_against_dense(op, phi, rng)
 
     def test_wrapping_rejects_other_ranks(self):
-        op = measurement_operators(draw_ensemble(DESK_EXACT, 1), dft_pair(DESK_EXACT))
+        op = measurement_operators(draw_ensemble(DESK_EXACT, 1))
         assert as_operator(op) is op
         for shape in ((4, 6), (1, 2, 4, 6)):
             with pytest.raises(ValueError, match="expected operators"):
                 as_operator(np.ones(shape))
 
     def test_factor_shapes_validated(self):
-        op = measurement_operators(draw_ensemble(DESK_EXACT, 1), dft_pair(DESK_EXACT))
+        op = measurement_operators(draw_ensemble(DESK_EXACT, 1))
         with pytest.raises(ValueError, match="expected left"):
             type(op)(op.left, op.right[:, :1])
         with pytest.raises(ValueError, match="expected left"):
@@ -265,7 +294,7 @@ class TestKroneckerOperator:
             n_paths=4, n_subcarriers=64, n_pilot_subcarriers=64, n_slots=9,
             max_delay_s=100e-9,
         )
-        op = measurement_operators(draw_ensemble(cfg, 1), dft_pair(cfg))
+        op = measurement_operators(draw_ensemble(cfg, 1))
         assert op.shape == (64, 18, 65536)
         assert 64 * 18 * 65536 * 16 > 1.2e9
         assert op.nbytes < 32 * 2**20
@@ -376,7 +405,7 @@ class TestSynthesize:
 
     def test_noise_drawn_per_subcarrier(self):
         # real parts then imaginary parts, subcarrier by subcarrier
-        op = measurement_operators(draw_ensemble(DESK_SNR20, 3), dft_pair(DESK_SNR20))
+        op = measurement_operators(draw_ensemble(DESK_SNR20, 3))
         n_pilots, rows, dim = op.shape
         rec = synthesize_received(op, np.zeros((n_pilots, dim)), 0.5, 8)
         rng = np.random.default_rng(8)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mmwave_scs.pilots import as_operator
+from mmwave_scs.pilots import KroneckerOperator, as_operator
 from mmwave_scs.recovery import (
     LSTSQ_RCOND,
     P_TH_NOISELESS,
@@ -161,6 +161,18 @@ def _random_instance(seed, n_vec=None):
     return np.einsum("prd,pd->pr", phis, x) + noise, phis
 
 
+class _CountingOperator(KroneckerOperator):
+    """Records every residual the pursuits correlate against the operator."""
+
+    def __init__(self, op):
+        super().__init__(op.left, op.right)
+        self.correlated = []
+
+    def adjoint_magnitudes(self, r):
+        self.correlated.append(np.array(r))
+        return super().adjoint_magnitudes(r)
+
+
 class TestSsampAgainstReference:
     def test_equivalence_battery(self):
         for s in range(100):
@@ -179,6 +191,22 @@ class TestSsampAgainstReference:
             # reported support always backs the reported stage count, sorted
             assert got.support.size == got.stages
             assert np.array_equal(got.support, np.sort(got.support))
+
+    def test_one_proxy_per_residual(self):
+        # ssamp correlates a residual only when an accepted support changed
+        # it: one proxy for the received pilots plus one per accepted pass.
+        for s in range(40):
+            y, phis = _random_instance(30_000 + s)
+            op = _CountingOperator(as_operator(phis))
+            got = ssamp(y, op, 0.01)
+            est, supp, reason, passes, _, traces = ssamp_reference(y, phis, 0.01)
+            assert np.array_equal(got.support, supp), f"seed {s}"
+            assert (got.termination_reason, got.iterations) == (reason, passes)
+            np.testing.assert_allclose(got.estimates, est, atol=1e-8)
+            assert reason != TERM_MAXITER
+            assert len(op.correlated) == 1 + sum(len(trace) for trace in traces)
+            for i, a in enumerate(op.correlated):
+                assert not any(np.array_equal(a, b) for b in op.correlated[i + 1 :])
 
     def test_single_vector_equivalence(self):
         # P = 1 degenerates to the plain stagewise pursuit; check it explicitly
@@ -514,14 +542,27 @@ class TestProperties:
         if config is DESK_EXACT:
             assert nmse_db(est.estimates, aset.vectors) <= -60.0
 
+    @settings(max_examples=30, deadline=None)
+    @given(operator_kinds, st.integers(0, 2**32 - 1))
+    def test_estimates_vanish_off_the_support(self, kind, seed):
+        # run_trial scores NMSE on the supports only, which needs this
+        for est in _estimate_all(*_property_instance(kind, seed)):
+            off = np.ones(est.estimates.shape[1], dtype=bool)
+            off[est.support] = False
+            assert not est.estimates[:, off].any()
+
     def test_permutation_beyond_row_count(self):
         """ssamp does not cap its stage sparsity at the row count.  Past it the
         stage fits are minimum-norm with residual energies at the rounding
-        floor, so the stage decisions follow the order of the subcarrier sums."""
-        received, ops, _, p_th, _ = _property_instance("kronecker", 2286)
+        floor, so the stage decisions can follow the order of the subcarrier
+        sums.  Draw 252 is the first of the 16 in 3,000 DESK_SNR20 draws whose
+        support passes the row count; since the operator is built by FFT none
+        of the 16 changes under 1,000 permutations, so this one passes unless
+        that sensitivity comes back."""
+        received, ops, _, p_th, _ = _property_instance("kronecker", 252)
         base = ssamp(received, ops, p_th)
         assert base.support.size > ops.shape[1]
-        perm = np.random.default_rng(22).permutation(received.shape[0])
+        perm = np.random.default_rng(253).permutation(received.shape[0])
         permuted = ssamp(received[perm], ops[perm], p_th)
         if not np.array_equal(permuted.support, base.support):
             pytest.xfail("known: reordering the subcarriers changes a support "

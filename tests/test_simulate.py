@@ -7,7 +7,7 @@ import pytest
 
 from mmwave_scs import simulate
 from mmwave_scs.channel import SystemConfig, dft_pair, draw_multipath, grid_steering_vector
-from mmwave_scs.recovery import adaptive_omp, ssamp
+from mmwave_scs.recovery import adaptive_omp, nmse_db, oracle_ls, ssamp
 from mmwave_scs.simulate import (
     BER_COLUMNS,
     CSI_SOURCES,
@@ -61,7 +61,7 @@ def _reference_realisation(cfg, seed, point, real):
     """One realisation's (data_seed, beams, per-source ZF) as ber_experiment forms them."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
     chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
-    chan, dft, aset, operators, received, sigma2 = _synthesize(
+    chan, aset, operators, received, sigma2 = _synthesize(
         cfg, chan_seed, ens_seed, noise_seed
     )
     est_ssamp = ssamp(received, operators, _ssamp_threshold(cfg))
@@ -73,7 +73,7 @@ def _reference_realisation(cfg, seed, point, real):
                "adaptive_omp": est_omp.estimates}
     h_eff = {
         name: _effective_channels(
-            _per_bs_matrices(vectors[name], cfg, dft), bs_indices, precoders, combiners
+            _per_bs_matrices(vectors[name], cfg, dft_pair(cfg)), bs_indices, precoders, combiners
         )
         for name in CSI_SOURCES
     }
@@ -193,6 +193,29 @@ class TestRunTrial:
             for name in lin:
                 lin[name].append(10.0 ** (record.metrics[name].nmse_db / 10.0))
         assert np.mean(lin["oracle_ls"]) <= np.mean(lin["ssamp"])
+
+    def test_nmse_on_supports_matches_full_arrays(self):
+        # run_trial scores each estimate on the union of its support and the
+        # true one; off it both are zero, so only the summation order differs
+        # from nmse_db over the full arrays.  Noiseless trials hit the floor.
+        panel = [(DESK_SNR20, seed) for seed in range(3000, 3030)]
+        panel += [(DESK_EXACT, seed) for seed in range(3)]
+        floored = 0
+        for cfg, seed in panel:
+            record = run_trial(cfg, seed)
+            _, aset, ops, received, sigma2 = _synthesize(cfg, *_trial_seeds(seed))
+            full = {
+                "ssamp": ssamp(received, ops, _ssamp_threshold(cfg)),
+                "adaptive_omp": adaptive_omp(
+                    received, ops, _omp_threshold(sigma2, ops.shape[1], received)
+                ),
+                "oracle_ls": oracle_ls(received, ops, aset.support),
+            }
+            for name, est in full.items():
+                want = nmse_db(est.estimates, aset.vectors)
+                assert abs(record.metrics[name].nmse_db - want) <= 1e-12, (seed, name)
+                floored += want == -300.0
+        assert floored
 
     def test_every_config_field_is_read(self):
         """Each SystemConfig field, set to another valid value, changes the
@@ -426,6 +449,15 @@ class TestQam:
         np.testing.assert_array_equal(symbols, modulate_reference(bits))
         np.testing.assert_array_equal(qam16_hard_bits(symbols), bits)
         assert qam16_modulate([]).size == 0 and qam16_hard_bits([]).size == 0
+
+    def test_uint8_bits_match_int_bits(self):
+        bits = np.unpackbits(np.random.default_rng(1).integers(0, 256, 1000, dtype=np.uint8))
+        symbols = qam16_modulate(bits)
+        np.testing.assert_array_equal(symbols, qam16_modulate(bits.astype(int)))
+        np.testing.assert_array_equal(symbols, qam16_modulate(bits.tolist()))
+        np.testing.assert_array_equal(symbols, modulate_reference(bits.astype(int)))
+        with pytest.raises(ValueError, match=r"got values in \[0, 2\]"):
+            qam16_modulate(np.array([0, 2, 1, 0], dtype=np.uint8))
 
     @pytest.mark.parametrize(
         "bits, message",

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mmwave_scs.channel import SystemConfig, dft_pair
+from mmwave_scs.channel import SystemConfig
 from mmwave_scs.pilots import draw_ensemble, measurement_operators
 from mmwave_scs.theory import (
     GmmvInstance,
@@ -57,7 +57,7 @@ def test_spark_of_training_operator():
         n_paths=2, n_subcarriers=4, n_pilot_subcarriers=4, n_slots=3,
         max_delay_s=10e-9,
     )
-    ops = measurement_operators(draw_ensemble(cfg, 9), dft_pair(cfg)).dense()
+    ops = measurement_operators(draw_ensemble(cfg, 9)).dense()
     assert ops.shape == (4, 6, 16)
     value = spark(ops[0])
     assert 2 <= value <= cfg.n_slots * cfg.n_chain_user + 1
@@ -161,7 +161,7 @@ def test_certificate_on_pipeline_operators():
         n_paths=2, n_subcarriers=4, n_pilot_subcarriers=4, n_slots=3,
         max_delay_s=10e-9,
     )
-    ops = measurement_operators(draw_ensemble(cfg, 15), dft_pair(cfg)).dense()
+    ops = measurement_operators(draw_ensemble(cfg, 15)).dense()
     rng = np.random.default_rng(16)
     support = np.array([2, 9])
     signals = np.zeros((ops.shape[0], ops.shape[2]), dtype=complex)
