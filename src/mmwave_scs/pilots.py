@@ -119,22 +119,12 @@ class KroneckerOperator:
 
     def adjoint(self, r) -> np.ndarray:
         """Phi_p^H r_p for every subcarrier: (P, rows) -> (P, dim)."""
-        out = self._conj_adjoint(r)
-        return np.conjugate(out, out=out).reshape(out.shape[0], -1)
-
-    def adjoint_magnitudes(self, r) -> np.ndarray:
-        """|Phi_p^H r_p| for every subcarrier, real (P, dim); equal to
-        np.abs(self.adjoint(r)) bit for bit, without its conjugate pass."""
-        out = self._conj_adjoint(r)
-        return np.abs(out).reshape(out.shape[0], -1)
-
-    def _conj_adjoint(self, r) -> np.ndarray:
-        """conj(Phi_p^H r_p) = right^T (conj(r) left) as (P, M * N_BS, N_US):
-        no conjugated copy of right per call."""
         g, p, c, u = self.left.shape
+        # As conj(right^T conj(per_slot)): no conjugated copy of right per call.
         slots = np.asarray(r).conj().reshape(p, g, 1, c)
         per_slot = (slots @ self.left.transpose(1, 0, 2, 3))[:, :, 0]  # (P, G, N_US)
-        return self.right.transpose(1, 2, 0) @ per_slot
+        out = self.right.transpose(1, 2, 0) @ per_slot
+        return np.conjugate(out, out=out).reshape(p, -1)
 
     def columns(self, support) -> np.ndarray:
         """Phi_p[:, support], or Phi_p[:, support[p]] for a (P, K) support: (P, rows, K)."""

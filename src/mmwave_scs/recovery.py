@@ -152,8 +152,7 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
         passes += 1
         if proxy_energy is None:
             # Residual correlations, energy summed over subcarriers.
-            proxy = op.adjoint_magnitudes(residuals)
-            proxy_energy = np.sum(np.square(proxy, out=proxy), axis=0)
+            proxy_energy = np.sum(np.abs(op.adjoint(residuals)) ** 2, axis=0)
         gamma = _top_indices(proxy_energy, sparsity)
         union = np.union1d(support, gamma)
         trial = _fit(op.columns(union), r)
@@ -221,8 +220,7 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     residual = r_act
     total_picks = 0
     while active.size:
-        corr = sub.adjoint_magnitudes(residual)
-        corr /= norms
+        corr = np.abs(sub.adjoint(residual)) / norms
         np.put_along_axis(corr, picks, -1.0, axis=1)  # never re-pick
         picks = np.column_stack([picks, np.argmax(corr, axis=1)])
         support = np.sort(picks, axis=1)

@@ -246,15 +246,12 @@ _GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
 def qam16_modulate(bits) -> np.ndarray:
     """Map bits (0s and 1s, length divisible by 4) to Gray-coded unit-energy 16-QAM."""
     b = np.asarray(bits)
-    if b.dtype != np.uint8:
-        b = np.asarray(b, dtype=int)
     if b.size % 4:
         raise ValueError(f"bit count must be a multiple of 4, got {b.size}")
     if b.size and (b.min() < 0 or b.max() > 1):
         raise ValueError(f"bits must be 0 or 1, got values in [{b.min()}, {b.max()}]")
     pairs = b.astype(np.uint8, copy=False).reshape(-1, 2)  # (I pair, Q pair) per symbol
-    index = pairs[:, 0] << 1  # 2 b0 + b1, in uint8
-    index |= pairs[:, 1]
+    index = (pairs[:, 0] << 1) | pairs[:, 1]  # 2 b0 + b1, in uint8
     out = np.empty(b.size // 4, dtype=complex)
     np.take(_PAIR_LEVELS, index, out=out.view(np.float64))
     return out
