@@ -188,9 +188,10 @@ def measurement_operators(ensemble: PilotEnsemble) -> KroneckerOperator:
     left = ensemble.bb_combiner.conj().swapaxes(-1, -2) @ rf_rx[:, None]
     # A_TX^H f = (A_TX^H F_RF) s * pilot_scale, per BS
     rf_tx = np.fft.fft(ensemble.rf_precoder, axis=2, norm="ortho")  # (G, M, N_BS, N_chain_BS)
-    beams = rf_tx[:, None] @ ensemble.eff_training[..., None]  # (G, P, M, N_BS, 1)
-    right = beams.reshape(g, p, -1) * ensemble.pilot_scale
-    return KroneckerOperator(left, right)
+    beams = rf_tx @ ensemble.eff_training.transpose(0, 2, 3, 1)  # (G, M, N_BS, P)
+    # In C order: a strided `right` slows every product with the operator.
+    right = np.multiply(beams.transpose(0, 3, 1, 2), ensemble.pilot_scale, order="C")
+    return KroneckerOperator(left, right.reshape(g, p, -1))
 
 
 def pilot_subcarrier_indices(config: SystemConfig) -> np.ndarray:
@@ -199,35 +200,44 @@ def pilot_subcarrier_indices(config: SystemConfig) -> np.ndarray:
     return 1 + (n // p) * np.arange(p)
 
 
-def calibrate_noise_variance(operators, vectors, snr_db: float) -> float:
+def _check_clean(clean) -> np.ndarray:
+    signal = np.asarray(clean)
+    if signal.ndim != 2:
+        raise ValueError(f"expected clean pilot signals (P, rows), got shape {signal.shape}")
+    return signal
+
+
+def calibrate_noise_variance(clean, snr_db: float) -> float:
     """Per-entry complex noise variance matching a target pilot SNR.
 
-    SNR is the realised signal energy summed over subcarriers divided by
-    rows * P * sigma^2, so sigma^2 = sum_p ||Phi_p h_p||^2 / (rows * P *
-    10^(SNR/10)).  Raises when every signal is zero (SNR undefined) and when
-    10^(SNR/10) underflows to zero (SNR = -inf or below about -3,235 dB).
+    `clean` holds the noiseless received pilots Phi_p h_p, shape (P, rows).
+    SNR is their energy summed over subcarriers divided by rows * P *
+    sigma^2, so sigma^2 = sum_p ||Phi_p h_p||^2 / (rows * P * 10^(SNR/10)).
+    Raises when every signal is zero (SNR undefined) and when 10^(SNR/10)
+    underflows to zero (SNR = -inf or below about -3,235 dB).
     """
-    op = as_operator(operators)
-    energy = float(np.sum(np.abs(op.apply(vectors)) ** 2))
+    signal = _check_clean(clean)
+    energy = float(np.sum(np.abs(signal) ** 2))
     if energy == 0.0:
         raise ValueError("all-zero signals: SNR is undefined")
     snr_lin = 10.0 ** (snr_db / 10.0)
     if snr_lin == 0.0:
         raise ValueError(f"SNR {snr_db} dB underflows to zero: noise variance is infinite")
-    n_pilots, rows, _ = op.shape
+    n_pilots, rows = signal.shape
     return energy / (rows * n_pilots * snr_lin)
 
 
-def synthesize_received(operators, vectors, noise_variance: float, seed: int) -> np.ndarray:
+def synthesize_received(clean, noise_variance: float, seed: int) -> np.ndarray:
     """Noisy received pilots r_p = Phi_p h_p + CN(0, sigma^2 I); shape (P, rows).
 
-    The noise is drawn subcarrier by subcarrier, real parts then imaginary
-    parts, so a seed gives the same noise whatever the operator's form.
+    `clean` holds the noiseless Phi_p h_p.  The noise is drawn subcarrier by
+    subcarrier, real parts then imaginary parts, so a seed gives the same
+    noise however the clean signal was formed.
     """
     if noise_variance < 0:
         raise ValueError("noise_variance must be non-negative")
-    op = as_operator(operators)
-    n_pilots, rows, _ = op.shape
+    signal = _check_clean(clean)
+    n_pilots, rows = signal.shape
     draws = np.random.default_rng(seed).standard_normal((n_pilots, 2, rows))
     noise = np.sqrt(noise_variance / 2.0) * (draws[:, 0] + 1j * draws[:, 1])
-    return op.apply(vectors) + noise
+    return signal + noise

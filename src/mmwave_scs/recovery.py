@@ -36,14 +36,24 @@ P_TH_NOISELESS = 1e-12
 
 @dataclass(frozen=True)
 class EstimationResult:
-    """Output of one recovery run over all pilot subcarriers."""
+    """Output of one recovery run over all pilot subcarriers.
 
-    estimates: np.ndarray        # (P, dim)
-    support: np.ndarray          # sorted indices backing the estimates
+    The estimate of subcarrier p is coefficients[p] on the columns `support`
+    and zero elsewhere; dense() spreads it over the whole angular grid.
+    """
+
+    coefficients: np.ndarray     # (P, K), column k on angular column support[k]
+    support: np.ndarray          # (K,) sorted, unique column indices
     iterations: int
     stages: int
     final_residual_energy: float
     termination_reason: str | None
+
+    def dense(self, dim: int) -> np.ndarray:
+        """The (P, dim) estimates, zero off the support."""
+        out = np.zeros((self.coefficients.shape[0], dim), dtype=np.complex128)
+        out[:, self.support] = self.coefficients
+        return out
 
 
 def _top_indices(energy: np.ndarray, count: int) -> np.ndarray:
@@ -81,12 +91,6 @@ def _fit(cols, received):
 
 def _residual(received, cols, coefs):
     return received - (cols @ coefs[..., None])[..., 0]
-
-
-def _scatter(coefs, support, dim):
-    out = np.zeros((coefs.shape[0], dim), dtype=np.complex128)
-    out[:, support] = coefs
-    return out
 
 
 def _check_inputs(received, operators):
@@ -129,7 +133,7 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     r, op = _check_inputs(received, operators)
     if p_th <= 0:
         raise ValueError("p_th must be positive")
-    n_pilots, rows, dim = op.shape
+    n_pilots, rows, _ = op.shape
     if max_iterations is None:
         max_iterations = 10 * rows
 
@@ -185,7 +189,7 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
 
     final_energy = saved_residual_energy if saved_sparsity else float(np.sum(np.abs(r) ** 2))
     return EstimationResult(
-        estimates=_scatter(saved_coefs, saved_support, dim),
+        coefficients=saved_coefs,
         support=saved_support.copy(),
         iterations=passes,
         stages=saved_sparsity,
@@ -210,17 +214,21 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     n_pilots, rows, dim = op.shape
     col_norms = op.column_norms()
     col_norms[col_norms == 0] = np.inf
-    estimates = np.zeros((n_pilots, dim), dtype=np.complex128)
     picked = np.zeros(dim, dtype=bool)
     res_energy = np.sum(np.abs(r) ** 2, axis=1)
-    # The subcarriers still picking, with their data, picks and residuals.
+    # The subcarriers still picking, with their data, picks and residuals;
+    # while every subcarrier is, the full arrays serve without a copy.
     active = np.flatnonzero(res_energy > residual_threshold)
-    sub, norms, r_act = op[active], col_norms[active], r[active]
+    sub, norms, r_act = op, col_norms, r
+    if active.size < n_pilots:
+        sub, norms, r_act = op[active], col_norms[active], r[active]
     picks = np.zeros((active.size, 0), dtype=int)
     residual = r_act
     total_picks = 0
+    finished = []  # (subcarriers, their sorted supports, their coefficients)
     while active.size:
-        corr = np.abs(sub.adjoint(residual)) / norms
+        corr = np.abs(sub.adjoint(residual))
+        corr /= norms
         np.put_along_axis(corr, picks, -1.0, axis=1)  # never re-pick
         picks = np.column_stack([picks, np.argmax(corr, axis=1)])
         support = np.sort(picks, axis=1)
@@ -231,15 +239,20 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
         total_picks += active.size
         done = (res_energy[active] <= residual_threshold) | (picks.shape[1] == rows)
         if done.any():
-            estimates[active[done, None], support[done]] = coefs[done]
+            finished.append((active[done], support[done], coefs[done]))
             picked[support[done]] = True
             keep = ~done
             active, picks, residual = active[keep], picks[keep], residual[keep]
             sub, norms, r_act = sub[keep], norms[keep], r_act[keep]
     union = np.flatnonzero(picked)
+    # Each subcarrier's coefficients on the union, exactly zero on the
+    # columns it did not pick.
+    coefficients = np.zeros((n_pilots, union.size), dtype=np.complex128)
+    for subcarriers, support, coefs in finished:
+        coefficients[subcarriers[:, None], np.searchsorted(union, support)] = coefs
     all_below = bool(np.all(res_energy <= residual_threshold))
     return EstimationResult(
-        estimates=estimates,
+        coefficients=coefficients,
         support=union,
         iterations=total_picks,
         stages=int(union.size),
@@ -265,7 +278,7 @@ def oracle_ls(received, operators, true_support) -> EstimationResult:
     coefs = _fit(cols, r)
     residual = _residual(r, cols, coefs)
     return EstimationResult(
-        estimates=_scatter(coefs, support, dim),
+        coefficients=coefs,
         support=support,
         iterations=0,
         stages=int(support.size),

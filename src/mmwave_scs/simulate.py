@@ -9,7 +9,6 @@ CSI quality propagates into hard-decision errors.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -97,8 +96,11 @@ def _synthesize(config: SystemConfig, chan_seed: int, ens_seed: int, noise_seed:
     aset = angular_channel_set(chan, config, pilot_subcarrier_indices(config))
     ensemble = draw_ensemble(config, ens_seed)
     operators = measurement_operators(ensemble)
-    sigma2 = calibrate_noise_variance(operators, aset.vectors, config.snr_db)
-    received = synthesize_received(operators, aset.vectors, sigma2, noise_seed)
+    # The clean pilots Phi_p h_p, formed once from the support's columns.
+    cols = operators.columns(aset.support)
+    clean = (cols @ aset.vectors[:, aset.support, None])[..., 0]
+    sigma2 = calibrate_noise_variance(clean, config.snr_db)
+    received = synthesize_received(clean, sigma2, noise_seed)
     return chan, aset, operators, received, sigma2
 
 
@@ -131,7 +133,7 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
     chan, aset, operators, received, sigma2 = _synthesize(
         config, chan_seed, ens_seed, noise_seed
     )
-    rows = operators.shape[1]
+    n_pilots, rows, _ = operators.shape
     true_set = set(aset.support.tolist())
     estimators = {
         "ssamp": lambda: ssamp(received, operators, _ssamp_threshold(config)),
@@ -147,8 +149,10 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
         # Every estimate is zero off its support and the truth off its own,
         # so the error lives on their union.
         scored = np.union1d(est.support, aset.support)
+        on_scored = np.zeros((n_pilots, scored.size), dtype=np.complex128)
+        on_scored[:, np.searchsorted(scored, est.support)] = est.coefficients
         metrics[name] = EstimatorMetrics(
-            nmse_db=nmse_db(est.estimates[:, scored], aset.vectors[:, scored]),
+            nmse_db=nmse_db(on_scored, aset.vectors[:, scored]),
             exact_support_match=set(est.support.tolist()) == true_set,
             iterations=est.iterations,
             wall_time_s=time.perf_counter() - start,
@@ -223,6 +227,8 @@ def sweep(
     seeds = [base_seed + t for _ in values for t in range(n_trials)]
     if workers > 1:
         # About four chunks per worker: few round trips, balanced load.
+        from concurrent.futures import ProcessPoolExecutor
+
         chunksize = -(-len(seeds) // (4 * workers))
         with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
             records = list(pool.map(run_trial, configs, seeds, chunksize=chunksize))
@@ -334,19 +340,18 @@ def _los_beams(chan, config: SystemConfig):
     return [m for m, _ in serving], precoders, combiners
 
 
-def _per_bs_matrices(vectors, config: SystemConfig, dft):
-    """Angular vectors (P, dim) back to per-BS channel matrices (P, M, U, B)."""
+def _per_bs_matrices(vectors, config: SystemConfig, dft, bs_indices):
+    """Angular vectors (P, dim) back to the channel matrices (P, K, U, B) of
+    the BSs bs_indices[k]."""
     # Each BS block is its (U, B) angular matrix stacked column-major.
     ang = np.reshape(vectors, (-1, config.n_bs, config.n_ant_bs, config.n_ant_user))
-    return inverse_angular_transform(ang.swapaxes(-1, -2), dft)
+    return inverse_angular_transform(ang[:, bs_indices].swapaxes(-1, -2), dft)
 
 
-def _effective_channels(h_matrices, bs_indices, precoders, combiners):
+def _effective_channels(h_matrices, precoders, combiners):
     """2x2 combined channel per subcarrier for one CSI source: column k is
-    combiners^H H_{bs_indices[k]} precoders[:, k]."""
-    return np.einsum(
-        "ua,pkub,bk->pak", combiners.conj(), h_matrices[:, bs_indices], precoders
-    )
+    combiners^H h_matrices[:, k] precoders[:, k]."""
+    return np.einsum("ua,pkub,bk->pak", combiners.conj(), h_matrices, precoders)
 
 
 def _zf_precoders(h_eff):
@@ -441,11 +446,12 @@ def ber_experiment(
 
             bs_indices, precoders, combiners = _los_beams(chan, cfg)
             # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
+            dim = aset.vectors.shape[1]
             h_eff = np.stack([
                 _effective_channels(
-                    _per_bs_matrices(vectors, cfg, dft), bs_indices, precoders, combiners
+                    _per_bs_matrices(vectors, cfg, dft, bs_indices), precoders, combiners
                 )
-                for vectors in (aset.vectors, est_ssamp.estimates, est_omp.estimates)
+                for vectors in (aset.vectors, est_ssamp.dense(dim), est_omp.dense(dim))
             ])
             zf, betas = _zf_precoders(h_eff)
             # H_true zf_k per source, (source, P, 2, 2): beta_k scales the

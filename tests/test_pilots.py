@@ -163,6 +163,24 @@ FFT_GEOMETRIES = {
 }
 
 
+@pytest.mark.parametrize("name", ["desk", "default", "wide"])
+def test_synthesized_signal_matches_operator_apply(name):
+    """The trial forms Phi_p h_p from the support's columns only; the full
+    operator apply stays the reference, for the noiseless pilots and for the
+    noise variance and noisy pilots formed from them."""
+    for seed in range(3):
+        seeds = (10 + seed, 20 + seed, 30 + seed)
+        cfg = replace(FFT_GEOMETRIES[name], snr_db=float("inf"))
+        aset, ops, clean, sigma2 = synth(cfg, *seeds)
+        want = ops.apply(aset.vectors)
+        assert sigma2 == 0.0
+        assert np.linalg.norm(clean - want) <= 1e-12 * np.linalg.norm(want)
+        _, _, received, sigma2 = synth(replace(cfg, snr_db=20.0), *seeds)
+        assert sigma2 == pytest.approx(calibrate_noise_variance(want, 20.0), rel=1e-12)
+        noisy = synthesize_received(want, sigma2, seeds[2])
+        assert np.linalg.norm(received - noisy) <= 1e-12 * np.linalg.norm(want)
+
+
 @pytest.mark.parametrize("name", sorted(FFT_GEOMETRIES))
 def test_fft_build_matches_dense_dft_products(name):
     cfg = FFT_GEOMETRIES[name]
@@ -172,6 +190,7 @@ def test_fft_build_matches_dense_dft_products(name):
         ref = dense_measurement_operators(ens, dft_pair(cfg))
         for got, want in ((op.left, ref.left), (op.right, ref.right)):
             assert got.shape == want.shape
+            assert got.flags.c_contiguous
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
@@ -324,19 +343,21 @@ class TestNoiseCalibration:
         energy = sum(
             float(np.sum(np.abs(ops[p] @ vecs[p]) ** 2)) for p in range(2)
         )
-        assert calibrate_noise_variance(ops, vecs, 0.0) == pytest.approx(energy / (4 * 2))
+        clean = as_operator(ops).apply(vecs)
+        assert calibrate_noise_variance(clean, 0.0) == pytest.approx(energy / (4 * 2))
 
     def test_infinite_snr_is_noiseless(self):
         rng = np.random.default_rng(1)
         ops = rng.standard_normal((1, 4, 6)) + 0j
         vecs = rng.standard_normal((1, 6)) + 0j
-        assert calibrate_noise_variance(ops, vecs, float("inf")) == 0.0
+        assert calibrate_noise_variance(as_operator(ops).apply(vecs), float("inf")) == 0.0
 
     def test_monotone_in_snr(self):
         rng = np.random.default_rng(2)
         ops = rng.standard_normal((1, 4, 6)) + 0j
         vecs = rng.standard_normal((1, 6)) + 0j
-        sig = [calibrate_noise_variance(ops, vecs, s) for s in (0.0, 10.0, 20.0)]
+        clean = as_operator(ops).apply(vecs)
+        sig = [calibrate_noise_variance(clean, s) for s in (0.0, 10.0, 20.0)]
         assert sig[0] > sig[1] > sig[2] > 0.0
 
     def test_underflowing_snr_rejected(self):
@@ -344,13 +365,13 @@ class TestNoiseCalibration:
         vecs = np.ones((1, 6))
         for snr_db in (-4000.0, -np.inf):
             with pytest.raises(ValueError, match="underflows to zero"):
-                calibrate_noise_variance(ops, vecs, snr_db)
+                calibrate_noise_variance(as_operator(ops).apply(vecs), snr_db)
 
     def test_all_zero_signal_rejected(self):
         ops = np.zeros((2, 4, 6))
         vecs = np.zeros((2, 6))
         with pytest.raises(ValueError, match="zero"):
-            calibrate_noise_variance(ops, vecs, 10.0)
+            calibrate_noise_variance(as_operator(ops).apply(vecs), 10.0)
 
     def test_empirical_snr(self):
         # realised SNR over 1e4 fresh noise draws stays within 0.1 dB
@@ -365,7 +386,7 @@ class TestNoiseCalibration:
         noise_energy = 0.0
         n_entries = 0
         for draw in range(10**4):
-            rec = synthesize_received(ops, aset.vectors, sigma2, 50_000 + draw)
+            rec = synthesize_received(clean, sigma2, 50_000 + draw)
             noise_energy += float(np.sum(np.abs(rec - clean) ** 2))
             n_entries += rec.size
         realized = 10.0 * np.log10(
@@ -379,7 +400,7 @@ class TestSynthesize:
         rng = np.random.default_rng(3)
         ops = rng.standard_normal((2, 4, 6)) + 1j * rng.standard_normal((2, 4, 6))
         vecs = rng.standard_normal((2, 6)) + 0j
-        rec = synthesize_received(ops, vecs, 0.0, 99)
+        rec = synthesize_received(as_operator(ops).apply(vecs), 0.0, 99)
         # bit-exact: zero variance must add literally nothing
         np.testing.assert_array_equal(rec, as_operator(ops).apply(vecs))
         np.testing.assert_allclose(
@@ -387,18 +408,15 @@ class TestSynthesize:
         )
 
     def test_zero_channel_noise_variance(self):
-        ops = np.zeros((1, 100_000, 1))
-        vecs = np.zeros((1, 1))
-        rec = synthesize_received(ops, vecs, 0.25, 4)
+        rec = synthesize_received(np.zeros((1, 100_000)), 0.25, 4)
         assert abs(rec.var() / 0.25 - 1.0) <= 0.02
         assert abs(rec.mean()) <= 0.01
 
     def test_seeded(self):
-        ops = np.ones((1, 8, 1), dtype=complex)
-        vecs = np.ones((1, 1), dtype=complex)
-        a = synthesize_received(ops, vecs, 1.0, 5)
-        b = synthesize_received(ops, vecs, 1.0, 5)
-        c = synthesize_received(ops, vecs, 1.0, 6)
+        clean = np.ones((1, 8), dtype=complex)
+        a = synthesize_received(clean, 1.0, 5)
+        b = synthesize_received(clean, 1.0, 5)
+        c = synthesize_received(clean, 1.0, 6)
         np.testing.assert_array_equal(a, b)
         assert np.any(a != c)
 
@@ -406,7 +424,7 @@ class TestSynthesize:
         # real parts then imaginary parts, subcarrier by subcarrier
         op = measurement_operators(draw_ensemble(DESK_SNR20, 3))
         n_pilots, rows, dim = op.shape
-        rec = synthesize_received(op, np.zeros((n_pilots, dim)), 0.5, 8)
+        rec = synthesize_received(op.apply(np.zeros((n_pilots, dim))), 0.5, 8)
         rng = np.random.default_rng(8)
         for p in range(n_pilots):
             noise = 0.5 * (rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
@@ -414,4 +432,4 @@ class TestSynthesize:
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_received(np.ones((1, 2, 1)), np.ones((1, 1)), -1.0, 0)
+            synthesize_received(np.ones((1, 2)), -1.0, 0)

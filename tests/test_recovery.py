@@ -182,7 +182,7 @@ class TestSsampAgainstReference:
             assert np.array_equal(got.support, supp), f"seed {s}"
             assert got.termination_reason == reason, f"seed {s}"
             assert got.iterations == passes, f"seed {s}"
-            np.testing.assert_allclose(got.estimates, est, atol=1e-8)
+            np.testing.assert_allclose(got.dense(phis.shape[2]), est, atol=1e-8)
             # stage targets grow one at a time
             assert all(b - a == 1 for a, b in zip(targets, targets[1:]))
             # accepted residual energy strictly decreases within (and across) stages
@@ -202,7 +202,7 @@ class TestSsampAgainstReference:
             est, supp, reason, passes, _, traces = ssamp_reference(y, phis, 0.01)
             assert np.array_equal(got.support, supp), f"seed {s}"
             assert (got.termination_reason, got.iterations) == (reason, passes)
-            np.testing.assert_allclose(got.estimates, est, atol=1e-8)
+            np.testing.assert_allclose(got.dense(phis.shape[2]), est, atol=1e-8)
             assert reason != TERM_MAXITER
             assert len(op.correlated) == 1 + sum(len(trace) for trace in traces)
             for i, a in enumerate(op.correlated):
@@ -217,7 +217,7 @@ class TestSsampAgainstReference:
             assert np.array_equal(got.support, supp)
             assert got.termination_reason == reason
             assert got.iterations == passes
-            np.testing.assert_allclose(got.estimates, est, atol=1e-8)
+            np.testing.assert_allclose(got.dense(phis.shape[2]), est, atol=1e-8)
 
 
 class TestSsampBehavior:
@@ -226,7 +226,7 @@ class TestSsampBehavior:
             aset, ops, received, _ = synth(DESK_EXACT, chan_seed, ens_seed, 0)
             result = ssamp(received, ops, P_TH_NOISELESS)
             assert set(result.support.tolist()) == set(aset.support.tolist())
-            assert nmse_db(result.estimates, aset.vectors) <= -60.0
+            assert nmse_db(result.dense(aset.vectors.shape[1]), aset.vectors) <= -60.0
             assert result.termination_reason == TERM_THRESHOLD
 
     def test_zero_signal_quits_first_pass(self):
@@ -236,7 +236,7 @@ class TestSsampBehavior:
         assert result.termination_reason == TERM_THRESHOLD
         assert result.iterations == 1
         assert result.support.size == 0
-        assert not result.estimates.any()
+        assert not result.dense(phis.shape[2]).any()
         assert result.stages == 0
 
     def test_scale_equivariance(self):
@@ -251,7 +251,7 @@ class TestSsampBehavior:
         assert np.array_equal(base.support, scaled.support)
         assert base.termination_reason == scaled.termination_reason
         assert base.iterations == scaled.iterations
-        np.testing.assert_allclose(scaled.estimates, gamma * base.estimates, rtol=1e-9)
+        np.testing.assert_allclose(scaled.dense(16), gamma * base.dense(16), rtol=1e-9)
 
     def test_input_validation(self):
         rng = np.random.default_rng(4)
@@ -281,8 +281,8 @@ class TestSsampBehavior:
         genie = oracle_ls(received, op, aset.support)
         ops = op.dense()
         for estimate, measurement, support in (
-            (result.estimates, received / scale, result.support),
-            (genie.estimates, received, aset.support),
+            (result.dense(ops.shape[2]), received / scale, result.support),
+            (genie.dense(ops.shape[2]), received, aset.support),
         ):
             resid = measurement - np.einsum("prd,pd->pr", ops, estimate)
             for p in range(ops.shape[0]):
@@ -301,7 +301,7 @@ class TestAdaptiveOmp:
         result = adaptive_omp(y, phis, 1e-20)
         assert result.support.tolist() == [5]
         assert result.iterations == 1
-        np.testing.assert_allclose(result.estimates, x, atol=1e-10)
+        np.testing.assert_allclose(result.dense(12), x, atol=1e-10)
         assert result.termination_reason == TERM_THRESHOLD
 
     def test_zero_received(self):
@@ -309,14 +309,14 @@ class TestAdaptiveOmp:
         phis = rng.standard_normal((2, 4, 8)) + 0j
         result = adaptive_omp(np.zeros((2, 4)), phis, 1e-12)
         assert result.support.size == 0
-        assert not result.estimates.any()
+        assert not result.dense(8).any()
 
     def test_support_is_per_subcarrier_union(self):
         aset, ops, received, sigma2 = synth(DESK_SNR20, 61, 62, 63)
         result = adaptive_omp(received, ops, _omp_threshold(sigma2, ops.shape[1], received))
         per_p_union = set()
         for p in range(ops.shape[0]):
-            per_p_union |= set(np.flatnonzero(np.abs(result.estimates[p]) > 0).tolist())
+            per_p_union |= set(np.flatnonzero(np.abs(result.dense(ops.shape[2])[p]) > 0).tolist())
         assert set(result.support.tolist()) == per_p_union
 
     def test_threshold_validation(self):
@@ -380,7 +380,7 @@ class TestOracleLs:
     def test_noiseless_floor(self):
         aset, ops, received, _ = synth(DESK_EXACT, 71, 72, 0)
         result = oracle_ls(received, ops, aset.support)
-        assert nmse_db(result.estimates, aset.vectors) <= -100.0
+        assert nmse_db(result.dense(aset.vectors.shape[1]), aset.vectors) <= -100.0
         assert result.termination_reason is None
 
     def test_empty_support(self):
@@ -388,7 +388,7 @@ class TestOracleLs:
         phis = rng.standard_normal((2, 4, 8)) + 1j * rng.standard_normal((2, 4, 8))
         y = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         result = oracle_ls(y, phis, np.array([], dtype=int))
-        assert not result.estimates.any()
+        assert not result.dense(8).any()
         assert result.final_residual_energy == pytest.approx(float(np.sum(np.abs(y) ** 2)))
 
     def test_underdetermined_rejected(self):
@@ -410,8 +410,9 @@ class TestOracleLs:
             aset, ops, received, _ = synth(DESK_EXACT, chan_seed, ens_seed, noise_seed)
             genie = oracle_ls(received, ops, aset.support)
             pursuit = ssamp(received, ops, P_TH_NOISELESS)
-            assert nmse_db(genie.estimates, aset.vectors) <= (
-                nmse_db(pursuit.estimates, aset.vectors) + 1e-9
+            dim = aset.vectors.shape[1]
+            assert nmse_db(genie.dense(dim), aset.vectors) <= (
+                nmse_db(pursuit.dense(dim), aset.vectors) + 1e-9
             )
 
 
@@ -505,7 +506,7 @@ class TestProperties:
             np.testing.assert_array_equal(b.support, a.support)
             assert b.iterations == a.iterations
             assert b.termination_reason == a.termination_reason
-            np.testing.assert_array_equal(b.estimates, a.estimates * 2.0**k)
+            np.testing.assert_array_equal(b.dense(ops.shape[2]), a.dense(ops.shape[2]) * 2.0**k)
 
     # Fixed examples: ssamp's stage tests compare residual energies, and a
     # rounding-level tie (1 DESK_SNR20 draw in 3,000 with supports below the
@@ -522,9 +523,10 @@ class TestProperties:
             pairs = pairs[1:]  # ssamp at the row count: see the test below
         for a, b in pairs:
             np.testing.assert_array_equal(b.support, a.support)
+            a_dense = a.dense(ops.shape[2])
             np.testing.assert_allclose(
-                b.estimates, a.estimates[perm], rtol=1e-9,
-                atol=1e-12 * np.abs(a.estimates).max(),
+                b.dense(ops.shape[2]), a_dense[perm], rtol=1e-9,
+                atol=1e-12 * np.abs(a_dense).max(),
             )
 
     # Fixed examples over trial draws.  When ssamp locks the true support, its
@@ -537,19 +539,32 @@ class TestProperties:
         est = ssamp(received, ops, _ssamp_threshold(config))
         assume(np.array_equal(est.support, aset.support))
         oracle = oracle_ls(received, ops, aset.support)
-        np.testing.assert_array_equal(est.estimates, oracle.estimates)
+        dim = aset.vectors.shape[1]
+        np.testing.assert_array_equal(est.dense(dim), oracle.dense(dim))
         assert est.final_residual_energy == oracle.final_residual_energy
         if config is DESK_EXACT:
-            assert nmse_db(est.estimates, aset.vectors) <= -60.0
+            assert nmse_db(est.dense(dim), aset.vectors) <= -60.0
 
     @settings(max_examples=30, deadline=None)
     @given(operator_kinds, st.integers(0, 2**32 - 1))
     def test_estimates_vanish_off_the_support(self, kind, seed):
         # run_trial scores NMSE on the supports only, which needs this
-        for est in _estimate_all(*_property_instance(kind, seed)):
-            off = np.ones(est.estimates.shape[1], dtype=bool)
+        instance = _property_instance(kind, seed)
+        dim = instance[1].shape[2]
+        for est in _estimate_all(*instance):
+            dense = est.dense(dim)
+            off = np.ones(dim, dtype=bool)
             off[est.support] = False
-            assert not est.estimates[:, off].any()
+            assert not dense[:, off].any()
+
+    @settings(max_examples=30, deadline=None)
+    @given(operator_kinds, st.integers(0, 2**32 - 1))
+    def test_coefficients_align_with_the_support(self, kind, seed):
+        instance = _property_instance(kind, seed)
+        n_pilots = instance[0].shape[0]
+        for est in _estimate_all(*instance):
+            np.testing.assert_array_equal(est.support, np.unique(est.support))
+            assert est.coefficients.shape == (n_pilots, est.support.size)
 
     def test_permutation_beyond_row_count(self):
         """ssamp does not cap its stage sparsity at the row count.  Past it the
@@ -578,12 +593,16 @@ class TestProperties:
         threshold = omp_threshold * threshold_scale
         got = adaptive_omp(received, ops, threshold)
         est, supports, picks, reason = omp_reference(received, ops, threshold)
+        dense = got.dense(ops.shape[2])
         for q, support in enumerate(supports):
-            np.testing.assert_array_equal(np.flatnonzero(got.estimates[q]), support)
+            np.testing.assert_array_equal(np.flatnonzero(dense[q]), support)
+            # exact zeros on the union columns this subcarrier did not pick
+            unpicked = ~np.isin(got.support, support)
+            assert not got.coefficients[q, unpicked].any()
         np.testing.assert_array_equal(got.support, sorted(set().union(*supports)))
         assert got.iterations == picks
         assert got.termination_reason == reason
-        np.testing.assert_allclose(got.estimates, est, rtol=1e-9)
+        np.testing.assert_allclose(dense, est, rtol=1e-9)
 
 
 class TestNmse:

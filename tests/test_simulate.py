@@ -69,11 +69,12 @@ def _reference_realisation(cfg, seed, point, real):
         received, operators, _omp_threshold(sigma2, operators.shape[1], received)
     )
     bs_indices, precoders, combiners = _los_beams(chan, cfg)
-    vectors = {"perfect": aset.vectors, "ssamp": est_ssamp.estimates,
-               "adaptive_omp": est_omp.estimates}
+    dim = aset.vectors.shape[1]
+    vectors = {"perfect": aset.vectors, "ssamp": est_ssamp.dense(dim),
+               "adaptive_omp": est_omp.dense(dim)}
     h_eff = {
         name: _effective_channels(
-            _per_bs_matrices(vectors[name], cfg, dft_pair(cfg)), bs_indices, precoders, combiners
+            _per_bs_matrices(vectors[name], cfg, dft_pair(cfg), bs_indices), precoders, combiners
         )
         for name in CSI_SOURCES
     }
@@ -212,7 +213,7 @@ class TestRunTrial:
                 "oracle_ls": oracle_ls(received, ops, aset.support),
             }
             for name, est in full.items():
-                want = nmse_db(est.estimates, aset.vectors)
+                want = nmse_db(est.dense(aset.vectors.shape[1]), aset.vectors)
                 assert abs(record.metrics[name].nmse_db - want) <= 1e-12, (seed, name)
                 floored += want == -300.0
         assert floored
@@ -327,18 +328,17 @@ class TestBer:
         shape = (2, cfg.n_bs, cfg.n_ant_user, cfg.n_ant_bs)
         ang = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         vectors = stack_angular(ang)
-        mats = _per_bs_matrices(vectors, cfg, dft)
         bs_indices = [2, 0]
+        mats = _per_bs_matrices(vectors, cfg, dft, bs_indices)
         precoders = rng.standard_normal((cfg.n_ant_bs, 2)) + 0.5j
         combiners = rng.standard_normal((cfg.n_ant_user, 2)) - 0.5j
-        h_eff = _effective_channels(mats, bs_indices, precoders, combiners)
+        h_eff = _effective_channels(mats, precoders, combiners)
         for p in range(2):
-            for m in range(cfg.n_bs):
-                h_freq = dft.rx @ ang[p, m] @ dft.tx.conj().T
-                np.testing.assert_allclose(mats[p, m], h_freq, rtol=0, atol=1e-12)
             for k, m in enumerate(bs_indices):
+                h_freq = dft.rx @ ang[p, m] @ dft.tx.conj().T
+                np.testing.assert_allclose(mats[p, k], h_freq, rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
-                    h_eff[p, :, k], combiners.conj().T @ mats[p, m] @ precoders[:, k],
+                    h_eff[p, :, k], combiners.conj().T @ mats[p, k] @ precoders[:, k],
                     rtol=1e-12,
                 )
         h_eff[1] = 0.0  # degenerate CSI: an all-zero estimate
