@@ -243,10 +243,13 @@ def sweep(
 # 16-QAM, Gray mapped: per axis bits (b0, b1) -> level index 2 b0 + (b0 xor b1),
 # levels (-3, -1, 1, 3)/sqrt(10) so symbol energy is 1.
 _QAM_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
-# Level of each per-axis bit pair, indexed by 2 b0 + b1, and the bit pair of
-# each level index.
+# Level of each per-axis bit pair, indexed by the pair 2 b0 + b1.
 _PAIR_LEVELS = _QAM_LEVELS[[0, 1, 3, 2]]
-_GRAY_BITS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.uint8)
+# A byte's bits, most significant first, are two symbols' (I, Q) bit pairs.
+# _BYTE_PAIRS[b] holds byte b's four pairs, in the order of the symbols'
+# float parts, and _BYTE_SYMBOLS[b] its two symbols.
+_BYTE_PAIRS = (np.arange(256, dtype=np.uint8)[:, None] >> np.array([6, 4, 2, 0], np.uint8)) & 3
+_BYTE_SYMBOLS = _PAIR_LEVELS[_BYTE_PAIRS].view(complex)
 
 
 def qam16_modulate(bits) -> np.ndarray:
@@ -256,11 +259,9 @@ def qam16_modulate(bits) -> np.ndarray:
         raise ValueError(f"bit count must be a multiple of 4, got {b.size}")
     if b.size and (b.min() < 0 or b.max() > 1):
         raise ValueError(f"bits must be 0 or 1, got values in [{b.min()}, {b.max()}]")
-    pairs = b.astype(np.uint8, copy=False).reshape(-1, 2)  # (I pair, Q pair) per symbol
-    index = (pairs[:, 0] << 1) | pairs[:, 1]  # 2 b0 + b1, in uint8
-    out = np.empty(b.size // 4, dtype=complex)
-    np.take(_PAIR_LEVELS, index, out=out.view(np.float64))
-    return out
+    # packbits zero-pads a trailing half byte; its symbol is dropped.
+    payload = np.packbits(b.astype(np.uint8, copy=False))
+    return _BYTE_SYMBOLS[payload].ravel()[: b.size // 4]
 
 
 def _exact_levels(x) -> np.ndarray:
@@ -308,22 +309,35 @@ _FLIP_RANGE = 2.0**50
 _FLIP_POINTS = [_flip_point(k) for k in range(3)]
 
 
-def qam16_hard_bits(symbols) -> np.ndarray:
-    """Nearest-level hard decisions back to bits (uint8); inverse of
-    qam16_modulate.  Ties go to the lower level.
+def _gray_pairs(x, pairs, flags) -> np.ndarray:
+    """Nearest-level decisions on the 1-D floats x as Gray bit pairs
+    2 b0 + b1, written to the uint8 array pairs and returned; flags is bool
+    scratch of shape (2, x.size).  Ties go to the lower level.
 
-    Each axis takes three comparisons with the flip points when every part
+    Each float takes three comparisons with the flip points when every part
     is below _FLIP_RANGE in magnitude; otherwise (NaN, +-inf, larger values)
     the whole call takes _exact_levels.  Both give argmin's decisions.
     """
-    x = np.ascontiguousarray(symbols, dtype=complex).ravel().view(np.float64)
     if x.size and not (-_FLIP_RANGE < x.min() and x.max() < _FLIP_RANGE):
-        index = _exact_levels(x)
-    else:
-        index = (x >= _FLIP_POINTS[0]).view(np.uint8)
-        index += (x >= _FLIP_POINTS[1]).view(np.uint8)
-        index += (x >= _FLIP_POINTS[2]).view(np.uint8)
-    return np.take(_GRAY_BITS, index, axis=0).ravel()
+        level = _exact_levels(x)
+        return np.bitwise_xor(level, level >> 1, out=pairs)
+    # With c_k = (x >= flip point k), the level is c0 + c1 + c2; its Gray
+    # pair has b0 = c1 (upper two levels) and b1 = c0 != c2 (inner two).
+    c, c2 = flags
+    np.greater_equal(x, _FLIP_POINTS[1], out=c)
+    np.add(c.view(np.uint8), c.view(np.uint8), out=pairs)
+    np.greater_equal(x, _FLIP_POINTS[0], out=c)
+    np.greater_equal(x, _FLIP_POINTS[2], out=c2)
+    pairs |= np.not_equal(c, c2, out=c).view(np.uint8)
+    return pairs
+
+
+def qam16_hard_bits(symbols) -> np.ndarray:
+    """Nearest-level hard decisions back to bits (uint8); inverse of
+    qam16_modulate.  Ties go to the lower level (see _gray_pairs)."""
+    x = np.ascontiguousarray(symbols, dtype=complex).ravel().view(np.float64)
+    pairs = _gray_pairs(x, np.empty(x.size, np.uint8), np.empty((2, x.size), bool))
+    return np.stack([pairs >> 1, pairs & 1], axis=1).ravel()
 
 
 def _los_beams(chan, config: SystemConfig):
@@ -422,13 +436,26 @@ def ber_experiment(
     dft = dft_pair(config)
     # Symbol vectors per (realization, subcarrier); 2 QAM symbols per vector.
     n_vec = -(-n_symbols // (n_realizations * n_p * 2))
+    total_symbols = n_realizations * n_p * 2 * n_vec
+    total_bits = 4 * total_symbols
+    # Data-stage buffers, reused on every subcarrier: each payload byte
+    # carries two symbols, four float parts and four Gray bit pairs.
+    sym = np.empty((2, n_vec), dtype=complex)
+    drawn = np.empty(n_vec, dtype=np.uint32)
+    normals = np.empty((2, n_vec))
+    w = np.empty((2, n_vec), dtype=complex)
+    eta = np.empty((2, n_vec), dtype=complex)
+    rx = np.empty((len(CSI_SOURCES), 2, n_vec), dtype=complex)
+    rx_parts = rx.view(np.float64)
+    noise = np.empty((2, 2 * n_vec))
+    decided = np.empty((len(CSI_SOURCES), 4 * n_vec), dtype=np.uint8)
+    decided_words = decided.view(np.uint32)  # four pairs, one payload byte
+    flags = np.empty((2, rx_parts.size), dtype=bool)
     rows = []
     for point, snr_db in enumerate(snr_values):
         cfg = replace(config, snr_db=snr_db)
         snr_lin = 10.0 ** (snr_db / 10.0)
         errors = np.zeros(len(CSI_SOURCES), dtype=np.int64)
-        total_bits = 0
-        total_symbols = 0
         for real in range(n_realizations):
             ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
             chan_seed, ens_seed, noise_seed, data_seed = (
@@ -462,24 +489,28 @@ def ber_experiment(
             # Data noise is calibrated on the perfect-CSI link and shared by
             # all sources, as are the payload bits.
             beta_true = betas[0]
+            inv_betas = 1.0 / betas
             rng = np.random.default_rng(data_seed)
-            w = np.empty((2, n_vec), dtype=complex)  # reused per subcarrier
             for p in range(n_p):
-                bits = np.unpackbits(rng.integers(0, 256, n_vec, dtype=np.uint8))
-                sym = qam16_modulate(bits).reshape(2, n_vec)
+                payload = rng.integers(0, 256, n_vec, dtype=np.uint8)
+                # Bytes are always in range; "clip" writes out unbuffered.
+                np.take(_BYTE_SYMBOLS, payload, axis=0, out=sym.reshape(n_vec, 2), mode="clip")
+                np.take(_BYTE_PAIRS.view(np.uint32), payload, out=drawn, mode="clip")
                 sigma_d2 = beta_true[p] ** 2 / snr_lin
-                w.real = rng.standard_normal((2, n_vec))
-                w.imag = rng.standard_normal((2, n_vec))
-                eta = (np.sqrt(sigma_d2 / 2.0) * root) @ w
+                w.real = rng.standard_normal(out=normals)
+                w.imag = rng.standard_normal(out=normals)
+                np.matmul(np.sqrt(sigma_d2 / 2.0) * root, w, out=eta)
                 # All CSI sources at once, (source, stream, n_vec), with the
-                # per-source arithmetic of a one-source loop; the in-place
-                # add saves one (source, stream, n_vec) allocation.
-                rx = links[:, p] @ sym
-                rx += eta / betas[:, p, None, None]
-                decided = qam16_hard_bits(rx).reshape(len(CSI_SOURCES), -1)
-                errors += np.count_nonzero(decided != bits, axis=1)
-                total_bits += bits.size
-                total_symbols += sym.size
+                # per-source arithmetic of a one-source loop.  eta / beta is
+                # added as each float part times 1 / beta, which is how numpy
+                # divides complex by real, up to the sign of a zero
+                # (test_complex_by_real_division_is_reciprocal_multiplication).
+                np.matmul(links[:, p], sym, out=rx)
+                for k, inv_beta in enumerate(inv_betas[:, p]):
+                    rx_parts[k] += np.multiply(eta.view(np.float64), inv_beta, out=noise)
+                _gray_pairs(rx_parts.ravel(), decided.ravel(), flags)
+                np.bitwise_xor(decided_words, drawn, out=decided_words)
+                errors += np.bitwise_count(decided_words).sum(axis=1, dtype=np.int64)
         for name, count in zip(CSI_SOURCES, errors.tolist()):
             rows.append((snr_db, name, count / total_bits, total_symbols))
     return ResultTable(columns=BER_COLUMNS, rows=tuple(rows))

@@ -357,15 +357,47 @@ class TestBer:
 
         monkeypatch.setattr(simulate, "_exact_levels", counted)
         snrs = [10.0, 20.0, 30.0]
-        for config, seed, n_realizations in [
-            *((DESK_SNR20, seed, 2) for seed in range(4)),
-            (SystemConfig(), 0, 1),
+        for config, n_symbols, seed, n_realizations in [
+            *((DESK_SNR20, 10**4, seed, 2) for seed in range(4)),
+            (SystemConfig(), 10**4, 0, 1),
+            # An odd vector count (209 per subcarrier) and buffers reused
+            # across three realisations.
+            (DESK_SNR20, 10_001, 4, 3),
         ]:
-            expected = ber_reference(config, snrs, 10**4, seed, n_realizations)
-            assert ber_experiment(config, snrs, 10**4, seed, n_realizations).rows == expected
+            expected = ber_reference(config, snrs, n_symbols, seed, n_realizations)
+            actual = ber_experiment(config, snrs, n_symbols, seed, n_realizations).rows
+            assert actual == expected
         # Near-degenerate estimated CSI feeds the demodulator values past the
         # comparison range (up to about 8e17 here), so both paths ran.
         assert exact_sizes
+
+    def test_complex_by_real_division_is_reciprocal_multiplication(self):
+        # The data stage adds eta * (1 / beta) part by part where the
+        # references add eta / beta; BER tables stay bit-identical only while
+        # numpy divides complex by real that way.  Its loop forms
+        # (re + im * 0) * (1 / beta) and (im - re * 0) * (1 / beta), so the
+        # two agree bit for bit on every nonzero finite part; a zero part may
+        # change sign, which no comparison with a flip point can see.
+        rng = np.random.default_rng(7)
+        parts = np.concatenate([
+            10.0 ** rng.uniform(-300, 300, 4000) * rng.choice([-1.0, 1.0], 4000),
+            rng.standard_normal(4000),
+            [0.0, -0.0, -0.0, 2.5, -2.5, -0.0, -0.0, -2.5, 0.0, 0.0],  # signed zeros
+        ])
+        z = parts[: parts.size // 2 * 2].view(complex)
+        betas = [1.0, *10.0 ** np.linspace(-12, 12, 49)]
+        for seed in range(4):
+            zf = _reference_realisation(DESK_SNR20, seed, 1, 0)[3]
+            betas.extend(b for name in CSI_SOURCES for b in zf[name][1])
+        for beta in betas:
+            with np.errstate(over="ignore", under="ignore"):
+                divided = (z / np.array([beta])).view(np.float64)
+                scaled = z.view(np.float64) * (1.0 / beta)
+            nonzero = scaled != 0.0
+            np.testing.assert_array_equal(
+                divided[nonzero].view(np.uint64), scaled[nonzero].view(np.uint64)
+            )
+            assert not divided[~nonzero].any()
 
     def test_matches_per_antenna_draw_in_distribution(self):
         # Drawing the two combined noise components instead of the per-antenna
@@ -444,11 +476,21 @@ class TestNoiseRoot:
 class TestQam:
     def test_round_trip(self):
         rng = np.random.default_rng(0)
-        bits = rng.integers(0, 2, size=4000)
-        symbols = qam16_modulate(bits)
-        np.testing.assert_array_equal(symbols, modulate_reference(bits))
-        np.testing.assert_array_equal(qam16_hard_bits(symbols), bits)
+        # 4 (mod 8) bits leave a half byte, which the byte table pads.
+        for n_bits in (4000, 4, 12, 4004):
+            bits = rng.integers(0, 2, size=n_bits)
+            symbols = qam16_modulate(bits)
+            np.testing.assert_array_equal(symbols, modulate_reference(bits))
+            np.testing.assert_array_equal(qam16_hard_bits(symbols), bits)
         assert qam16_modulate([]).size == 0 and qam16_hard_bits([]).size == 0
+        # The byte tables: byte b's two symbols and its four per-axis Gray
+        # pairs 2 b0 + b1, in the order of the symbols' float parts.
+        bits = np.unpackbits(np.arange(256, dtype=np.uint8))
+        symbols = simulate._BYTE_SYMBOLS.ravel()
+        np.testing.assert_array_equal(symbols, qam16_modulate(bits))
+        np.testing.assert_array_equal(symbols, modulate_reference(bits))
+        pairs = (2 * bits[0::2] + bits[1::2]).astype(np.uint8)
+        np.testing.assert_array_equal(simulate._BYTE_PAIRS.ravel(), pairs)
 
     def test_uint8_bits_match_int_bits(self):
         bits = np.unpackbits(np.random.default_rng(1).integers(0, 256, 1000, dtype=np.uint8))
@@ -473,11 +515,23 @@ class TestQam:
             qam16_modulate(bits)
 
     def test_matches_argmin_reference(self):
+        drawn_rng = np.random.default_rng(99)
+
         def check(symbols):
-            np.testing.assert_array_equal(qam16_hard_bits(symbols), argmin_hard_bits(symbols))
             # One infinite part sends the whole call through the exact rule.
-            forced = np.append(symbols, complex(np.inf, 0.0))
-            np.testing.assert_array_equal(qam16_hard_bits(forced), argmin_hard_bits(forced))
+            for s in (symbols, np.append(symbols, complex(np.inf, 0.0))):
+                expected = argmin_hard_bits(s)
+                np.testing.assert_array_equal(qam16_hard_bits(s), expected)
+                # The data stage's pair decision and popcount error count.
+                x = s.view(np.float64)
+                pairs = simulate._gray_pairs(
+                    x, np.empty(x.size, np.uint8), np.empty((2, x.size), bool)
+                )
+                np.testing.assert_array_equal(pairs, 2 * expected[0::2] + expected[1::2])
+                drawn = drawn_rng.integers(0, 4, x.size, dtype=np.uint8)
+                drawn_bits = np.stack([drawn >> 1, drawn & 1], axis=1).ravel()
+                errors = int(np.bitwise_count(pairs ^ drawn).sum())
+                assert errors == np.count_nonzero(expected != drawn_bits)
 
         # Random draws at every decade from 1e-300 to 1e300, and densely
         # from 1e14 to 1e20, where rounding makes distances equal.
