@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# dft_pair and inverse_angular_transform are unused here; perfbench's tracer wraps them by name.
 from .channel import (
     SystemConfig,
     angular_channel_set,
@@ -264,32 +265,10 @@ def qam16_modulate(bits) -> np.ndarray:
     return _BYTE_SYMBOLS[payload].ravel()[: b.size // 4]
 
 
-def _exact_levels(x) -> np.ndarray:
-    """Per-axis decisions by the definition: for each float in x the first
-    index k minimising fl(|x - level_k|), as uint8, exactly as argmin over the
-    four distances gives it.
-
-    a_k = fl(x - level_k) does not increase with k, so |a_k| falls and then
-    rises, with plateaus where rounding makes distances equal (|x| from about
-    1e15); the first minimum is the level after the last strict decrease.
-    Given a_{k+1} <= a_k, |a_{k+1}| < |a_k| is exactly
-    (a_k + a_{k+1} > 0) & (a_{k+1} < a_k).  NaN and +-inf compare false
-    throughout and get level 0, as argmin gives them.
-    """
-    index = np.zeros(x.shape, dtype=np.uint8)
-    above = x - _QAM_LEVELS[0]
-    for k in (1, 2, 3):
-        below = x - _QAM_LEVELS[k]
-        closer = (above + below > 0.0) & (below < above)
-        np.maximum(index, closer.view(np.uint8) * np.uint8(k), out=index)
-        above = below
-    return index
-
-
 def _flip_point(k: int) -> float:
     """Smallest float x at which level k + 1 is strictly nearer than level k,
-    both distances rounded as in _exact_levels; found by bisection between the
-    two levels, where that test is monotone in x (see _FLIP_RANGE)."""
+    both distances rounded; found by bisection between the two levels, where
+    that test is monotone in x (see _FLIP_POINTS)."""
     lo, hi = float(_QAM_LEVELS[k]), float(_QAM_LEVELS[k + 1])
     while True:
         mid = lo + (hi - lo) / 2.0
@@ -301,11 +280,11 @@ def _flip_point(k: int) -> float:
             lo = mid
 
 
-# Below 2^50 in magnitude the ulp is at most 0.25, under half the level
-# spacing, so a_{k+1} < a_k always holds and "level k + 1 is nearer" reduces
-# to fl(a_k + a_{k+1}) > 0, which is monotone in x: true from flip point k
-# on.  The decision is then the number of flip points at or below x.
-_FLIP_RANGE = 2.0**50
+# With a_k = fl(x - level_k): below 2^50 in magnitude the ulp is at most
+# 0.25, under half the level spacing, so a_{k+1} < a_k always holds and
+# "level k + 1 is nearer" reduces to fl(a_k + a_{k+1}) > 0, which is monotone
+# in x: true from flip point k on.  There the number of flip points at or
+# below x is the first level argmin over the four distances picks.
 _FLIP_POINTS = [_flip_point(k) for k in range(3)]
 
 
@@ -314,13 +293,11 @@ def _gray_pairs(x, pairs, flags) -> np.ndarray:
     2 b0 + b1, written to the uint8 array pairs and returned; flags is bool
     scratch of shape (2, x.size).  Ties go to the lower level.
 
-    Each float takes three comparisons with the flip points when every part
-    is below _FLIP_RANGE in magnitude; otherwise (NaN, +-inf, larger values)
-    the whole call takes _exact_levels.  Both give argmin's decisions.
+    Each float takes three comparisons with the flip points.  That is
+    argmin's decision wherever |x| < 2^50; beyond, where rounding makes
+    distances tie, it is the outer level on x's side: level 3 from 2^50 and
+    at +inf, level 0 from -2^50, at -inf and for NaN.
     """
-    if x.size and not (-_FLIP_RANGE < x.min() and x.max() < _FLIP_RANGE):
-        level = _exact_levels(x)
-        return np.bitwise_xor(level, level >> 1, out=pairs)
     # With c_k = (x >= flip point k), the level is c0 + c1 + c2; its Gray
     # pair has b0 = c1 (upper two levels) and b1 = c0 != c2 (inner two).
     c, c2 = flags
@@ -341,39 +318,32 @@ def qam16_hard_bits(symbols) -> np.ndarray:
 
 
 def _los_beams(chan, config: SystemConfig):
-    """Two strongest LOS paths (ties to the lower BS index) and their beams."""
+    """The two strongest LOS paths (ties to the lower BS index): the (2, 2)
+    angular-vector columns of their effective channel, and their combiners.
+
+    Stream k is LOS path k of BS m_k.  Its precoder and both combiners are
+    DFT-grid steering vectors, so combiner a and precoder k pick one entry of
+    BS m_k's angular matrix: entry (a, k) is column
+    (m_k N_BS + aod_k) N_US + aoa_a of the aggregate angular vector.
+    """
     los = [(m, link[0]) for m, link in enumerate(chan.links)]
     los.sort(key=lambda item: (-abs(item[1].gain), item[0]))
     serving = los[:2]
-    precoders = np.column_stack(
-        [grid_steering_vector(config.n_ant_bs, path.aod_grid_index) for _, path in serving]
-    ) / np.sqrt(config.n_ant_bs)
+    aoa = np.array([path.aoa_grid_index for _, path in serving])
+    tx = np.array([m * config.n_ant_bs + path.aod_grid_index for m, path in serving])
     combiners = np.column_stack(
-        [grid_steering_vector(config.n_ant_user, path.aoa_grid_index) for _, path in serving]
+        [grid_steering_vector(config.n_ant_user, a) for a in aoa]
     ) / np.sqrt(config.n_ant_user)
-    return [m for m, _ in serving], precoders, combiners
-
-
-def _per_bs_matrices(vectors, config: SystemConfig, dft, bs_indices):
-    """Angular vectors (P, dim) back to the channel matrices (P, K, U, B) of
-    the BSs bs_indices[k]."""
-    # Each BS block is its (U, B) angular matrix stacked column-major.
-    ang = np.reshape(vectors, (-1, config.n_bs, config.n_ant_bs, config.n_ant_user))
-    return inverse_angular_transform(ang[:, bs_indices].swapaxes(-1, -2), dft)
-
-
-def _effective_channels(h_matrices, precoders, combiners):
-    """2x2 combined channel per subcarrier for one CSI source: column k is
-    combiners^H h_matrices[:, k] precoders[:, k]."""
-    return np.einsum("ua,pkub,bk->pak", combiners.conj(), h_matrices, precoders)
+    return tx * config.n_ant_user + aoa[:, None], combiners
 
 
 def _zf_precoders(h_eff):
     """Zero-forcing precoders with unit average transmit power for each 2x2
     channel of a (..., 2, 2) stack, and their power scales beta (...).
 
-    Degenerate CSI (an all-zero estimate) has an all-zero pseudo-inverse, so
-    that subcarrier transmits nothing, with beta = 1.
+    CSI that misses a serving path reads exact zeros there and gets a rank-1
+    pseudo-inverse.  An all-zero subcarrier has an all-zero pseudo-inverse, so
+    it transmits nothing, with beta = 1.
     """
     precoders = np.linalg.pinv(h_eff, rcond=1e-10)
     norms = np.linalg.norm(precoders, axis=(-2, -1))
@@ -410,12 +380,13 @@ def ber_experiment(
 
     The two strongest LOS paths across the BSs carry one 16-QAM stream each
     through steering-vector analog stages; the digital stage zero-forces the
-    2x2 effective channel computed from each CSI source, and symbols always
-    travel through the true channel.  Channel estimation and the data stage
-    run at the same SNR.  Data rides the pilot subcarriers, so configs with
-    n_pilot_subcarriers = n_subcarriers cover the whole grid.  At least 10^4
-    symbols per SNR point, split over n_realizations channel draws; noise and
-    payloads are shared across CSI sources so comparisons are paired.
+    2x2 effective channel read off each CSI source's angular vectors
+    (_los_beams), and symbols always travel through the true channel.
+    Channel estimation and the data stage run at the same SNR.  Data rides
+    the pilot subcarriers, so configs with n_pilot_subcarriers =
+    n_subcarriers cover the whole grid.  At least 10^4 symbols per SNR point,
+    split over n_realizations channel draws; noise and payloads are shared
+    across CSI sources so comparisons are paired.
 
     The data noise on each subcarrier has variance beta_true^2 / SNR per user
     antenna, beta_true being the perfect-CSI power scale.  Only its two
@@ -433,7 +404,6 @@ def ber_experiment(
         raise ValueError("n_realizations must be positive")
 
     n_p = config.n_pilot_subcarriers
-    dft = dft_pair(config)
     # Symbol vectors per (realization, subcarrier); 2 QAM symbols per vector.
     n_vec = -(-n_symbols // (n_realizations * n_p * 2))
     total_symbols = n_realizations * n_p * 2 * n_vec
@@ -471,13 +441,11 @@ def ber_experiment(
                 _omp_threshold(sigma2, operators.shape[1], received),
             )
 
-            bs_indices, precoders, combiners = _los_beams(chan, cfg)
+            columns, combiners = _los_beams(chan, cfg)
             # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
             dim = aset.vectors.shape[1]
             h_eff = np.stack([
-                _effective_channels(
-                    _per_bs_matrices(vectors, cfg, dft, bs_indices), precoders, combiners
-                )
+                vectors[:, columns]
                 for vectors in (aset.vectors, est_ssamp.dense(dim), est_omp.dense(dim))
             ])
             zf, betas = _zf_precoders(h_eff)

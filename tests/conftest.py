@@ -1,7 +1,8 @@
 """Shared desk-scale configurations, the synthesis pipeline helper, and the
 reference formulas of the system model: the frequency-domain channel and its
-angular projection, the per-slot measurement operator and the operator
-factors built with dense DFT matrices.
+angular projection, the BER study's effective channel through the antenna
+domain, the per-slot measurement operator and the operator factors built with
+dense DFT matrices.
 
 The desk geometry (2 BSs x 2 paths on a 16x4 grid, 8 subcarriers, all
 carrying pilots) keeps one full trial in the millisecond range so the
@@ -12,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from mmwave_scs.channel import SystemConfig, grid_steering_vector
+from mmwave_scs.channel import SystemConfig, grid_steering_vector, inverse_angular_transform
 from mmwave_scs.pilots import KroneckerOperator
 from mmwave_scs.simulate import _synthesize
 
@@ -77,6 +78,25 @@ def stack_angular(angular_matrices):
     vectors (..., dim): each BS block stacked column-major, BS by BS."""
     mats = np.asarray(angular_matrices)
     return mats.swapaxes(-1, -2).reshape(*mats.shape[:-3], -1)
+
+
+# The BER study's effective channel by the antenna-domain route, kept apart
+# from simulate._los_beams, which reads the same entries off the angular
+# vector by index and is pinned against it.
+
+
+def per_bs_matrices(vectors, config, dft, bs_indices):
+    """Angular vectors (P, dim) back to the channel matrices (P, K, U, B) of
+    the BSs bs_indices[k]."""
+    # Each BS block is its (U, B) angular matrix stacked column-major.
+    ang = np.reshape(vectors, (-1, config.n_bs, config.n_ant_bs, config.n_ant_user))
+    return inverse_angular_transform(ang[:, bs_indices].swapaxes(-1, -2), dft)
+
+
+def effective_channels(h_matrices, precoders, combiners):
+    """2x2 combined channel per subcarrier for one CSI source: column k is
+    combiners^H h_matrices[:, k] precoders[:, k]."""
+    return np.einsum("ua,pkub,bk->pak", combiners.conj(), h_matrices, precoders)
 
 
 # The per-slot formula, written from the system model and kept apart from the

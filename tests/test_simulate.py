@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 
 from mmwave_scs import simulate
-from mmwave_scs.channel import SystemConfig, dft_pair, draw_multipath, grid_steering_vector
+from mmwave_scs.channel import (
+    MultipathChannel,
+    PathComponent,
+    SystemConfig,
+    dft_pair,
+    draw_multipath,
+    grid_steering_vector,
+)
 from mmwave_scs.recovery import adaptive_omp, nmse_db, oracle_ls, ssamp
 from mmwave_scs.simulate import (
     BER_COLUMNS,
     CSI_SOURCES,
     ESTIMATORS,
     MSE_COLUMNS,
-    _effective_channels,
     _los_beams,
     _noise_root,
     _omp_threshold,
-    _per_bs_matrices,
     _ssamp_threshold,
     _synthesize,
     _trial_seeds,
@@ -29,11 +34,11 @@ from mmwave_scs.simulate import (
     sweep,
 )
 
-from conftest import DESK_EXACT, DESK_SNR20, stack_angular
+from conftest import DESK_EXACT, DESK_SNR20, effective_channels, per_bs_matrices, stack_angular
 
-# The 16-QAM mapping, argmin demodulator and BER data stage written as one
-# subcarrier and one CSI source at a time, kept as references for the
-# comparison-based demodulator and the stacked data stage.
+# The 16-QAM mapping, argmin demodulator, the decision contract and the BER
+# data stage written as one subcarrier and one CSI source at a time, kept as
+# references for the comparison-based demodulator and the stacked data stage.
 LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
 
 
@@ -57,6 +62,19 @@ def argmin_hard_bits(symbols):
     return out.ravel()
 
 
+def contract_hard_bits(symbols):
+    """The decision contract per float part: argmin's first nearest level
+    below 2^50 in magnitude, and beyond that the outer level on the part's
+    side (level 3 from 2^50 and at +inf; level 0 from -2^50, at -inf and for
+    NaN), Gray-mapped to bits."""
+    x = np.asarray(symbols, dtype=complex).ravel().view(np.float64)
+    inside = np.abs(x) < 2.0**50
+    level = np.where(x > 0.0, 3, 0)
+    level[inside] = np.argmin(np.abs(x[inside, None] - LEVELS[None, :]), axis=1)
+    b0 = level >> 1
+    return np.stack([b0, b0 ^ (level & 1)], axis=1).ravel()
+
+
 def _reference_realisation(cfg, seed, point, real):
     """One realisation's (data_seed, beams, per-source ZF) as ber_experiment forms them."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
@@ -68,16 +86,11 @@ def _reference_realisation(cfg, seed, point, real):
     est_omp = adaptive_omp(
         received, operators, _omp_threshold(sigma2, operators.shape[1], received)
     )
-    bs_indices, precoders, combiners = _los_beams(chan, cfg)
+    columns, combiners = _los_beams(chan, cfg)
     dim = aset.vectors.shape[1]
     vectors = {"perfect": aset.vectors, "ssamp": est_ssamp.dense(dim),
                "adaptive_omp": est_omp.dense(dim)}
-    h_eff = {
-        name: _effective_channels(
-            _per_bs_matrices(vectors[name], cfg, dft_pair(cfg), bs_indices), precoders, combiners
-        )
-        for name in CSI_SOURCES
-    }
+    h_eff = {name: vectors[name][:, columns] for name in CSI_SOURCES}
     zf = {name: _zf_precoders(h_eff[name]) for name in CSI_SOURCES}
     return data_seed, combiners, h_eff["perfect"], zf
 
@@ -321,41 +334,71 @@ class TestBer:
         assert a.rows == b.rows
 
     def test_channel_algebra(self):
-        # the batched zero-forcing chain against a per-subcarrier, per-BS reading
+        # The index read of _los_beams against the antenna-domain route
+        # (conftest) with serving BSs [2, 0] of three, on random angular
+        # vectors, with the streams' AoA bins apart and shared; then the
+        # zero-forcing of the stack.
         cfg = replace(DESK_EXACT, n_bs=3)
         dft = dft_pair(cfg)
         rng = np.random.default_rng(5)
         shape = (2, cfg.n_bs, cfg.n_ant_user, cfg.n_ant_bs)
         ang = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         vectors = stack_angular(ang)
-        bs_indices = [2, 0]
-        mats = _per_bs_matrices(vectors, cfg, dft, bs_indices)
-        precoders = rng.standard_normal((cfg.n_ant_bs, 2)) + 0.5j
-        combiners = rng.standard_normal((cfg.n_ant_user, 2)) - 0.5j
-        h_eff = _effective_channels(mats, precoders, combiners)
+        bs_indices, aod = [2, 0], (11, 5)
+        mats = per_bs_matrices(vectors, cfg, dft, bs_indices)
         for p in range(2):
             for k, m in enumerate(bs_indices):
                 h_freq = dft.rx @ ang[p, m] @ dft.tx.conj().T
                 np.testing.assert_allclose(mats[p, k], h_freq, rtol=0, atol=1e-12)
-                np.testing.assert_allclose(
-                    h_eff[p, :, k], combiners.conj().T @ mats[p, k] @ precoders[:, k],
-                    rtol=1e-12,
-                )
-        h_eff[1] = 0.0  # degenerate CSI: an all-zero estimate
+        precoders = np.column_stack(
+            [grid_steering_vector(cfg.n_ant_bs, b) for b in aod]
+        ) / np.sqrt(cfg.n_ant_bs)
+        for aoa in [(2, 2), (1, 3)]:
+            # (LOS gain, AoA bin, AoD bin) per BS: BS 2 is strongest, then BS 0.
+            los = {2: (3.0, aoa[0], aod[0]), 0: (2.0, aoa[1], aod[1]), 1: (1.0, 0, 7)}
+            chan = MultipathChannel(links=tuple(
+                (PathComponent(complex(gain), 0.0, rx, tx, True),)
+                for gain, rx, tx in (los[m] for m in range(cfg.n_bs))
+            ))
+            columns, combiners = _los_beams(chan, cfg)
+            h_eff = vectors[:, columns]
+            np.testing.assert_allclose(
+                h_eff, effective_channels(mats, precoders, combiners), rtol=0, atol=1e-12
+            )
+            for a in range(2):
+                for k, m in enumerate(bs_indices):
+                    assert np.array_equal(h_eff[:, a, k], ang[:, m, aoa[a], aod[k]])
+
+        # An estimate that misses stream 1's serving path reads exact zeros
+        # in that stream's column, and gets a finite rank-1 pseudo-inverse.
+        missed = vectors.copy()
+        missed[:, columns[:, 1]] = 0.0
+        h_missed = missed[:, columns]
+        assert not h_missed[:, :, 1].any()
+        np.testing.assert_array_equal(h_missed[:, :, 0], h_eff[:, :, 0])
+        zf, betas = _zf_precoders(h_missed)
+        assert np.isfinite(zf).all() and np.isfinite(betas).all()
+        for p in range(2):
+            assert np.linalg.matrix_rank(zf[p]) == 1
+            np.testing.assert_allclose(
+                h_missed[p] @ zf[p] @ h_missed[p], h_missed[p], rtol=0, atol=1e-12
+            )
+
+        h_eff[1] = 0.0  # an all-zero subcarrier
         zf, betas = _zf_precoders(h_eff)
         np.testing.assert_allclose(h_eff[0] @ zf[0], np.eye(2), rtol=0, atol=1e-12)
         assert betas[0] == pytest.approx(np.sqrt(2.0) / np.linalg.norm(zf[0]))
         assert not zf[1].any() and betas[1] == 1.0
 
     def test_data_stage_matches_reference(self, monkeypatch):
-        exact_sizes = []
-        exact = simulate._exact_levels
+        largest = []
+        decide = simulate._gray_pairs
 
-        def counted(x):
-            exact_sizes.append(x.size)
-            return exact(x)
+        def recorded(x, *args):
+            largest.append(np.abs(x).max())
+            return decide(x, *args)
 
-        monkeypatch.setattr(simulate, "_exact_levels", counted)
+        monkeypatch.setattr(simulate, "_gray_pairs", recorded)
         snrs = [10.0, 20.0, 30.0]
         for config, n_symbols, seed, n_realizations in [
             *((DESK_SNR20, 10**4, seed, 2) for seed in range(4)),
@@ -367,9 +410,10 @@ class TestBer:
             expected = ber_reference(config, snrs, n_symbols, seed, n_realizations)
             actual = ber_experiment(config, snrs, n_symbols, seed, n_realizations).rows
             assert actual == expected
-        # Near-degenerate estimated CSI feeds the demodulator values past the
-        # comparison range (up to about 8e17 here), so both paths ran.
-        assert exact_sizes
+        # CSI that misses a serving path is exactly zero there, so ZF never
+        # amplifies rounding residue: every decided part stays below 2^50,
+        # where the comparisons and the argmin reference agree.
+        assert largest and np.max(largest) < 2.0**50
 
     def test_complex_by_real_division_is_reciprocal_multiplication(self):
         # The data stage adds eta * (1 / beta) part by part where the
@@ -437,7 +481,7 @@ def _ber_long_combiners(seed, real):
     cfg = SystemConfig(snr_db=30.0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, real))
     chan = draw_multipath(cfg, int(ss.generate_state(4)[0]))
-    return _los_beams(chan, cfg)[2]
+    return _los_beams(chan, cfg)[1]
 
 
 class TestNoiseRoot:
@@ -515,26 +559,37 @@ class TestQam:
             qam16_modulate(bits)
 
     def test_matches_argmin_reference(self):
+        # argmin is the reference below 2^50 in magnitude; beyond, each part
+        # decides by its side (contract_hard_bits).
         drawn_rng = np.random.default_rng(99)
+        out_of_range = [complex(np.inf, -np.inf), complex(np.nan, 1e17), complex(-1e17, 0.3)]
 
         def check(symbols):
-            # One infinite part sends the whole call through the exact rule.
-            for s in (symbols, np.append(symbols, complex(np.inf, 0.0))):
-                expected = argmin_hard_bits(s)
-                np.testing.assert_array_equal(qam16_hard_bits(s), expected)
-                # The data stage's pair decision and popcount error count.
-                x = s.view(np.float64)
-                pairs = simulate._gray_pairs(
-                    x, np.empty(x.size, np.uint8), np.empty((2, x.size), bool)
+            expected = contract_hard_bits(symbols)
+            decided = qam16_hard_bits(symbols)
+            np.testing.assert_array_equal(decided, expected)
+            # The data stage's pair decision and popcount error count.
+            x = symbols.view(np.float64)
+            pairs = simulate._gray_pairs(
+                x, np.empty(x.size, np.uint8), np.empty((2, x.size), bool)
+            )
+            np.testing.assert_array_equal(pairs, 2 * expected[0::2] + expected[1::2])
+            drawn = drawn_rng.integers(0, 4, x.size, dtype=np.uint8)
+            drawn_bits = np.stack([drawn >> 1, drawn & 1], axis=1).ravel()
+            errors = int(np.bitwise_count(pairs ^ drawn).sum())
+            assert errors == np.count_nonzero(expected != drawn_bits)
+            # An appended +-inf, NaN or 1e17 part leaves every other
+            # decision unchanged.
+            for extra in out_of_range:
+                appended = qam16_hard_bits(np.append(symbols, extra))
+                np.testing.assert_array_equal(appended[: decided.size], decided)
+                np.testing.assert_array_equal(
+                    appended[decided.size :], contract_hard_bits([extra])
                 )
-                np.testing.assert_array_equal(pairs, 2 * expected[0::2] + expected[1::2])
-                drawn = drawn_rng.integers(0, 4, x.size, dtype=np.uint8)
-                drawn_bits = np.stack([drawn >> 1, drawn & 1], axis=1).ravel()
-                errors = int(np.bitwise_count(pairs ^ drawn).sum())
-                assert errors == np.count_nonzero(expected != drawn_bits)
 
         # Random draws at every decade from 1e-300 to 1e300, and densely
-        # from 1e14 to 1e20, where rounding makes distances equal.
+        # from 1e14 to 1e20, where rounding starts to make distances equal
+        # and the contract turns from argmin to the side at 2^50.
         rng = np.random.default_rng(2024)
         for scale in np.concatenate([10.0 ** np.arange(-300, 301), np.logspace(14, 20, 241)]):
             parts = scale * rng.standard_normal((2, 500))

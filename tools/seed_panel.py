@@ -2,15 +2,16 @@
 runs run_trial on DESK_SNR20 seeds 3000-3199, DESK_SNR10 seeds 0-49,
 SystemConfig(n_slots=G) for G = 9/12/16 seeds 0-39 and the perfbench trial-wide
 point seeds 0-3, keeping per estimator [NMSE as float hex, exact-support flag,
-iterations], plus two ber_experiment tables at 10/20/30 dB: one at desk scale
-(10^4 symbols, 2 realisations) and one at SystemConfig(), the geometry of the
-perfbench ber-long workload (10^5 symbols, 1 realisation).  `compare A.json
-B.json` prints the NMSE delta (dB) of every trial that differs, then per
-estimator the exact-support flips, iteration-count changes and largest
-|delta|, then whether each BER table is identical with every differing row
-(table, SNR, CSI source, old -> new BER and the change in binomial standard
-errors of the mean BER over 4 bits per symbol), and exits 1 if any trial or BER
-row differs.
+iterations], plus three ber_experiment tables: at 10/20/30 dB one at desk
+scale (10^4 symbols, 2 realisations) and one at SystemConfig(), the geometry
+of the perfbench ber-long workload (10^5 symbols, 1 realisation), and one at
+the perfbench trial-wide BER point (G = 12, 20 dB, 2*10^5 symbols,
+2 realisations).  `compare A.json B.json` prints the NMSE delta (dB) of every
+trial that differs, then per estimator the exact-support flips,
+iteration-count changes and largest |delta|, then whether each BER table is
+identical with every differing row (table, SNR, CSI source, old -> new BER
+and the change in binomial standard errors of the mean BER over 4 bits per
+symbol), and exits 1 if any trial or BER row differs.
 """
 
 import json
@@ -38,7 +39,9 @@ def dump(path):
             }
     snrs = [10.0, 20.0, 30.0]
     tables = {"desk": ber_experiment(SystemConfig(**desk), snrs, 10**4, 0, n_realizations=2),
-              "default": ber_experiment(SystemConfig(), snrs, 10**5, 0, n_realizations=1)}
+              "default": ber_experiment(SystemConfig(), snrs, 10**5, 0, n_realizations=1),
+              "wide": ber_experiment(SystemConfig(**wide), [20.0], 2 * 10**5, 0,
+                                     n_realizations=2)}
     ber = {name: [list(row) for row in table.rows] for name, table in tables.items()}
     with open(path, "w") as handle:
         json.dump({"trials": trials, "ber": ber}, handle, indent=1)
