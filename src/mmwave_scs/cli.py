@@ -19,12 +19,12 @@ import numpy as np
 
 from . import __version__
 from .channel import LinkBudgetParams, SystemConfig, path_loss_db
-from .recovery import p_th_for_snr
 from .simulate import (
     BER_COLUMNS,
     ESTIMATORS,
     MSE_COLUMNS,
     ResultTable,
+    _ssamp_threshold,
     ber_experiment,
     run_trial,
     sweep,
@@ -195,7 +195,7 @@ def cmd_estimate(args) -> int:
     summary = {
         "seed": args.seed,
         "true_sparsity": record.true_sparsity,
-        "p_th": p_th_for_snr(config.snr_db),
+        "p_th": _ssamp_threshold(config),
         "metrics": {
             name: asdict(record.metrics[name]) for name in ESTIMATORS
         },

@@ -20,6 +20,12 @@ import numpy as np
 
 from .channel import SystemConfig
 
+# Products with every subcarrier's matrix run over blocks of subcarriers
+# whose complex (block, dim) output fits this many bytes, so a correlation
+# forms no (P, dim) temporary: at SystemConfig() (dim 512, P = 16) a block
+# is all P subcarriers, at dim 16,384 it is one.
+BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class PilotEnsemble:
@@ -54,7 +60,8 @@ class PilotEnsemble:
 
 
 def _unit_phases(rng, shape) -> np.ndarray:
-    return np.exp(2j * np.pi * rng.random(shape))
+    phases = 2j * np.pi * rng.random(shape)
+    return np.exp(phases, out=phases)
 
 
 def draw_ensemble(config: SystemConfig, seed: int) -> PilotEnsemble:
@@ -67,6 +74,15 @@ def draw_ensemble(config: SystemConfig, seed: int) -> PilotEnsemble:
         rf_precoder=_unit_phases(rng, (g, config.n_bs, config.n_ant_bs, config.n_chain_bs)),
         eff_training=_unit_phases(rng, (g, p, config.n_bs, config.n_chain_bs)),
     )
+
+
+def _key(subcarriers):
+    """The key that selects sorted subcarriers: a slice, which indexes the
+    factors as views, when they are consecutive, else the index array."""
+    n = len(subcarriers)
+    if n and subcarriers[-1] - subcarriers[0] + 1 == n:
+        return slice(subcarriers[0], subcarriers[-1] + 1)
+    return subcarriers
 
 
 class KroneckerOperator:
@@ -82,6 +98,11 @@ class KroneckerOperator:
 
       left   (G, P, N_chain_US, N_US)   Z^H A_RX
       right  (G, P, M * N_BS)           A_TX^H f, the BSs' beams stacked
+
+    Slicing the subcarrier axis (op[a:b]) gives views of the factors, so a
+    block of consecutive subcarriers costs no copy.  The pursuits correlate
+    block by block (adjoint_abs), `block` subcarriers at a time, into
+    buffers they allocate once per call.
     """
 
     def __init__(self, left, right):
@@ -105,8 +126,14 @@ class KroneckerOperator:
     def nbytes(self) -> int:
         return self.left.nbytes + self.right.nbytes
 
+    @property
+    def block(self) -> int:
+        """Subcarriers per block: as many as fit BLOCK_BYTES of complex output, 1 to P."""
+        p, _, dim = self.shape
+        return max(1, min(p, BLOCK_BYTES // (16 * dim)))
+
     def __getitem__(self, key) -> "KroneckerOperator":
-        """The subcarriers that `key` (a slice or an index array) selects."""
+        """The subcarriers that `key` selects: a slice gives views, an index array copies."""
         return KroneckerOperator(self.left[:, key], self.right[:, key])
 
     def apply(self, x) -> np.ndarray:
@@ -117,31 +144,79 @@ class KroneckerOperator:
         out = self.left.transpose(1, 0, 2, 3) @ per_slot[..., None]
         return out.reshape(p, g * c)
 
-    def adjoint(self, r) -> np.ndarray:
-        """Phi_p^H r_p for every subcarrier: (P, rows) -> (P, dim)."""
-        g, p, c, u = self.left.shape
-        # As conj(right^T conj(per_slot)): no conjugated copy of right per call.
-        slots = np.asarray(r).conj().reshape(p, g, 1, c)
-        per_slot = (slots @ self.left.transpose(1, 0, 2, 3))[:, :, 0]  # (P, G, N_US)
-        out = self.right.transpose(1, 2, 0) @ per_slot
-        return np.conjugate(out, out=out).reshape(p, -1)
+    def adjoint(self, r, out=None) -> np.ndarray:
+        """Phi_p^H r_p for every subcarrier: (P, rows) -> (P, dim).
 
-    def columns(self, support) -> np.ndarray:
-        """Phi_p[:, support], or Phi_p[:, support[p]] for a (P, K) support: (P, rows, K)."""
+        `out`, when given, is a C-contiguous complex (P, dim) buffer that
+        receives the result and is returned.
+        """
+        p, _, dim = self.shape
+        if out is None:
+            out = np.empty((p, dim), dtype=np.complex128)
+        elif out.shape != (p, dim) or not out.flags.c_contiguous:
+            raise ValueError(f"out must be C-contiguous of shape {(p, dim)}")
+        for _ in self._conj_adjoints(r, np.arange(p), out):
+            pass
+        return np.conjugate(out, out=out)
+
+    def adjoint_abs(self, r, subcarriers, work, out):
+        """|Phi_q^H r_i| for q = subcarriers[i], one block of subcarriers at a time.
+
+        `subcarriers` is a sorted index array and r holds one row per entry.
+        Yields (i, key, magnitudes) per block of n <= len(out) entries:
+        magnitudes = out[:n] holds rows i to i + n, and key selects their
+        subcarriers.  `work` (complex) and `out` (float) are C-contiguous
+        buffers of the same number of rows and dim columns that the caller
+        allocates once and every block reuses, so a block must be used before
+        the next is drawn.  |conj(z)| = |z|, so no conjugate is taken.
+        """
+        for i, key, conj_adjoint in self._conj_adjoints(r, subcarriers, work):
+            yield i, key, np.abs(conj_adjoint, out=out[: len(conj_adjoint)])
+
+    def _conj_adjoints(self, r, subcarriers, work):
+        """Yield (i, key, conj(Phi_q^H r_i)) per block of len(work) subcarriers.
+
+        key selects a block's subcarriers (see _key) and the values sit in
+        the block's rows of `work`.  Each is right^T (conj(r)^T left), which
+        needs no conjugated copy of right.
+        """
+        g, _, c, u = self.left.shape
+        n_beams = self.right.shape[2]
+        slots = np.asarray(r).conj().reshape(-1, g, 1, c)
+        left = self.left[:, _key(subcarriers)].transpose(1, 0, 2, 3)
+        per_slot = (slots @ left)[:, :, 0]  # (S, G, N_US)
+        for i in range(0, len(subcarriers), len(work)):
+            n = min(len(work), len(subcarriers) - i)
+            key = _key(subcarriers[i : i + n])
+            beams = self.right[:, key].transpose(1, 2, 0)  # (n, M * N_BS, G)
+            np.matmul(beams, per_slot[i : i + n], out=work[:n].reshape(n, n_beams, u))
+            yield i, key, work[:n]
+
+    def columns(self, support, subcarriers=None) -> np.ndarray:
+        """Phi_p[:, support], or Phi_p[:, support[p]] for a (P, K) support: (P, rows, K).
+
+        With `subcarriers` (S indices), the matrices of those subcarriers
+        only: (S, rows, K), row i of a 2-D support going with subcarriers[i].
+        """
         g, p, c, u = self.left.shape
         beam, rx = np.divmod(np.asarray(support, dtype=int), u)
-        sub = np.arange(p)[:, None]
-        right = self.right.transpose(1, 2, 0)[sub, beam]  # (P, K, G)
-        left = self.left.transpose(1, 3, 0, 2)[sub, rx]  # (P, K, G, N_chain_US)
+        sub = (np.arange(p) if subcarriers is None else np.asarray(subcarriers))[:, None]
+        right = self.right.transpose(1, 2, 0)[sub, beam]  # (S, K, G)
+        left = self.left.transpose(1, 3, 0, 2)[sub, rx]  # (S, K, G, N_chain_US)
         cols = right[..., None] * left
-        return cols.transpose(0, 2, 3, 1).reshape(p, g * c, beam.shape[-1])
+        return cols.transpose(0, 2, 3, 1).reshape(sub.shape[0], g * c, beam.shape[-1])
 
     def column_norms(self) -> np.ndarray:
-        """Euclidean norm of every column of every Phi_p: (P, dim)."""
-        p = self.left.shape[1]
+        """Euclidean norm of every column of every Phi_p: (P, dim), block by block."""
+        g, p, c, u = self.left.shape
         left_sq = np.sum(np.abs(self.left) ** 2, axis=2).transpose(1, 0, 2)  # (P, G, N_US)
-        right_sq = (np.abs(self.right) ** 2).transpose(1, 2, 0)  # (P, M * N_BS, G)
-        return np.sqrt(right_sq @ left_sq).reshape(p, -1)
+        out = np.empty((p, self.right.shape[2], u))
+        block = self.block
+        for a in range(0, p, block):
+            right_sq = np.abs(self.right[:, a : a + block])
+            np.square(right_sq, out=right_sq)  # (G, block, M * N_BS)
+            np.matmul(right_sq.transpose(1, 2, 0), left_sq[a : a + block], out=out[a : a + block])
+        return np.sqrt(out, out=out).reshape(p, -1)
 
     def is_finite(self) -> bool:
         return bool(np.isfinite(self.left).all() and np.isfinite(self.right).all())
@@ -188,9 +263,13 @@ def measurement_operators(ensemble: PilotEnsemble) -> KroneckerOperator:
     left = ensemble.bb_combiner.conj().swapaxes(-1, -2) @ rf_rx[:, None]
     # A_TX^H f = (A_TX^H F_RF) s * pilot_scale, per BS
     rf_tx = np.fft.fft(ensemble.rf_precoder, axis=2, norm="ortho")  # (G, M, N_BS, N_chain_BS)
-    beams = rf_tx @ ensemble.eff_training.transpose(0, 2, 3, 1)  # (G, M, N_BS, P)
-    # In C order: a strided `right` slows every product with the operator.
-    right = np.multiply(beams.transpose(0, 3, 1, 2), ensemble.pilot_scale, order="C")
+    _, n_bs, n_ant, _ = rf_tx.shape
+    # In C order (G, P, M, N_BS): a strided `right` slows every product with
+    # the operator.  The product writes straight into it, as (G, M, N_BS, P).
+    right = np.empty((g, p, n_bs, n_ant), dtype=np.complex128)
+    training = ensemble.eff_training.transpose(0, 2, 3, 1)  # (G, M, N_chain_BS, P)
+    np.matmul(rf_tx, training, out=right.transpose(0, 2, 3, 1))
+    right *= ensemble.pilot_scale
     return KroneckerOperator(left, right.reshape(g, p, -1))
 
 

@@ -133,9 +133,12 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     r, op = _check_inputs(received, operators)
     if p_th <= 0:
         raise ValueError("p_th must be positive")
-    n_pilots, rows, _ = op.shape
+    n_pilots, rows, dim = op.shape
     if max_iterations is None:
         max_iterations = 10 * rows
+    subcarriers = np.arange(n_pilots)
+    work = np.empty((op.block, dim), dtype=np.complex128)
+    magnitudes = np.empty((op.block, dim))
 
     sparsity = 1  # T, the target support size of the current stage
     # Last accepted support, its coefficients and its residuals.
@@ -149,14 +152,20 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     saved_sparsity = 0
     saved_residual_energy = np.inf
     # Joint proxy energy of `residuals`, recomputed only when they change.
-    proxy_energy = None
+    proxy_energy = np.empty(dim)
+    stale = True
     passes = 0
     reason = TERM_MAXITER
     while passes < max_iterations:
         passes += 1
-        if proxy_energy is None:
-            # Residual correlations, energy summed over subcarriers.
-            proxy_energy = np.sum(np.abs(op.adjoint(residuals)) ** 2, axis=0)
+        if stale:
+            # Residual correlations, energy summed over subcarriers in
+            # subcarrier order, as np.sum(axis=0) adds them.
+            proxy_energy.fill(0.0)
+            for _, _, block in op.adjoint_abs(residuals, subcarriers, work, magnitudes):
+                for row in np.square(block, out=block):
+                    proxy_energy += row
+            stale = False
         gamma = _top_indices(proxy_energy, sparsity)
         union = np.union1d(support, gamma)
         trial = _fit(op.columns(union), r)
@@ -185,7 +194,7 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
         else:
             support, support_coefs = omega, coefs
             residuals, residual_energy = residual, res_energy
-            proxy_energy = None
+            stale = True
 
     final_energy = saved_residual_energy if saved_sparsity else float(np.sum(np.abs(r) ** 2))
     return EstimationResult(
@@ -214,25 +223,28 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     n_pilots, rows, dim = op.shape
     col_norms = op.column_norms()
     col_norms[col_norms == 0] = np.inf
+    work = np.empty((op.block, dim), dtype=np.complex128)
+    magnitudes = np.empty((op.block, dim))
+    block_rows = np.arange(op.block)[:, None]
     picked = np.zeros(dim, dtype=bool)
     res_energy = np.sum(np.abs(r) ** 2, axis=1)
-    # The subcarriers still picking, with their data, picks and residuals;
-    # while every subcarrier is, the full arrays serve without a copy.
+    # The subcarriers still picking, with their data, picks and residuals.
     active = np.flatnonzero(res_energy > residual_threshold)
-    sub, norms, r_act = op, col_norms, r
-    if active.size < n_pilots:
-        sub, norms, r_act = op[active], col_norms[active], r[active]
+    r_act = r[active]
     picks = np.zeros((active.size, 0), dtype=int)
     residual = r_act
     total_picks = 0
     finished = []  # (subcarriers, their sorted supports, their coefficients)
     while active.size:
-        corr = np.abs(sub.adjoint(residual))
-        corr /= norms
-        np.put_along_axis(corr, picks, -1.0, axis=1)  # never re-pick
-        picks = np.column_stack([picks, np.argmax(corr, axis=1)])
+        best = np.empty(active.size, dtype=int)
+        for i, key, corr in op.adjoint_abs(residual, active, work, magnitudes):
+            n = len(corr)
+            corr /= col_norms[key]
+            corr[block_rows[:n], picks[i : i + n]] = -1.0  # never re-pick
+            best[i : i + n] = np.argmax(corr, axis=1)
+        picks = np.column_stack([picks, best])
         support = np.sort(picks, axis=1)
-        cols = sub.columns(support)
+        cols = op.columns(support, active)
         coefs = _fit(cols, r_act)
         residual = _residual(r_act, cols, coefs)
         res_energy[active] = np.sum(np.abs(residual) ** 2, axis=1)
@@ -242,8 +254,7 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
             finished.append((active[done], support[done], coefs[done]))
             picked[support[done]] = True
             keep = ~done
-            active, picks, residual = active[keep], picks[keep], residual[keep]
-            sub, norms, r_act = sub[keep], norms[keep], r_act[keep]
+            active, picks, residual, r_act = active[keep], picks[keep], residual[keep], r_act[keep]
     union = np.flatnonzero(picked)
     # Each subcarrier's coefficients on the union, exactly zero on the
     # columns it did not pick.

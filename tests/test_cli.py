@@ -18,7 +18,8 @@ from mmwave_scs.cli import (
     parse_config,
     write_config,
 )
-from mmwave_scs.simulate import BER_COLUMNS, MSE_COLUMNS
+from mmwave_scs.recovery import p_th_for_snr
+from mmwave_scs.simulate import BER_COLUMNS, MSE_COLUMNS, _ssamp_threshold
 
 from conftest import DESK_EXACT, DESK_SNR20
 
@@ -144,6 +145,16 @@ def test_estimate_writes_artifacts(tmp_path, capsys):
     assert manifest["created_utc"]
     for name in ("ssamp", "adaptive_omp", "oracle_ls"):
         assert name in captured.out
+
+
+def test_estimate_summary_reports_the_threshold_ssamp_used(tmp_path):
+    # ssamp runs with the table value times N_US * N_BS, not the table value.
+    out = tmp_path / "results"
+    code = main(["estimate", "--config", _desk_config(tmp_path), "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "estimate_summary.json").read_text())
+    assert summary["p_th"] == _ssamp_threshold(DESK_SNR20)
+    assert summary["p_th"] == p_th_for_snr(20.0) * 4 * 16
 
 
 def test_sweep_mse_single_point(tmp_path, capsys):

@@ -255,6 +255,13 @@ def _check_against_dense(op, dense, rng):
     per_sub = rng.integers(0, dim, size=(n_pilots, int(rng.integers(0, dim + 1))))
     gathered = np.stack([dense[q][:, per_sub[q]] for q in range(n_pilots)])
     np.testing.assert_array_equal(op.columns(per_sub), gathered)
+    np.testing.assert_array_equal(op.columns(per_sub[picked], picked), gathered[picked])
+    np.testing.assert_array_equal(op.columns(idx, picked), dense[picked][:, :, idx])
+    buffer = np.empty((n_pilots, dim), dtype=np.complex128)
+    assert op.adjoint(r, out=buffer) is buffer
+    np.testing.assert_array_equal(buffer, op.adjoint(r))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        op.adjoint(r, out=np.empty((n_pilots, dim + 1), dtype=np.complex128))
     assert op.nbytes == op.left.nbytes + op.right.nbytes
 
 

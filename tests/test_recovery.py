@@ -8,6 +8,7 @@ omp_reference is the per-subcarrier OMP loop that adaptive_omp() runs for all
 subcarriers at once, with one lstsq per fit.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mmwave_scs import pilots
+from mmwave_scs.channel import SystemConfig
 from mmwave_scs.pilots import KroneckerOperator, as_operator
 from mmwave_scs.recovery import (
     LSTSQ_RCOND,
@@ -168,9 +171,9 @@ class _CountingOperator(KroneckerOperator):
         super().__init__(op.left, op.right)
         self.correlated = []
 
-    def adjoint(self, r):
+    def adjoint_abs(self, r, subcarriers, work, out):
         self.correlated.append(np.array(r))
-        return super().adjoint(r)
+        return super().adjoint_abs(r, subcarriers, work, out)
 
 
 class TestSsampAgainstReference:
@@ -603,6 +606,96 @@ class TestProperties:
         assert got.iterations == picks
         assert got.termination_reason == reason
         np.testing.assert_allclose(dense, est, rtol=1e-9)
+
+
+def _adjoint_reference(op, r):
+    """Phi_p^H r_p as one product over all P subcarriers: the figures that
+    blocks of any size must reproduce bit for bit."""
+    g, p, c, u = op.left.shape
+    slots = r.conj().reshape(p, g, 1, c)
+    per_slot = (slots @ op.left.transpose(1, 0, 2, 3))[:, :, 0]
+    return np.conjugate(op.right.transpose(1, 2, 0) @ per_slot).reshape(p, -1)
+
+
+class TestSubcarrierBlocks:
+    """Correlations run over blocks of subcarriers (pilots.BLOCK_BYTES); the
+    block size must not change a single bit of any result."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(operator_kinds, st.integers(0, 2**32 - 1), st.data())
+    def test_blocked_magnitudes_are_the_adjoint_magnitudes(self, kind, seed, data):
+        op = as_operator(_property_instance(kind, seed)[1])
+        n_pilots, rows, dim = op.shape
+        r = _cnormal(np.random.default_rng(seed), (n_pilots, rows))
+        chosen = data.draw(st.lists(st.booleans(), min_size=n_pilots, max_size=n_pilots))
+        subcarriers = np.flatnonzero(chosen)
+        block = data.draw(st.integers(1, n_pilots))
+        reference = np.abs(_adjoint_reference(op, r))
+        np.testing.assert_array_equal(np.abs(op.adjoint(r)), reference)
+        work = np.empty((block, dim), dtype=np.complex128)
+        out = np.empty((block, dim))
+        got = np.full((subcarriers.size, dim), np.nan)
+        for i, key, magnitudes in op.adjoint_abs(r[subcarriers], subcarriers, work, out):
+            n = len(magnitudes)
+            assert 1 <= n <= block and np.shares_memory(magnitudes, out)
+            np.testing.assert_array_equal(np.arange(n_pilots)[key], subcarriers[i : i + n])
+            got[i : i + n] = magnitudes
+        np.testing.assert_array_equal(got, reference[subcarriers])
+
+    @settings(max_examples=30, deadline=None)
+    @given(operator_kinds, st.integers(0, 2**32 - 1), st.data())
+    def test_estimators_do_not_see_the_block_size(self, kind, seed, data):
+        received, ops, _, p_th, omp_threshold = _property_instance(kind, seed)
+        n_pilots, _, dim = as_operator(ops).shape
+        assert as_operator(ops).block == n_pilots  # the default budget holds all P
+        base = (ssamp(received, ops, p_th), adaptive_omp(received, ops, omp_threshold))
+        fewest = min(2, n_pilots)
+        several = data.draw(st.integers(fewest, max(fewest, n_pilots - 1)))
+        for block in (1, several, n_pilots):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pilots, "BLOCK_BYTES", 16 * dim * block)
+                assert as_operator(ops).block == block
+                got = (ssamp(received, ops, p_th), adaptive_omp(received, ops, omp_threshold))
+            for a, b in zip(base, got):
+                np.testing.assert_array_equal(b.support, a.support)
+                assert (b.iterations, b.stages) == (a.iterations, a.stages)
+                assert b.termination_reason == a.termination_reason
+                assert b.final_residual_energy == a.final_residual_energy
+                np.testing.assert_array_equal(b.coefficients, a.coefficients)
+
+
+# The near-published point of the benchmark's trial-wide workload.
+WIDE = replace(
+    SystemConfig(), n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2, n_subcarriers=16,
+    n_pilot_subcarriers=8, n_slots=12, max_delay_s=25e-9,
+)
+
+
+def _peak_bytes(estimate):
+    tracemalloc.start()
+    try:
+        estimate()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_trial_forms_no_subcarrier_by_grid_temporaries():
+    # At dim 16,384 and P = 8 a (P, dim) complex array is 2 MiB.  ssamp's
+    # peak stays below one (P, dim) float array; adaptive OMP, which holds
+    # the (P, dim) float column norms, stays below one complex array.
+    _, ops, received, sigma2 = synth(WIDE, *_trial_seeds(0))
+    n_pilots, rows, dim = ops.shape
+    assert (n_pilots, dim) == (8, 16384)
+    threshold = _omp_threshold(sigma2, rows, received)
+    peaks = (
+        _peak_bytes(lambda: ssamp(received, ops, _ssamp_threshold(WIDE))),
+        _peak_bytes(lambda: adaptive_omp(received, ops, threshold)),
+    )
+    message = "peaks {:.2f} and {:.2f} MiB".format(*(peak / 2**20 for peak in peaks))
+    assert peaks[0] < n_pilots * dim * 8, message
+    assert peaks[1] < n_pilots * dim * 16, message
+    assert ops.block == 1
 
 
 class TestNmse:
