@@ -4,15 +4,12 @@ __version__ = "0.1.0"
 
 from .channel import (
     AngularChannelSet,
-    DftPair,
     LinkBudgetParams,
     MultipathChannel,
     PathComponent,
     SystemConfig,
     angular_channel_set,
-    dft_pair,
     draw_multipath,
-    inverse_angular_transform,
     path_loss_db,
 )
 from .pilots import (

@@ -13,10 +13,17 @@ half-wavelength antenna spacing), so each path fills one angular entry and
 the vectors are built from the paths directly.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 import math
 
 import numpy as np
+
+
+def _check_finite(params, names):
+    for name in names:
+        value = getattr(params, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -30,6 +37,7 @@ class LinkBudgetParams:
     rain_atten_db_per_km: float = 0.0
 
     def __post_init__(self):
+        _check_finite(self, [f.name for f in fields(self)])
         if self.carrier_freq_mhz <= 0:
             raise ValueError("carrier_freq_mhz must be positive")
         if self.distance_km <= 0:
@@ -114,6 +122,7 @@ class SystemConfig:
                 f"n_pilot_subcarriers ({self.n_pilot_subcarriers}) must divide "
                 f"n_subcarriers ({self.n_subcarriers})"
             )
+        _check_finite(self, ("bandwidth_hz", "max_delay_s", "rician_k_db"))
         if self.bandwidth_hz <= 0:
             raise ValueError("bandwidth_hz must be positive")
         if self.max_delay_s < 0:

@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .simulate import (
     BER_COLUMNS,
     ESTIMATORS,
     MSE_COLUMNS,
+    EstimatorMetrics,
     ResultTable,
     _ssamp_threshold,
     ber_experiment,
@@ -154,13 +155,16 @@ def _load_config(args) -> SystemConfig:
 
 
 def cmd_linkbudget(args) -> int:
-    params = LinkBudgetParams(
-        carrier_freq_mhz=args.freq_mhz,
-        path_loss_exponent=args.exponent,
-        distance_km=args.distance_km,
-        atmos_atten_db_per_km=args.atmos_db_per_km,
-        rain_atten_db_per_km=args.rain_db_per_km,
-    )
+    try:
+        params = LinkBudgetParams(
+            carrier_freq_mhz=args.freq_mhz,
+            path_loss_exponent=args.exponent,
+            distance_km=args.distance_km,
+            atmos_atten_db_per_km=args.atmos_db_per_km,
+            rain_atten_db_per_km=args.rain_db_per_km,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     loss = path_loss_db(params)
     table = ResultTable(
         columns=("carrier_freq_mhz", "path_loss_exponent", "distance_km",
@@ -178,19 +182,9 @@ def cmd_linkbudget(args) -> int:
 def cmd_estimate(args) -> int:
     config = _load_config(args)
     record = run_trial(config, args.seed)
-    rows = tuple(
-        (
-            name,
-            record.metrics[name].nmse_db,
-            record.metrics[name].exact_support_match,
-            record.metrics[name].iterations,
-            record.metrics[name].wall_time_s,
-        )
-        for name in ESTIMATORS
-    )
     table = ResultTable(
-        columns=("estimator", "nmse_db", "exact_support_match", "iterations", "wall_time_s"),
-        rows=rows,
+        columns=("estimator", *(f.name for f in fields(EstimatorMetrics))),
+        rows=tuple((name, *astuple(record.metrics[name])) for name in ESTIMATORS),
     )
     summary = {
         "seed": args.seed,

@@ -100,9 +100,10 @@ class KroneckerOperator:
       right  (G, P, M * N_BS)           A_TX^H f, the BSs' beams stacked
 
     Slicing the subcarrier axis (op[a:b]) gives views of the factors, so a
-    block of consecutive subcarriers costs no copy.  The pursuits correlate
-    block by block (adjoint_abs), `block` subcarriers at a time, into
-    buffers they allocate once per call.
+    block of consecutive subcarriers costs no copy.  Products go through
+    the support's columns (columns) and correlations through adjoint_abs,
+    the one correlation path, `block` subcarriers at a time into buffers
+    the caller allocates once.
     """
 
     def __init__(self, left, right):
@@ -136,49 +137,18 @@ class KroneckerOperator:
         """The subcarriers that `key` selects: a slice gives views, an index array copies."""
         return KroneckerOperator(self.left[:, key], self.right[:, key])
 
-    def apply(self, x) -> np.ndarray:
-        """Phi_p x_p for every subcarrier: (P, dim) -> (P, rows)."""
-        g, p, c, u = self.left.shape
-        blocks = np.asarray(x).reshape(p, -1, u)
-        per_slot = self.right.transpose(1, 0, 2) @ blocks  # (P, G, N_US)
-        out = self.left.transpose(1, 0, 2, 3) @ per_slot[..., None]
-        return out.reshape(p, g * c)
-
-    def adjoint(self, r, out=None) -> np.ndarray:
-        """Phi_p^H r_p for every subcarrier: (P, rows) -> (P, dim).
-
-        `out`, when given, is a C-contiguous complex (P, dim) buffer that
-        receives the result and is returned.
-        """
-        p, _, dim = self.shape
-        if out is None:
-            out = np.empty((p, dim), dtype=np.complex128)
-        elif out.shape != (p, dim) or not out.flags.c_contiguous:
-            raise ValueError(f"out must be C-contiguous of shape {(p, dim)}")
-        for _ in self._conj_adjoints(r, np.arange(p), out):
-            pass
-        return np.conjugate(out, out=out)
-
     def adjoint_abs(self, r, subcarriers, work, out):
         """|Phi_q^H r_i| for q = subcarriers[i], one block of subcarriers at a time.
 
         `subcarriers` is a sorted index array and r holds one row per entry.
         Yields (i, key, magnitudes) per block of n <= len(out) entries:
         magnitudes = out[:n] holds rows i to i + n, and key selects their
-        subcarriers.  `work` (complex) and `out` (float) are C-contiguous
-        buffers of the same number of rows and dim columns that the caller
-        allocates once and every block reuses, so a block must be used before
-        the next is drawn.  |conj(z)| = |z|, so no conjugate is taken.
-        """
-        for i, key, conj_adjoint in self._conj_adjoints(r, subcarriers, work):
-            yield i, key, np.abs(conj_adjoint, out=out[: len(conj_adjoint)])
-
-    def _conj_adjoints(self, r, subcarriers, work):
-        """Yield (i, key, conj(Phi_q^H r_i)) per block of len(work) subcarriers.
-
-        key selects a block's subcarriers (see _key) and the values sit in
-        the block's rows of `work`.  Each is right^T (conj(r)^T left), which
-        needs no conjugated copy of right.
+        subcarriers (see _key).  `work` (complex) and `out` (float) are
+        C-contiguous buffers of the same number of rows and dim columns that
+        the caller allocates once and every block reuses, so a block must be
+        used before the next is drawn.  A block's values are
+        |right^T (conj(r)^T left)| = |conj(Phi_q^H r_i)| = |Phi_q^H r_i|, which
+        needs neither a conjugated copy of right nor a conjugate of the result.
         """
         g, _, c, u = self.left.shape
         n_beams = self.right.shape[2]
@@ -190,7 +160,7 @@ class KroneckerOperator:
             key = _key(subcarriers[i : i + n])
             beams = self.right[:, key].transpose(1, 2, 0)  # (n, M * N_BS, G)
             np.matmul(beams, per_slot[i : i + n], out=work[:n].reshape(n, n_beams, u))
-            yield i, key, work[:n]
+            yield i, key, np.abs(work[:n], out=out[:n])
 
     def columns(self, support, subcarriers=None) -> np.ndarray:
         """Phi_p[:, support], or Phi_p[:, support[p]] for a (P, K) support: (P, rows, K).

@@ -25,6 +25,9 @@ TERM_THRESHOLD = "weakest-coefficient-below-threshold"
 TERM_RESIDUAL = "residual-increase-vs-last-stage"
 TERM_MAXITER = "max-iterations"
 
+# ssamp stops after this many passes per measurement row.
+MAX_PASSES_PER_ROW = 10
+
 # Termination threshold schedule: measured knee points on the SNR grid.
 _P_TH_TABLE = ((10.0, 0.06), (15.0, 0.02), (20.0, 0.01), (25.0, 0.008), (30.0, 0.005))
 
@@ -46,7 +49,6 @@ class EstimationResult:
     support: np.ndarray          # (K,) sorted, unique column indices
     iterations: int
     stages: int
-    final_residual_energy: float
     termination_reason: str | None
 
     def dense(self, dim: int) -> np.ndarray:
@@ -108,7 +110,7 @@ def _check_inputs(received, operators):
     return r, op
 
 
-def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -> EstimationResult:
+def ssamp(received, operators, p_th: float) -> EstimationResult:
     """Stage-adaptive joint greedy recovery with a common support.
 
     Starting at sparsity 1, each pass correlates every subcarrier's residual
@@ -119,6 +121,7 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     by one.  The loop quits when the weakest surviving coefficient falls below
     p_th (sparsity overshoot) or when a new stage makes the residual worse
     than the previous stage's, and returns the last saved stage estimate.
+    It also quits after MAX_PASSES_PER_ROW passes per measurement row.
 
     T is not capped at the row count: a stage may fit more columns than
     there are rows, and that fit is the minimum-norm one (cutoff
@@ -134,8 +137,7 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     if p_th <= 0:
         raise ValueError("p_th must be positive")
     n_pilots, rows, dim = op.shape
-    if max_iterations is None:
-        max_iterations = 10 * rows
+    max_passes = MAX_PASSES_PER_ROW * rows
     subcarriers = np.arange(n_pilots)
     work = np.empty((op.block, dim), dtype=np.complex128)
     magnitudes = np.empty((op.block, dim))
@@ -156,7 +158,7 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
     stale = True
     passes = 0
     reason = TERM_MAXITER
-    while passes < max_iterations:
+    while passes < max_passes:
         passes += 1
         if stale:
             # Residual correlations, energy summed over subcarriers in
@@ -196,13 +198,11 @@ def ssamp(received, operators, p_th: float, max_iterations: int | None = None) -
             residuals, residual_energy = residual, res_energy
             stale = True
 
-    final_energy = saved_residual_energy if saved_sparsity else float(np.sum(np.abs(r) ** 2))
     return EstimationResult(
         coefficients=saved_coefs,
         support=saved_support.copy(),
         iterations=passes,
         stages=saved_sparsity,
-        final_residual_energy=final_energy,
         termination_reason=reason,
     )
 
@@ -267,7 +267,6 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
         support=union,
         iterations=total_picks,
         stages=int(union.size),
-        final_residual_energy=float(np.sum(res_energy)),
         termination_reason=TERM_THRESHOLD if all_below else TERM_MAXITER,
     )
 
@@ -285,15 +284,11 @@ def oracle_ls(received, operators, true_support) -> EstimationResult:
         )
     if support.size and (support.min() < 0 or support.max() >= dim):
         raise ValueError("support indices out of range")
-    cols = op.columns(support)
-    coefs = _fit(cols, r)
-    residual = _residual(r, cols, coefs)
     return EstimationResult(
-        coefficients=coefs,
+        coefficients=_fit(op.columns(support), r),
         support=support,
         iterations=0,
         stages=int(support.size),
-        final_residual_energy=float(np.sum(np.abs(residual) ** 2)),
         termination_reason=None,
     )
 

@@ -49,7 +49,6 @@ class UniquenessCertificate:
     spark_phi1: int
     rank_ytilde: int
     condition_holds: bool
-    bridge: np.ndarray        # (P, m, m); index 0 bridges Phi_1 to itself
 
     def margin(self, sparsity: int) -> int:
         """Slack of 2S < spark - 1 + rank; positive iff the condition holds."""
@@ -168,7 +167,6 @@ def uniqueness_check(instance: GmmvInstance) -> UniquenessCertificate:
         spark_phi1=spark_phi1,
         rank_ytilde=rank_ytilde,
         condition_holds=holds,
-        bridge=bridge,
     )
 
 

@@ -124,6 +124,22 @@ def test_linkbudget_values(tmp_path, capsys):
     assert "path loss: 102.04 dB" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--freq-mhz", "nan", "--distance-km", "1"], "carrier_freq_mhz must be finite, got nan"),
+        (["--freq-mhz", "3000", "--distance-km", "inf"], "distance_km must be finite, got inf"),
+        (["--freq-mhz", "3000", "--distance-km", "-1"], "distance_km must be positive"),
+    ],
+)
+def test_exit_code_bad_linkbudget_argument(tmp_path, capsys, flags, message):
+    code = main(["linkbudget", *flags, "--exponent", "2", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: {message}" in captured.err
+    assert "path loss" not in captured.out
+
+
 def test_estimate_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "results"
     code = main(
@@ -134,7 +150,9 @@ def test_estimate_writes_artifacts(tmp_path, capsys):
     )
     captured = capsys.readouterr()
     assert code == 0
-    assert (out / "estimate.csv").exists()
+    lines = (out / "estimate.csv").read_text().strip().splitlines()
+    assert lines[0] == "estimator,nmse_db,exact_support_match,iterations,wall_time_s"
+    assert [line.split(",")[0] for line in lines[1:]] == ["ssamp", "adaptive_omp", "oracle_ls"]
     assert (out / "estimate_summary.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["subcommand"] == "estimate"
@@ -260,15 +278,25 @@ def test_exit_code_numerical_error(tmp_path, capsys):
     assert "numerical error" in captured.err and "non-finite" in captured.err
 
 
-@pytest.mark.parametrize("value", ["nan", "-inf"])
-def test_exit_code_bad_config_snr(tmp_path, capsys, value):
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        pytest.param("snr_db", "nan", "snr_db must be a number or inf, got nan", id="nan"),
+        pytest.param("snr_db", "-inf", "snr_db must be a number or inf, got -inf", id="-inf"),
+        ("max_delay_s", "nan", "max_delay_s must be finite, got nan"),
+        ("rician_k_db", "nan", "rician_k_db must be finite, got nan"),
+        ("bandwidth_hz", "nan", "bandwidth_hz must be finite, got nan"),
+        ("bandwidth_hz", "inf", "bandwidth_hz must be finite, got inf"),
+    ],
+)
+def test_exit_code_bad_config_snr(tmp_path, capsys, key, value, message):
     path = tmp_path / "snr.cfg"
-    path.write_text(f"snr_db = {value}\n")
+    path.write_text(f"{key} = {value}\n")
     code = main(["estimate", "--config", str(path), "--out", str(tmp_path / "r")])
     captured = capsys.readouterr()
     assert code == 2
     assert "config error" in captured.err
-    assert f"snr_db must be a number or inf, got {value}" in captured.err
+    assert message in captured.err
 
 
 def test_exit_code_snr_underflow(tmp_path, capsys):

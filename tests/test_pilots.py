@@ -165,14 +165,14 @@ FFT_GEOMETRIES = {
 
 @pytest.mark.parametrize("name", ["desk", "default", "wide"])
 def test_synthesized_signal_matches_operator_apply(name):
-    """The trial forms Phi_p h_p from the support's columns only; the full
-    operator apply stays the reference, for the noiseless pilots and for the
-    noise variance and noisy pilots formed from them."""
+    """The trial forms Phi_p h_p from the support's columns only; the product
+    with the dense operator stays the reference, for the noiseless pilots and
+    for the noise variance and noisy pilots formed from them."""
     for seed in range(3):
         seeds = (10 + seed, 20 + seed, 30 + seed)
         cfg = replace(FFT_GEOMETRIES[name], snr_db=float("inf"))
         aset, ops, clean, sigma2 = synth(cfg, *seeds)
-        want = ops.apply(aset.vectors)
+        want = np.einsum("prd,pd->pr", ops.dense(), aset.vectors)
         assert sigma2 == 0.0
         assert np.linalg.norm(clean - want) <= 1e-12 * np.linalg.norm(want)
         _, _, received, sigma2 = synth(replace(cfg, snr_db=20.0), *seeds)
@@ -230,19 +230,13 @@ def _cnormal(rng, shape):
 
 
 def _check_against_dense(op, dense, rng):
-    """apply, adjoint, columns, column_norms and slicing of `op` against `dense`."""
+    """adjoint_abs, columns, column_norms and slicing of `op` against `dense`."""
     n_pilots, rows, dim = op.shape
-    x = _cnormal(rng, (n_pilots, dim))
     r = _cnormal(rng, (n_pilots, rows))
-    tol = 1e-12 * np.linalg.norm(dense)
-    np.testing.assert_allclose(op.apply(x), np.einsum("prd,pd->pr", dense, x), rtol=0,
-                               atol=tol * np.linalg.norm(x))
-    np.testing.assert_allclose(op.adjoint(r), np.einsum("prd,pr->pd", dense.conj(), r),
-                               rtol=0, atol=tol * np.linalg.norm(r))
-    # <Phi x, r> = <x, Phi^H r>
-    lhs = np.vdot(r, op.apply(x))
-    rhs = np.vdot(op.adjoint(r), x)
-    assert abs(lhs - rhs) <= tol * np.linalg.norm(x) * np.linalg.norm(r)
+    work = np.empty((n_pilots, dim), dtype=np.complex128)
+    (_, _, magnitudes), = op.adjoint_abs(r, np.arange(n_pilots), work, np.empty((n_pilots, dim)))
+    np.testing.assert_allclose(magnitudes, np.abs(np.einsum("prd,pr->pd", dense.conj(), r)),
+                               rtol=0, atol=1e-12 * np.linalg.norm(dense) * np.linalg.norm(r))
     idx = rng.choice(dim, size=int(rng.integers(0, dim + 1)), replace=False)
     np.testing.assert_array_equal(op.columns(idx), dense[:, :, idx])
     np.testing.assert_allclose(op.column_norms(), np.linalg.norm(dense, axis=1),
@@ -257,11 +251,6 @@ def _check_against_dense(op, dense, rng):
     np.testing.assert_array_equal(op.columns(per_sub), gathered)
     np.testing.assert_array_equal(op.columns(per_sub[picked], picked), gathered[picked])
     np.testing.assert_array_equal(op.columns(idx, picked), dense[picked][:, :, idx])
-    buffer = np.empty((n_pilots, dim), dtype=np.complex128)
-    assert op.adjoint(r, out=buffer) is buffer
-    np.testing.assert_array_equal(buffer, op.adjoint(r))
-    with pytest.raises(ValueError, match="C-contiguous"):
-        op.adjoint(r, out=np.empty((n_pilots, dim + 1), dtype=np.complex128))
     assert op.nbytes == op.left.nbytes + op.right.nbytes
 
 
@@ -325,12 +314,18 @@ class TestKroneckerOperator:
         assert op.nbytes < 32 * 2**20
         rng = np.random.default_rng(2)
         r = _cnormal(rng, (64, 18))
-        proxy = op.adjoint(r)
-        assert proxy.shape == (64, 65536)
-        y = op.apply(proxy)
-        assert y.shape == (64, 18)
-        # <Phi Phi^H r, r> = ||Phi^H r||^2
-        assert np.vdot(r, y).real == pytest.approx(np.sum(np.abs(proxy) ** 2), rel=1e-10)
+        # the correlations on random columns, one subcarrier per block,
+        # against those columns' own products
+        assert op.block == 1
+        idx = rng.choice(65536, size=64, replace=False)
+        cols = op.columns(idx)
+        assert cols.shape == (64, 18, 64)
+        want = np.abs(np.einsum("prk,pr->pk", cols.conj(), r))
+        work = np.empty((1, 65536), dtype=np.complex128)
+        out = np.empty((1, 65536))
+        for i, _, magnitudes in op.adjoint_abs(r, np.arange(64), work, out):
+            np.testing.assert_allclose(magnitudes[0, idx], want[i], rtol=1e-10,
+                                       atol=1e-12 * np.abs(want[i]).max())
 
 
 def test_pilot_subcarrier_indices():
@@ -350,20 +345,20 @@ class TestNoiseCalibration:
         energy = sum(
             float(np.sum(np.abs(ops[p] @ vecs[p]) ** 2)) for p in range(2)
         )
-        clean = as_operator(ops).apply(vecs)
+        clean = np.einsum("prd,pd->pr", ops, vecs)
         assert calibrate_noise_variance(clean, 0.0) == pytest.approx(energy / (4 * 2))
 
     def test_infinite_snr_is_noiseless(self):
         rng = np.random.default_rng(1)
         ops = rng.standard_normal((1, 4, 6)) + 0j
         vecs = rng.standard_normal((1, 6)) + 0j
-        assert calibrate_noise_variance(as_operator(ops).apply(vecs), float("inf")) == 0.0
+        assert calibrate_noise_variance(np.einsum("prd,pd->pr", ops, vecs), float("inf")) == 0.0
 
     def test_monotone_in_snr(self):
         rng = np.random.default_rng(2)
         ops = rng.standard_normal((1, 4, 6)) + 0j
         vecs = rng.standard_normal((1, 6)) + 0j
-        clean = as_operator(ops).apply(vecs)
+        clean = np.einsum("prd,pd->pr", ops, vecs)
         sig = [calibrate_noise_variance(clean, s) for s in (0.0, 10.0, 20.0)]
         assert sig[0] > sig[1] > sig[2] > 0.0
 
@@ -372,13 +367,13 @@ class TestNoiseCalibration:
         vecs = np.ones((1, 6))
         for snr_db in (-4000.0, -np.inf):
             with pytest.raises(ValueError, match="underflows to zero"):
-                calibrate_noise_variance(as_operator(ops).apply(vecs), snr_db)
+                calibrate_noise_variance(np.einsum("prd,pd->pr", ops, vecs), snr_db)
 
     def test_all_zero_signal_rejected(self):
         ops = np.zeros((2, 4, 6))
         vecs = np.zeros((2, 6))
         with pytest.raises(ValueError, match="zero"):
-            calibrate_noise_variance(as_operator(ops).apply(vecs), 10.0)
+            calibrate_noise_variance(np.einsum("prd,pd->pr", ops, vecs), 10.0)
 
     def test_empirical_snr(self):
         # realised SNR over 1e4 fresh noise draws stays within 0.1 dB
@@ -407,9 +402,9 @@ class TestSynthesize:
         rng = np.random.default_rng(3)
         ops = rng.standard_normal((2, 4, 6)) + 1j * rng.standard_normal((2, 4, 6))
         vecs = rng.standard_normal((2, 6)) + 0j
-        rec = synthesize_received(as_operator(ops).apply(vecs), 0.0, 99)
+        rec = synthesize_received(np.einsum("prd,pd->pr", ops, vecs), 0.0, 99)
         # bit-exact: zero variance must add literally nothing
-        np.testing.assert_array_equal(rec, as_operator(ops).apply(vecs))
+        np.testing.assert_array_equal(rec, np.einsum("prd,pd->pr", ops, vecs))
         np.testing.assert_allclose(
             rec, np.stack([ops[p] @ vecs[p] for p in range(2)]), rtol=1e-13
         )
@@ -430,8 +425,8 @@ class TestSynthesize:
     def test_noise_drawn_per_subcarrier(self):
         # real parts then imaginary parts, subcarrier by subcarrier
         op = measurement_operators(draw_ensemble(DESK_SNR20, 3))
-        n_pilots, rows, dim = op.shape
-        rec = synthesize_received(op.apply(np.zeros((n_pilots, dim))), 0.5, 8)
+        n_pilots, rows, _ = op.shape
+        rec = synthesize_received(np.zeros((n_pilots, rows), dtype=np.complex128), 0.5, 8)
         rng = np.random.default_rng(8)
         for p in range(n_pilots):
             noise = 0.5 * (rng.standard_normal(rows) + 1j * rng.standard_normal(rows))
