@@ -69,7 +69,8 @@ class SystemConfig:
     The defaults are a small setup whose trials run in tens of milliseconds
     (the test suite's desk setups, tests/conftest.py, are smaller still).  The
     large published-style setup (512-antenna BS, 64 subcarriers) is accepted
-    too but takes far longer per trial.
+    too but takes far longer per trial.  Every field annotated int must be a
+    positive integer; the float fields are checked by name.
     """
 
     n_ant_bs: int = 32          # BS ULA size
@@ -87,20 +88,10 @@ class SystemConfig:
     snr_db: float = 20.0
 
     def __post_init__(self):
-        ints = (
-            ("n_ant_bs", self.n_ant_bs),
-            ("n_chain_bs", self.n_chain_bs),
-            ("n_ant_user", self.n_ant_user),
-            ("n_chain_user", self.n_chain_user),
-            ("n_bs", self.n_bs),
-            ("n_paths", self.n_paths),
-            ("n_subcarriers", self.n_subcarriers),
-            ("n_pilot_subcarriers", self.n_pilot_subcarriers),
-            ("n_slots", self.n_slots),
-        )
-        for name, value in ints:
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int and (not isinstance(value, (int, np.integer)) or value < 1):
+                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
         if self.n_chain_user > self.n_ant_user:
             raise ValueError(
                 f"n_chain_user ({self.n_chain_user}) must be <= "
@@ -141,16 +132,6 @@ class SystemConfig:
     def angular_dimension(self) -> int:
         """Length of the aggregate angular vector: M * N_BS * N_US."""
         return self.n_bs * self.n_ant_bs * self.n_ant_user
-
-    @property
-    def measurement_rows(self) -> int:
-        """Stacked measurement count per pilot subcarrier: G * user chains."""
-        return self.n_slots * self.n_chain_user
-
-    @property
-    def aggregate_sparsity_bound(self) -> int:
-        """Upper bound on the joint support size."""
-        return self.n_bs * self.n_paths
 
 
 @dataclass(frozen=True)

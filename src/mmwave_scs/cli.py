@@ -20,9 +20,7 @@ import numpy as np
 from . import __version__
 from .channel import LinkBudgetParams, SystemConfig, path_loss_db
 from .simulate import (
-    BER_COLUMNS,
     ESTIMATORS,
-    MSE_COLUMNS,
     EstimatorMetrics,
     ResultTable,
     _ssamp_threshold,
@@ -30,7 +28,12 @@ from .simulate import (
     run_trial,
     sweep,
 )
-from .theory import min_time_slots, orthogonal_pilot_overhead, run_certificate_battery
+from .theory import (
+    CertificateRecord,
+    min_time_slots,
+    orthogonal_pilot_overhead,
+    run_certificate_battery,
+)
 
 # Unknown-dimension threshold above which a run is flagged as long-running.
 LARGE_DIMENSION = 16384
@@ -66,7 +69,7 @@ class RunManifest:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SystemConfig)}
-_INT_FIELDS = {name for name, tp in _FIELD_TYPES.items() if tp in ("int", int)}
+_INT_FIELDS = {name for name, tp in _FIELD_TYPES.items() if tp is int}
 
 
 def parse_config(path) -> SystemConfig:
@@ -112,14 +115,9 @@ def _flag_if_large(config: SystemConfig) -> None:
         )
 
 
-def _outdir(args) -> Path:
+def _write_outputs(subcommand, args, table, summary, config_dict, seed):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write_outputs(subcommand, args, table, summary, config_dict, seed):
-    out = _outdir(args)
     csv_path = out / f"{subcommand.replace('-', '_')}.csv"
     json_path = out / f"{subcommand.replace('-', '_')}_summary.json"
     manifest_path = out / "manifest.json"
@@ -167,11 +165,8 @@ def cmd_linkbudget(args) -> int:
         raise ConfigError(str(exc)) from exc
     loss = path_loss_db(params)
     table = ResultTable(
-        columns=("carrier_freq_mhz", "path_loss_exponent", "distance_km",
-                 "atmos_atten_db_per_km", "rain_atten_db_per_km", "path_loss_db"),
-        rows=((params.carrier_freq_mhz, params.path_loss_exponent,
-               params.distance_km, params.atmos_atten_db_per_km,
-               params.rain_atten_db_per_km, loss),),
+        columns=(*(f.name for f in fields(LinkBudgetParams)), "path_loss_db"),
+        rows=((*astuple(params), loss),),
     )
     _write_outputs("linkbudget", args, table, {"path_loss_db": loss}, asdict(params), None)
     print(f"path loss: {loss:.2f} dB")
@@ -261,24 +256,9 @@ def cmd_sweep_ber(args) -> int:
 def cmd_theory_check(args) -> int:
     records = run_certificate_battery(args.trials, args.seed)
     consistent = sum(1 for rec in records if rec.consistent)
-    rows = tuple(
-        (
-            rec.index,
-            rec.m,
-            rec.n,
-            rec.sparsity,
-            rec.n_vectors,
-            rec.spark_phi1,
-            rec.rank_ytilde,
-            rec.certificate_holds,
-            rec.consistent,
-        )
-        for rec in records
-    )
     table = ResultTable(
-        columns=("instance", "m", "n", "sparsity", "n_vectors", "spark_phi1",
-                 "rank_ytilde", "certificate_holds", "consistent"),
-        rows=rows,
+        columns=tuple(f.name for f in fields(CertificateRecord)),
+        rows=tuple(astuple(rec) for rec in records),
     )
     summary = {
         "instances": len(records),
@@ -349,6 +329,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        # The nearest existing path of --out must be a directory to write into.
+        out = Path(args.out)
+        existing = next(path for path in (out, *out.parents) if path.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"--out {args.out}: {existing} is not a directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -59,10 +59,9 @@ class EstimatorMetrics:
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One end-to-end trial: seed, config snapshot, per-estimator metrics."""
+    """One end-to-end trial: the true joint support size and the metrics of
+    each estimator, keyed by its ESTIMATORS name."""
 
-    seed: int
-    config: SystemConfig
     true_sparsity: int
     metrics: dict
 
@@ -158,9 +157,7 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
             iterations=est.iterations,
             wall_time_s=time.perf_counter() - start,
         )
-    return TrialRecord(
-        seed=seed, config=config, true_sparsity=aset.sparsity, metrics=metrics
-    )
+    return TrialRecord(true_sparsity=aset.sparsity, metrics=metrics)
 
 
 def _aggregate(records, sweep_var, value) -> list:

@@ -50,10 +50,6 @@ class UniquenessCertificate:
     rank_ytilde: int
     condition_holds: bool
 
-    def margin(self, sparsity: int) -> int:
-        """Slack of 2S < spark - 1 + rank; positive iff the condition holds."""
-        return self.spark_phi1 - 1 + self.rank_ytilde - 2 * sparsity
-
 
 def draw_gmmv_instance(
     m: int,
@@ -245,9 +241,11 @@ def orthogonal_pilot_overhead(
 
 @dataclass(frozen=True)
 class CertificateRecord:
-    """One battery row: instance shape, certificate and oracle agreement."""
+    """One battery row, its fields in theory_check.csv column order: the
+    instance's number and shape, its certificate, and whether exhaustive
+    search found exactly one minimal support, equal to the truth."""
 
-    index: int
+    instance: int
     m: int
     n: int
     sparsity: int
@@ -255,13 +253,7 @@ class CertificateRecord:
     spark_phi1: int
     rank_ytilde: int
     certificate_holds: bool
-    l0_unique: bool
-    l0_matches_truth: bool
-
-    @property
-    def consistent(self) -> bool:
-        """Certificate holds implies the oracle found exactly the truth."""
-        return self.l0_unique and self.l0_matches_truth
+    consistent: bool
 
 
 def run_certificate_battery(n_instances: int, seed: int):
@@ -292,7 +284,7 @@ def run_certificate_battery(n_instances: int, seed: int):
         best = unique_minimal_support(solutions)
         records.append(
             CertificateRecord(
-                index=len(records),
+                instance=len(records),
                 m=m,
                 n=n,
                 sparsity=s,
@@ -300,8 +292,8 @@ def run_certificate_battery(n_instances: int, seed: int):
                 spark_phi1=cert.spark_phi1,
                 rank_ytilde=cert.rank_ytilde,
                 certificate_holds=True,
-                l0_unique=best is not None,
-                l0_matches_truth=best == tuple(inst.support.tolist()),
+                # best is None unless the minimal support is unique.
+                consistent=best == tuple(inst.support.tolist()),
             )
         )
     if len(records) < n_instances:

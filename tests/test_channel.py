@@ -166,8 +166,8 @@ def test_config_rejects_nonpositive_dimensions():
 def test_config_derived_sizes():
     cfg = DESK_EXACT
     assert cfg.angular_dimension == 2 * 16 * 4
-    assert cfg.measurement_rows == 8 * 2
-    assert cfg.aggregate_sparsity_bound == 4
+    assert cfg.n_slots * cfg.n_chain_user == 8 * 2
+    assert cfg.n_bs * cfg.n_paths == 4
 
 
 # ------------------------------------------------------ delay-domain -> OFDM
@@ -362,7 +362,7 @@ def test_channel_set_full_sparsity():
     )
     chan = draw_multipath(cfg, 23)
     aset = angular_channel_set(chan, cfg, pilot_subcarrier_indices(cfg))
-    assert aset.sparsity == 16 == cfg.aggregate_sparsity_bound
+    assert aset.sparsity == 16 == cfg.n_bs * cfg.n_paths
     assert aset.vectors.shape == (16, cfg.angular_dimension)
 
 
@@ -370,7 +370,7 @@ def test_channel_set_common_support():
     cfg = DESK_EXACT
     chan = draw_multipath(cfg, 29)
     aset = angular_channel_set(chan, cfg, pilot_subcarrier_indices(cfg))
-    assert aset.sparsity <= cfg.aggregate_sparsity_bound
+    assert aset.sparsity <= cfg.n_bs * cfg.n_paths
     for p in range(aset.vectors.shape[0]):
         np.testing.assert_array_equal(np.flatnonzero(aset.vectors[p]), aset.support)
 

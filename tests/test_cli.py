@@ -113,6 +113,12 @@ def test_linkbudget_values(tmp_path, capsys):
     assert code == 0
     assert "path loss: 100.55 dB" in captured.out
     assert "note:" in captured.err  # the published-value discrepancy note
+    lines = (tmp_path / "linkbudget.csv").read_text().strip().splitlines()
+    assert lines[0] == (
+        "carrier_freq_mhz,path_loss_exponent,distance_km,atmos_atten_db_per_km,"
+        "rain_atten_db_per_km,path_loss_db"
+    )
+    assert len(lines) == 2 and len(lines[1].split(",")) == 6
 
     code = main(
         [
@@ -234,6 +240,12 @@ def test_theory_check_summary_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "3/3 certificates consistent with exhaustive search" in captured.out
+    lines = (tmp_path / "theory_check.csv").read_text().strip().splitlines()
+    assert lines[0] == (
+        "instance,m,n,sparsity,n_vectors,spark_phi1,rank_ytilde,"
+        "certificate_holds,consistent"
+    )
+    assert len(lines) == 4 and len(lines[1].split(",")) == 9
     summary = json.loads((tmp_path / "theory_check_summary.json").read_text())
     assert summary["min_time_slots_example"] == 9
     assert summary["orthogonal_overhead_example"] == 2_097_152
@@ -263,6 +275,37 @@ def test_exit_code_ber_needs_two_bs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "n_bs" in captured.err
+
+
+_SUBCOMMAND_ARGS = {
+    "linkbudget": ["--freq-mhz", "3000", "--exponent", "2", "--distance-km", "1"],
+    "estimate": [],
+    "sweep-mse": ["--variable", "snr", "--values", "10", "--trials", "1"],
+    "sweep-ber": ["--snrs", "10"],
+    "theory-check": ["--trials", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "subcommand, flags, out_name, message",
+    [
+        *(pytest.param(name, ["--seed", "-1"], "r", "--seed must be non-negative, got -1",
+                       id=f"seed-{name}") for name in _SUBCOMMAND_ARGS),
+        pytest.param("estimate", [], "file", "is not a directory", id="out-file"),
+        pytest.param("estimate", [], "file/sub", "is not a directory", id="out-under-file"),
+    ],
+)
+def test_exit_code_bad_seed_or_out(tmp_path, capsys, subcommand, flags, out_name, message):
+    # Rejected before any work: exit 2, the flag named, no output directory.
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / out_name
+    code = main([subcommand, *_SUBCOMMAND_ARGS[subcommand], *flags, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error" in captured.err and message in captured.err
+    assert ("--seed" if flags else "--out") in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_exit_code_numerical_error(tmp_path, capsys):

@@ -141,7 +141,7 @@ def test_stacking_order():
     dft = dft_pair(cfg)
     ens = draw_ensemble(cfg, 9)
     full = measurement_operators(ens).dense()[0]
-    assert full.shape == (cfg.measurement_rows, cfg.angular_dimension)
+    assert full.shape == (cfg.n_slots * cfg.n_chain_user, cfg.angular_dimension)
     chains = cfg.n_chain_user
     for t in (0, 1, cfg.n_slots - 1):
         slot = slot_measurement(ens, dft, t, 0)

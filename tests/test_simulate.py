@@ -187,7 +187,7 @@ class TestRunTrial:
         record = run_trial(DESK_SNR20, 6)
         assert set(record.metrics) == set(ESTIMATORS)
         assert record.metrics["oracle_ls"].exact_support_match
-        assert 0 < record.true_sparsity <= DESK_SNR20.aggregate_sparsity_bound
+        assert 0 < record.true_sparsity <= DESK_SNR20.n_bs * DESK_SNR20.n_paths
 
     def test_noiseless_exact(self):
         record = run_trial(DESK_EXACT, 1001)
