@@ -135,28 +135,15 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class PathComponent:
-    """One specular path of a BS-to-user link, with its AoA and AoD as bins
-    of the user and BS DFT grids."""
-
-    gain: complex
-    delay_s: float
-    aoa_grid_index: int
-    aod_grid_index: int
-    is_los: bool
-
-
-@dataclass(frozen=True)
 class MultipathChannel:
-    """Per-BS path lists; exactly one LOS path per link."""
+    """The specular paths of every BS link as (n_bs, n_paths) arrays; path 0
+    of each link is its LOS path.  AoA and AoD are bins of the user and BS
+    DFT grids."""
 
-    links: tuple
-
-    def __post_init__(self):
-        for m, link in enumerate(self.links):
-            n_los = sum(1 for path in link if path.is_los)
-            if n_los != 1:
-                raise ValueError(f"link {m} has {n_los} LOS paths, expected 1")
+    gains: np.ndarray
+    delays_s: np.ndarray
+    aoa_bins: np.ndarray
+    aod_bins: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -205,25 +192,18 @@ def draw_multipath(config: SystemConfig, seed: int) -> MultipathChannel:
         powers = np.full(n_paths, nlos)
         powers[0] = k_lin / (k_lin + 1.0)
 
-    links = []
-    for _ in range(config.n_bs):
-        std = np.sqrt(powers / 2.0)
-        gains = std * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
-        delays = rng.uniform(0.0, config.max_delay_s, n_paths)
-        aoa = rng.integers(0, config.n_ant_user, size=n_paths)
-        aod = rng.choice(config.n_ant_bs, size=n_paths, replace=False)
-        link = tuple(
-            PathComponent(
-                gain=complex(gains[l]),
-                delay_s=float(delays[l]),
-                aoa_grid_index=int(aoa[l]),
-                aod_grid_index=int(aod[l]),
-                is_los=(l == 0),
-            )
-            for l in range(n_paths)
-        )
-        links.append(link)
-    return MultipathChannel(links=tuple(links))
+    shape = (config.n_bs, n_paths)
+    gains = np.empty(shape, dtype=np.complex128)
+    delays = np.empty(shape)
+    aoa = np.empty(shape, dtype=int)
+    aod = np.empty(shape, dtype=int)
+    std = np.sqrt(powers / 2.0)
+    for m in range(config.n_bs):
+        gains[m] = std * (rng.standard_normal(n_paths) + 1j * rng.standard_normal(n_paths))
+        delays[m] = rng.uniform(0.0, config.max_delay_s, n_paths)
+        aoa[m] = rng.integers(0, config.n_ant_user, size=n_paths)
+        aod[m] = rng.choice(config.n_ant_bs, size=n_paths, replace=False)
+    return MultipathChannel(gains=gains, delays_s=delays, aoa_bins=aoa, aod_bins=aod)
 
 
 def inverse_angular_transform(angular_matrices: np.ndarray, dft: DftPair) -> np.ndarray:
@@ -233,18 +213,26 @@ def inverse_angular_transform(angular_matrices: np.ndarray, dft: DftPair) -> np.
 
 @dataclass(frozen=True)
 class AngularChannelSet:
-    """Aggregate angular vectors for all pilot subcarriers plus their support.
+    """Joint sparse angular vectors of all pilot subcarriers: row p is
+    coefficients[p] on the sorted columns `support` and zero elsewhere, so
+    every subcarrier shares one support (common-support property)."""
 
-    `support` is the sorted set of nonzero columns; every subcarrier has
-    exactly this support (common-support property).
-    """
-
-    vectors: np.ndarray          # (P, n_bs * n_ant_bs * n_ant_user)
-    support: np.ndarray          # sorted indices
+    coefficients: np.ndarray     # (P, K), column k on angular column support[k]
+    support: np.ndarray          # (K,) sorted, unique column indices
 
     @property
     def sparsity(self) -> int:
         return int(self.support.size)
+
+    def at(self, columns) -> np.ndarray:
+        """The (P, *columns.shape) entries at an array of angular columns,
+        zero off the support."""
+        columns = np.asarray(columns, dtype=int)
+        pos = np.searchsorted(self.support, columns)
+        # Slot K, past the support, holds -1 (no column) and a zero coefficient.
+        pos = np.where(np.append(self.support, -1)[pos] == columns, pos, self.support.size)
+        zero = np.zeros((len(self.coefficients), 1))
+        return np.concatenate([self.coefficients, zero], axis=1)[:, pos]
 
 
 def angular_channel_set(
@@ -256,10 +244,11 @@ def angular_channel_set(
     column-major: entry (aoa, aod) of BS m lands at column
     (m * N_BS + aod) * N_US + aoa.  An on-grid path fills exactly that entry,
     with gain * sqrt(N_US * N_BS) * exp(-2j pi (xi_p - 1) delay B / N), and
-    paths that share a bin add.  Subcarrier indices xi are 1-based and must
-    lie in [1, N], and every bin must lie on its grid.  The support is the
-    set of path columns that are nonzero on some subcarrier; every other
-    column is zero by construction.
+    paths that share a bin add, in path order.  Subcarrier indices xi are
+    1-based and must lie in [1, N], there are at most n_bs links, and every
+    bin must lie on its grid.  The support is the set of path columns that
+    are nonzero on some subcarrier; every other column is zero by
+    construction.
     """
     idx = np.asarray(subcarrier_indices, dtype=int)
     if idx.ndim != 1 or idx.size == 0:
@@ -268,24 +257,24 @@ def angular_channel_set(
         raise ValueError(
             f"subcarrier indices must lie in [1, {config.n_subcarriers}]"
         )
-    vectors = np.zeros((idx.size, config.angular_dimension), dtype=np.complex128)
+    aoa, aod = channel.aoa_bins, channel.aod_bins
+    if aoa.shape[0] > config.n_bs:
+        raise ValueError(f"channel has {aoa.shape[0]} links, more than n_bs ({config.n_bs})")
+    off_grid = (aoa < 0) | (aoa >= config.n_ant_user) | (aod < 0) | (aod >= config.n_ant_bs)
+    if off_grid.any():
+        m, l = np.argwhere(off_grid)[0]
+        raise ValueError(
+            f"link {m} has a path off the angular grids: AoA bin "
+            f"{aoa[m, l]}, AoD bin {aod[m, l]}"
+        )
+    links = np.arange(aoa.shape[0])[:, None]
+    columns = ((links * config.n_ant_bs + aod) * config.n_ant_user + aoa).ravel()
     # Normalised delay: tau * B / N cycles per subcarrier step.
     delay_scale = config.bandwidth_hz / config.n_subcarriers
     array_gain = math.sqrt(config.n_ant_user * config.n_ant_bs)
-    columns = []
-    for m, link in enumerate(channel.links):
-        for path in link:
-            if not (0 <= path.aoa_grid_index < config.n_ant_user
-                    and 0 <= path.aod_grid_index < config.n_ant_bs):
-                raise ValueError(
-                    f"link {m} has a path off the angular grids: AoA bin "
-                    f"{path.aoa_grid_index}, AoD bin {path.aod_grid_index}"
-                )
-            column = (m * config.n_ant_bs + path.aod_grid_index) * config.n_ant_user
-            column += path.aoa_grid_index
-            ramp = np.exp(-2j * np.pi * (idx - 1) * path.delay_s * delay_scale)
-            vectors[:, column] += path.gain * array_gain * ramp
-            columns.append(column)
-    columns = np.unique(np.array(columns, dtype=int))
-    support = columns[vectors[:, columns].any(axis=0)]
-    return AngularChannelSet(vectors=vectors, support=support)
+    ramps = np.exp(-2j * np.pi * (idx - 1)[:, None] * channel.delays_s.ravel() * delay_scale)
+    unique, slot = np.unique(columns, return_inverse=True)
+    coefficients = np.zeros((idx.size, unique.size), dtype=np.complex128)
+    np.add.at(coefficients, (slice(None), slot), channel.gains.ravel() * array_gain * ramps)
+    nonzero = coefficients.any(axis=0)
+    return AngularChannelSet(coefficients=coefficients[:, nonzero], support=unique[nonzero])

@@ -1,10 +1,11 @@
 """Command line front end: config files, experiment runners, CSV/JSON output.
 
 Config files are flat `key = value` text with exactly the SystemConfig field
-names as keys; missing keys take the desk-scale defaults and unknown keys are
-rejected with their line number.  Every subcommand writes a CSV of results, a
-JSON summary, and a manifest recording the config snapshot, seed and package
-version.  Exit codes: 0 success, 2 config error, 3 numerical failure.
+names as keys; missing keys take the desk-scale defaults, and unknown or
+repeated keys are rejected with their line numbers.  Every subcommand writes a
+CSV of results, a JSON summary, and a manifest recording the config snapshot,
+seed and package version.  Exit codes: 0 success, 2 config error, 3 numerical
+failure.
 """
 
 import argparse
@@ -74,7 +75,7 @@ _INT_FIELDS = {name for name, tp in _FIELD_TYPES.items() if tp is int}
 
 def parse_config(path) -> SystemConfig:
     """Read `key = value` lines into a SystemConfig; defaults fill the gaps."""
-    values = {}
+    values, lines = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -88,6 +89,9 @@ def parse_config(path) -> SystemConfig:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in lines:
+            raise ConfigError(f"{path}:{lineno}: {key!r} already set on line {lines[key]}")
+        lines[key] = lineno
         try:
             values[key] = int(value) if key in _INT_FIELDS else float(value)
         except ValueError as exc:
@@ -254,6 +258,8 @@ def cmd_sweep_ber(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
+    if args.trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     records = run_certificate_battery(args.trials, args.seed)
     consistent = sum(1 for rec in records if rec.consistent)
     table = ResultTable(

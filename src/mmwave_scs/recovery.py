@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channel import AngularChannelSet
 from .pilots import as_operator
 
 # Least-squares cutoff: singular values below LSTSQ_RCOND times the largest
@@ -38,24 +39,13 @@ P_TH_NOISELESS = 1e-12
 
 
 @dataclass(frozen=True)
-class EstimationResult:
-    """Output of one recovery run over all pilot subcarriers.
+class EstimationResult(AngularChannelSet):
+    """Output of one recovery run over all pilot subcarriers: the estimates
+    in the form of the true channel set, with how the run went."""
 
-    The estimate of subcarrier p is coefficients[p] on the columns `support`
-    and zero elsewhere; dense() spreads it over the whole angular grid.
-    """
-
-    coefficients: np.ndarray     # (P, K), column k on angular column support[k]
-    support: np.ndarray          # (K,) sorted, unique column indices
     iterations: int
     stages: int
     termination_reason: str | None
-
-    def dense(self, dim: int) -> np.ndarray:
-        """The (P, dim) estimates, zero off the support."""
-        out = np.zeros((self.coefficients.shape[0], dim), dtype=np.complex128)
-        out[:, self.support] = self.coefficients
-        return out
 
 
 def _top_indices(energy: np.ndarray, count: int) -> np.ndarray:

@@ -98,7 +98,7 @@ def _synthesize(config: SystemConfig, chan_seed: int, ens_seed: int, noise_seed:
     operators = measurement_operators(ensemble)
     # The clean pilots Phi_p h_p, formed once from the support's columns.
     cols = operators.columns(aset.support)
-    clean = (cols @ aset.vectors[:, aset.support, None])[..., 0]
+    clean = (cols @ aset.coefficients[..., None])[..., 0]
     sigma2 = calibrate_noise_variance(clean, config.snr_db)
     received = synthesize_received(clean, sigma2, noise_seed)
     return chan, aset, operators, received, sigma2
@@ -133,7 +133,7 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
     chan, aset, operators, received, sigma2 = _synthesize(
         config, chan_seed, ens_seed, noise_seed
     )
-    n_pilots, rows, _ = operators.shape
+    rows = operators.shape[1]
     true_set = set(aset.support.tolist())
     estimators = {
         "ssamp": lambda: ssamp(received, operators, _ssamp_threshold(config)),
@@ -149,10 +149,8 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
         # Every estimate is zero off its support and the truth off its own,
         # so the error lives on their union.
         scored = np.union1d(est.support, aset.support)
-        on_scored = np.zeros((n_pilots, scored.size), dtype=np.complex128)
-        on_scored[:, np.searchsorted(scored, est.support)] = est.coefficients
         metrics[name] = EstimatorMetrics(
-            nmse_db=nmse_db(on_scored, aset.vectors[:, scored]),
+            nmse_db=nmse_db(est.at(scored), aset.at(scored)),
             exact_support_match=set(est.support.tolist()) == true_set,
             iterations=est.iterations,
             wall_time_s=time.perf_counter() - start,
@@ -323,11 +321,9 @@ def _los_beams(chan, config: SystemConfig):
     BS m_k's angular matrix: entry (a, k) is column
     (m_k N_BS + aod_k) N_US + aoa_a of the aggregate angular vector.
     """
-    los = [(m, link[0]) for m, link in enumerate(chan.links)]
-    los.sort(key=lambda item: (-abs(item[1].gain), item[0]))
-    serving = los[:2]
-    aoa = np.array([path.aoa_grid_index for _, path in serving])
-    tx = np.array([m * config.n_ant_bs + path.aod_grid_index for m, path in serving])
+    serving = np.argsort(-np.abs(chan.gains[:, 0]), kind="stable")[:2]
+    aoa = chan.aoa_bins[serving, 0]
+    tx = serving * config.n_ant_bs + chan.aod_bins[serving, 0]
     combiners = np.column_stack(
         [grid_steering_vector(config.n_ant_user, a) for a in aoa]
     ) / np.sqrt(config.n_ant_user)
@@ -440,11 +436,7 @@ def ber_experiment(
 
             columns, combiners = _los_beams(chan, cfg)
             # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
-            dim = aset.vectors.shape[1]
-            h_eff = np.stack([
-                vectors[:, columns]
-                for vectors in (aset.vectors, est_ssamp.dense(dim), est_omp.dense(dim))
-            ])
+            h_eff = np.stack([source.at(columns) for source in (aset, est_ssamp, est_omp)])
             zf, betas = _zf_precoders(h_eff)
             # H_true zf_k per source, (source, P, 2, 2): beta_k scales the
             # transmit side and the receiver divides it out, so it only

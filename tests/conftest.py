@@ -57,14 +57,13 @@ def delay_to_frequency(channel, config, subcarrier_indices):
         (idx.size, config.n_bs, config.n_ant_user, config.n_ant_bs), dtype=np.complex128
     )
     delay_scale = config.bandwidth_hz / config.n_subcarriers
-    for m, link in enumerate(channel.links):
-        for path in link:
-            a_rx = grid_steering_vector(config.n_ant_user, path.aoa_grid_index)
-            a_tx = grid_steering_vector(config.n_ant_bs, path.aod_grid_index)
-            ramp = np.exp(-2j * np.pi * (idx - 1) * path.delay_s * delay_scale)
-            out[:, m] += (
-                path.gain * ramp[:, None, None] * np.outer(a_rx, a_tx.conj())[None]
-            )
+    paths = zip(channel.gains, channel.delays_s, channel.aoa_bins, channel.aod_bins)
+    for m, link in enumerate(paths):
+        for gain, delay_s, aoa, aod in zip(*link):
+            a_rx = grid_steering_vector(config.n_ant_user, aoa)
+            a_tx = grid_steering_vector(config.n_ant_bs, aod)
+            ramp = np.exp(-2j * np.pi * (idx - 1) * delay_s * delay_scale)
+            out[:, m] += gain * ramp[:, None, None] * np.outer(a_rx, a_tx.conj())[None]
     return out
 
 

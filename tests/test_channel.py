@@ -1,5 +1,6 @@
 """Channel synthesis: link budget, steering, Rician draws, angular vectors."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from mmwave_scs.channel import (
     LinkBudgetParams,
+    AngularChannelSet,
     MultipathChannel,
-    PathComponent,
     SystemConfig,
     angular_channel_set,
     dft_pair,
@@ -19,8 +20,17 @@ from mmwave_scs.channel import (
     unitary_dft,
 )
 from mmwave_scs.pilots import pilot_subcarrier_indices
+from mmwave_scs.recovery import EstimationResult, ssamp
+from mmwave_scs.simulate import _ssamp_threshold
 
-from conftest import DESK_EXACT, angular_transform, delay_to_frequency, stack_angular
+from conftest import (
+    DESK_EXACT,
+    DESK_SNR20,
+    angular_transform,
+    delay_to_frequency,
+    stack_angular,
+    synth,
+)
 
 
 # ---------------------------------------------------------------- link budget
@@ -89,30 +99,28 @@ def test_unitary_dft_is_unitary():
 def test_draw_is_deterministic():
     a = draw_multipath(DESK_EXACT, 123)
     b = draw_multipath(DESK_EXACT, 123)
-    assert a.links == b.links
+    for name in ("gains", "delays_s", "aoa_bins", "aod_bins"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_draw_structure():
-    chan = draw_multipath(DESK_EXACT, 7)
-    assert len(chan.links) == DESK_EXACT.n_bs
-    for link in chan.links:
-        assert len(link) == DESK_EXACT.n_paths
-        assert sum(p.is_los for p in link) == 1
-        assert link[0].is_los
-        for p in link:
-            assert 0.0 <= p.delay_s <= DESK_EXACT.max_delay_s
-            assert 0 <= p.aoa_grid_index < DESK_EXACT.n_ant_user
-            assert 0 <= p.aod_grid_index < DESK_EXACT.n_ant_bs
-        # departure bins never collide within a link
-        aods = [p.aod_grid_index for p in link]
-        assert len(set(aods)) == len(aods)
+    cfg = DESK_EXACT
+    chan = draw_multipath(cfg, 7)
+    for array in (chan.gains, chan.delays_s, chan.aoa_bins, chan.aod_bins):
+        assert array.shape == (cfg.n_bs, cfg.n_paths)
+    assert np.all((0.0 <= chan.delays_s) & (chan.delays_s <= cfg.max_delay_s))
+    assert np.all((0 <= chan.aoa_bins) & (chan.aoa_bins < cfg.n_ant_user))
+    assert np.all((0 <= chan.aod_bins) & (chan.aod_bins < cfg.n_ant_bs))
+    # departure bins never collide within a link
+    for aods in chan.aod_bins:
+        assert np.unique(aods).size == aods.size
 
 
 def test_single_path_is_pure_los():
     cfg = SystemConfig(n_paths=1)
     chan = draw_multipath(cfg, 3)
-    for link in chan.links:
-        assert len(link) == 1 and link[0].is_los
+    for array in (chan.gains, chan.delays_s, chan.aoa_bins, chan.aod_bins):
+        assert array.shape == (cfg.n_bs, 1)
 
 
 def test_too_many_paths_rejected():
@@ -124,19 +132,9 @@ def test_too_many_paths_rejected():
 def test_rician_power_ratio():
     # 25k links of 4 paths: LOS mean power over NLOS mean power ~ K(L-1) = 30.
     chan = draw_multipath(SystemConfig(n_bs=25000, n_paths=4), 5)
-    los = np.array([link[0].gain for link in chan.links])
-    nlos = np.array([p.gain for link in chan.links for p in link[1:]])
+    los, nlos = chan.gains[:, 0], chan.gains[:, 1:]
     ratio = np.mean(np.abs(los) ** 2) / np.mean(np.abs(nlos) ** 2)
     assert abs(ratio / 30.0 - 1.0) <= 0.05
-
-
-def test_exactly_one_los_enforced():
-    path = PathComponent(1.0 + 0j, 0.0, 0, 0, is_los=True)
-    extra = PathComponent(0.5 + 0j, 1e-9, 1, 1, is_los=True)
-    with pytest.raises(ValueError, match="LOS"):
-        MultipathChannel(links=((path, extra),))
-    with pytest.raises(ValueError, match="LOS"):
-        MultipathChannel(links=((PathComponent(1.0 + 0j, 0.0, 0, 0, is_los=False),),))
 
 
 # ----------------------------------------------------------- config invariants
@@ -174,15 +172,15 @@ def test_config_derived_sizes():
 
 
 def _channel(*links):
-    """A MultipathChannel from per-link (gain, delay_s, aoa, aod) tuples; the
-    first path of each link is the LOS one."""
-    return MultipathChannel(
-        links=tuple(
-            tuple(PathComponent(complex(g), d, u, b, is_los=(l == 0))
-                  for l, (g, d, u, b) in enumerate(link))
-            for link in links
-        )
-    )
+    """A MultipathChannel from per-link (gain, delay_s, aoa, aod) tuples, the
+    same number per link; the first path of each link is the LOS one."""
+    gains, delays, aoa, aod = np.moveaxis(np.array(links, dtype=complex), -1, 0)
+    return MultipathChannel(gains, delays.real, aoa.real.astype(int), aod.real.astype(int))
+
+
+def _dense(sparse, config):
+    """The (P, dim) entries of a channel set or an estimate."""
+    return sparse.at(np.arange(config.angular_dimension))
 
 
 def _all_pilots(cfg):
@@ -195,16 +193,8 @@ class TestDelayToFrequency:
     def test_zero_delay_gives_flat_response(self):
         cfg = DESK_EXACT
         chan = draw_multipath(cfg, 11)
-        flat = MultipathChannel(
-            links=tuple(
-                tuple(
-                    PathComponent(p.gain, 0.0, p.aoa_grid_index, p.aod_grid_index, p.is_los)
-                    for p in link
-                )
-                for link in chan.links
-            )
-        )
-        vectors = angular_channel_set(flat, cfg, _all_pilots(cfg)).vectors
+        flat = replace(chan, delays_s=np.zeros_like(chan.delays_s))
+        vectors = _dense(angular_channel_set(flat, cfg, _all_pilots(cfg)), cfg)
         for p in range(1, vectors.shape[0]):
             np.testing.assert_array_equal(vectors[p], vectors[0])
 
@@ -213,7 +203,7 @@ class TestDelayToFrequency:
         chan = draw_multipath(cfg, 2)
         aset = angular_channel_set(chan, cfg, [1, 5])
         assert aset.sparsity == cfg.n_bs
-        blocks = aset.vectors.reshape(2, cfg.n_bs, cfg.n_ant_bs, cfg.n_ant_user)
+        blocks = _dense(aset, cfg).reshape(2, cfg.n_bs, cfg.n_ant_bs, cfg.n_ant_user)
         freq = inverse_angular_transform(blocks.swapaxes(-1, -2), dft_pair(cfg))
         s = np.linalg.svd(freq[0, 0], compute_uv=False)
         assert s[0] > 1e-6 and np.all(s[1:] <= 1e-10 * s[0])
@@ -223,10 +213,10 @@ class TestDelayToFrequency:
         # each link's block is sum |g_l|^2 * N_US * N_BS on every subcarrier.
         cfg = DESK_EXACT
         chan = draw_multipath(cfg, 13)
-        vectors = angular_channel_set(chan, cfg, _all_pilots(cfg)).vectors
+        vectors = _dense(angular_channel_set(chan, cfg, _all_pilots(cfg)), cfg)
         block = cfg.n_ant_user * cfg.n_ant_bs
-        for m, link in enumerate(chan.links):
-            expect = sum(abs(p.gain) ** 2 for p in link) * cfg.n_ant_user * cfg.n_ant_bs
+        for m, gains in enumerate(chan.gains):
+            expect = np.sum(np.abs(gains) ** 2) * cfg.n_ant_user * cfg.n_ant_bs
             got = np.sum(np.abs(vectors[:, m * block : (m + 1) * block]) ** 2, axis=1)
             np.testing.assert_allclose(got, expect, rtol=1e-10)
 
@@ -246,12 +236,10 @@ def test_angular_transform_concentrates_on_grid():
     dft = dft_pair(cfg)
     freq = delay_to_frequency(chan, cfg, [1])
     ang = angular_transform(freq, dft)
-    for m, link in enumerate(chan.links):
+    for m in range(cfg.n_bs):
         mat = ang[0, m]
         total = float(np.sum(np.abs(mat) ** 2))
-        on_bins = sum(
-            float(np.abs(mat[p.aoa_grid_index, p.aod_grid_index]) ** 2) for p in link
-        )
+        on_bins = float(np.sum(np.abs(mat[chan.aoa_bins[m], chan.aod_bins[m]]) ** 2))
         assert on_bins >= 0.999 * total
 
 
@@ -293,7 +281,7 @@ def test_channel_set_matches_frequency_reference(name):
         aset = angular_channel_set(chan, cfg, idx)
         expect = stack_angular(angular_transform(delay_to_frequency(chan, cfg, idx), dft))
         peak = np.abs(expect).max()
-        np.testing.assert_allclose(aset.vectors, expect, rtol=0, atol=1e-12 * peak)
+        np.testing.assert_allclose(_dense(aset, cfg), expect, rtol=0, atol=1e-12 * peak)
         reference_support = np.flatnonzero(np.abs(expect).max(axis=0) > 1e-9 * peak)
         np.testing.assert_array_equal(aset.support, reference_support)
 
@@ -303,10 +291,10 @@ def test_aggregate_layout():
     cfg = replace(DESK_EXACT, n_bs=1, n_paths=1)
     aset = angular_channel_set(_channel([(2.0 + 1j, 0.0, 2, 1)]), cfg, [1, 2])
     column = 1 * cfg.n_ant_user + 2
-    assert aset.vectors.shape == (2, cfg.angular_dimension)
+    assert _dense(aset, cfg).shape == (2, cfg.angular_dimension)
     assert aset.support.tolist() == [column]
     # gain times the array gain sqrt(4 * 16), on a zero delay
-    assert aset.vectors[0, column] == aset.vectors[1, column] == (2.0 + 1j) * 8.0
+    assert aset.coefficients.tolist() == [[(2.0 + 1j) * 8.0]] * 2
 
 
 def test_aggregate_blocks_are_disjoint():
@@ -323,7 +311,8 @@ def test_aggregate_zero_and_bad_input():
     idx = _all_pilots(cfg)
     silent = _channel([(0.0, 1e-9, 1, 2), (0.0, 0.0, 3, 4)], [(0.0, 2e-9, 0, 0)] * 2)
     aset = angular_channel_set(silent, cfg, idx)
-    assert aset.sparsity == 0 and not aset.vectors.any()
+    assert aset.sparsity == 0 and aset.coefficients.shape == (idx.size, 0)
+    assert not _dense(aset, cfg).any()
     # a zero-gain path fills no entry; the others keep theirs
     chan = _channel([(1.0, 1e-9, 1, 2), (0.0, 0.0, 3, 4)], [(0.5j, 2e-9, 0, 0)] * 2)
     aset = angular_channel_set(chan, cfg, idx)
@@ -334,6 +323,9 @@ def test_aggregate_zero_and_bad_input():
     for aoa, aod in ((cfg.n_ant_user, 0), (0, cfg.n_ant_bs), (-1, 0), (0, -1)):
         with pytest.raises(ValueError, match="off the angular grids"):
             angular_channel_set(_channel([(1.0, 0.0, aoa, aod)]), cfg, idx)
+    # A third link would fill columns past the aggregate vector.
+    with pytest.raises(ValueError, match="3 links, more than n_bs"):
+        angular_channel_set(_channel(*[[(1.0, 0.0, 0, 0)]] * 3), cfg, idx)
 
 
 def test_paths_sharing_a_bin_add():
@@ -342,12 +334,12 @@ def test_paths_sharing_a_bin_add():
     first, second = (0.6 - 0.2j, 3e-9, 2, 5), (-0.1 + 0.4j, 17e-9, 2, 5)
     both = angular_channel_set(_channel([first, second]), cfg, idx)
     assert both.support.tolist() == [5 * cfg.n_ant_user + 2]
-    alone = [angular_channel_set(_channel([path]), cfg, idx).vectors for path in (first, second)]
-    np.testing.assert_array_equal(both.vectors, alone[0] + alone[1])
+    alone = [angular_channel_set(_channel([path]), cfg, idx) for path in (first, second)]
+    np.testing.assert_array_equal(both.coefficients, alone[0].coefficients + alone[1].coefficients)
     expect = stack_angular(
         angular_transform(delay_to_frequency(_channel([first, second]), cfg, idx), dft_pair(cfg))
     )
-    np.testing.assert_allclose(both.vectors, expect, rtol=0, atol=1e-12 * np.abs(expect).max())
+    np.testing.assert_allclose(_dense(both, cfg), expect, rtol=0, atol=1e-12 * np.abs(expect).max())
 
 
 # ------------------------------------------------------- joint channel vectors
@@ -363,7 +355,7 @@ def test_channel_set_full_sparsity():
     chan = draw_multipath(cfg, 23)
     aset = angular_channel_set(chan, cfg, pilot_subcarrier_indices(cfg))
     assert aset.sparsity == 16 == cfg.n_bs * cfg.n_paths
-    assert aset.vectors.shape == (16, cfg.angular_dimension)
+    assert aset.coefficients.shape == (16, 16)
 
 
 def test_channel_set_common_support():
@@ -371,8 +363,8 @@ def test_channel_set_common_support():
     chan = draw_multipath(cfg, 29)
     aset = angular_channel_set(chan, cfg, pilot_subcarrier_indices(cfg))
     assert aset.sparsity <= cfg.n_bs * cfg.n_paths
-    for p in range(aset.vectors.shape[0]):
-        np.testing.assert_array_equal(np.flatnonzero(aset.vectors[p]), aset.support)
+    for row in _dense(aset, cfg):
+        np.testing.assert_array_equal(np.flatnonzero(row), aset.support)
 
 
 def test_channel_set_deterministic():
@@ -380,5 +372,62 @@ def test_channel_set_deterministic():
     idx = pilot_subcarrier_indices(cfg)
     a = angular_channel_set(draw_multipath(cfg, 31), cfg, idx)
     b = angular_channel_set(draw_multipath(cfg, 31), cfg, idx)
-    np.testing.assert_array_equal(a.vectors, b.vectors)
+    np.testing.assert_array_equal(a.coefficients, b.coefficients)
     np.testing.assert_array_equal(a.support, b.support)
+
+
+# -------------------------------------------------- entries off the sparse form
+
+
+def _dense_reference(sparse, dim):
+    out = np.zeros((sparse.coefficients.shape[0], dim), dtype=complex)
+    out[:, sparse.support] = sparse.coefficients
+    return out
+
+
+def _sparse_forms():
+    """A channel set, an ssamp estimate and an empty one, all at DESK_SNR20."""
+    aset, ops, received, _ = synth(DESK_SNR20, 3, 4, 5)
+    est = ssamp(received, ops, _ssamp_threshold(DESK_SNR20))
+    empty = EstimationResult(np.zeros((ops.shape[0], 0), dtype=complex),
+                             np.array([], dtype=int), 0, 0, None)
+    return {"truth": aset, "ssamp": est, "empty": empty,
+            "empty-set": AngularChannelSet(empty.coefficients, empty.support)}
+
+
+@pytest.mark.parametrize("name", ["truth", "ssamp", "empty", "empty-set"])
+def test_at_matches_dense_reference(name):
+    sparse = _sparse_forms()[name]
+    dim = DESK_SNR20.angular_dimension
+    dense = _dense_reference(sparse, dim)
+    off = np.setdiff1d(np.arange(dim), sparse.support)
+    rng = np.random.default_rng(8)
+    picks = [np.arange(dim), sparse.support, off[:5], rng.integers(0, dim, 9),
+             np.concatenate([off[-2:], sparse.support[::-1]]), np.array([], dtype=int)]
+    for columns in picks:
+        np.testing.assert_array_equal(sparse.at(columns), dense[:, columns])
+    # A (2, 2) block of columns, as _los_beams reads the effective channel.
+    block = np.array([[off[0], dim - 1], [0, off[1]]])
+    if sparse.sparsity:
+        block[1, 0] = sparse.support[0]
+    got = sparse.at(block)
+    assert got.shape == (dense.shape[0], 2, 2)
+    np.testing.assert_array_equal(got, dense[:, block])
+    assert not sparse.at(off).any()
+
+
+def test_wide_channel_set_forms_no_subcarrier_by_grid_array():
+    # At dim 16,384 and P = 8 a (P, dim) complex array is 2 MiB; the channel
+    # set is built on the path columns alone.
+    cfg = SYNTHESIS_GEOMETRIES["wide"]
+    idx = pilot_subcarrier_indices(cfg)
+    chan = draw_multipath(cfg, 0)
+    tracemalloc.start()
+    try:
+        aset = angular_channel_set(chan, cfg, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (idx.size, cfg.angular_dimension) == (8, 16384)
+    assert aset.sparsity == cfg.n_bs * cfg.n_paths
+    assert peak < idx.size * cfg.angular_dimension * 16, f"peak {peak / 2**20:.2f} MiB"

@@ -435,6 +435,28 @@ def test_exit_code_removed_spacing_key(tmp_path, capsys):
     assert f"{path}:2" in captured.err
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_exit_code_theory_check_trials_below_one(tmp_path, capsys, trials):
+    out = tmp_path / "r"
+    code = main(["theory-check", "--trials", trials, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: --trials must be at least 1, got {trials}" in captured.err
+    assert not out.exists()
+
+
+def test_exit_code_repeated_key(tmp_path, capsys):
+    # the second value would silently win; both lines are named
+    path = tmp_path / "twice.cfg"
+    path.write_text("n_slots = 9\nn_bs = 2\nn_slots = 12\n")
+    out = tmp_path / "r"
+    code = main(["estimate", "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"config error: {path}:3: 'n_slots' already set on line 1" in captured.err
+    assert not out.exists()
+
+
 def test_exit_code_workers_below_one(tmp_path, capsys):
     code = main(
         [

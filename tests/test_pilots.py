@@ -172,7 +172,7 @@ def test_synthesized_signal_matches_operator_apply(name):
         seeds = (10 + seed, 20 + seed, 30 + seed)
         cfg = replace(FFT_GEOMETRIES[name], snr_db=float("inf"))
         aset, ops, clean, sigma2 = synth(cfg, *seeds)
-        want = np.einsum("prd,pd->pr", ops.dense(), aset.vectors)
+        want = np.einsum("prd,pd->pr", ops.dense(), aset.at(np.arange(ops.shape[2])))
         assert sigma2 == 0.0
         assert np.linalg.norm(clean - want) <= 1e-12 * np.linalg.norm(want)
         _, _, received, sigma2 = synth(replace(cfg, snr_db=20.0), *seeds)
@@ -379,12 +379,12 @@ class TestNoiseCalibration:
         # realised SNR over 1e4 fresh noise draws stays within 0.1 dB
         cfg = DESK_SNR20
         aset, ops, _, sigma2 = synth(cfg, 77, 78, 0)
-        dense = ops.dense()
+        dense, vectors = ops.dense(), aset.at(np.arange(ops.shape[2]))
         signal = sum(
-            float(np.sum(np.abs(dense[p] @ aset.vectors[p]) ** 2))
+            float(np.sum(np.abs(dense[p] @ vectors[p]) ** 2))
             for p in range(ops.shape[0])
         )
-        clean = np.einsum("prd,pd->pr", dense, aset.vectors)
+        clean = np.einsum("prd,pd->pr", dense, vectors)
         noise_energy = 0.0
         n_entries = 0
         for draw in range(10**4):

@@ -194,7 +194,7 @@ class TestSsampAgainstReference:
             assert np.array_equal(got.support, supp), f"seed {s}"
             assert got.termination_reason == reason, f"seed {s}"
             assert got.iterations == passes, f"seed {s}"
-            np.testing.assert_allclose(got.dense(phis.shape[2]), est, atol=1e-8)
+            np.testing.assert_allclose(got.at(np.arange(phis.shape[2])), est, atol=1e-8)
             # stage targets grow one at a time
             assert all(b - a == 1 for a, b in zip(targets, targets[1:]))
             # accepted residual energy strictly decreases within (and across) stages
@@ -214,7 +214,7 @@ class TestSsampAgainstReference:
             est, supp, reason, passes, _, traces = ssamp_reference(y, phis, 0.01)
             assert np.array_equal(got.support, supp), f"seed {s}"
             assert (got.termination_reason, got.iterations) == (reason, passes)
-            np.testing.assert_allclose(got.dense(phis.shape[2]), est, atol=1e-8)
+            np.testing.assert_allclose(got.at(np.arange(phis.shape[2])), est, atol=1e-8)
             assert reason != TERM_MAXITER
             assert len(op.correlated) == 1 + sum(len(trace) for trace in traces)
             for i, a in enumerate(op.correlated):
@@ -229,7 +229,7 @@ class TestSsampAgainstReference:
             assert np.array_equal(got.support, supp)
             assert got.termination_reason == reason
             assert got.iterations == passes
-            np.testing.assert_allclose(got.dense(phis.shape[2]), est, atol=1e-8)
+            np.testing.assert_allclose(got.at(np.arange(phis.shape[2])), est, atol=1e-8)
 
 
 class TestSsampBehavior:
@@ -238,7 +238,8 @@ class TestSsampBehavior:
             aset, ops, received, _ = synth(DESK_EXACT, chan_seed, ens_seed, 0)
             result = ssamp(received, ops, P_TH_NOISELESS)
             assert set(result.support.tolist()) == set(aset.support.tolist())
-            assert nmse_db(result.dense(aset.vectors.shape[1]), aset.vectors) <= -60.0
+            every = np.arange(ops.shape[2])
+            assert nmse_db(result.at(every), aset.at(every)) <= -60.0
             assert result.termination_reason == TERM_THRESHOLD
 
     def test_zero_signal_quits_first_pass(self):
@@ -248,7 +249,7 @@ class TestSsampBehavior:
         assert result.termination_reason == TERM_THRESHOLD
         assert result.iterations == 1
         assert result.support.size == 0
-        assert not result.dense(phis.shape[2]).any()
+        assert not result.at(np.arange(phis.shape[2])).any()
         assert result.stages == 0
 
     def test_scale_equivariance(self):
@@ -263,7 +264,8 @@ class TestSsampBehavior:
         assert np.array_equal(base.support, scaled.support)
         assert base.termination_reason == scaled.termination_reason
         assert base.iterations == scaled.iterations
-        np.testing.assert_allclose(scaled.dense(16), gamma * base.dense(16), rtol=1e-9)
+        every = np.arange(16)
+        np.testing.assert_allclose(scaled.at(every), gamma * base.at(every), rtol=1e-9)
 
     def test_input_validation(self):
         rng = np.random.default_rng(4)
@@ -296,8 +298,8 @@ class TestSsampBehavior:
         genie = oracle_ls(received, op, aset.support)
         ops = op.dense()
         for estimate, measurement, support in (
-            (result.dense(ops.shape[2]), received / scale, result.support),
-            (genie.dense(ops.shape[2]), received, aset.support),
+            (result.at(np.arange(ops.shape[2])), received / scale, result.support),
+            (genie.at(np.arange(ops.shape[2])), received, aset.support),
         ):
             resid = measurement - np.einsum("prd,pd->pr", ops, estimate)
             for p in range(ops.shape[0]):
@@ -316,7 +318,7 @@ class TestAdaptiveOmp:
         result = adaptive_omp(y, phis, 1e-20)
         assert result.support.tolist() == [5]
         assert result.iterations == 1
-        np.testing.assert_allclose(result.dense(12), x, atol=1e-10)
+        np.testing.assert_allclose(result.at(np.arange(12)), x, atol=1e-10)
         assert result.termination_reason == TERM_THRESHOLD
 
     def test_zero_received(self):
@@ -324,14 +326,14 @@ class TestAdaptiveOmp:
         phis = rng.standard_normal((2, 4, 8)) + 0j
         result = adaptive_omp(np.zeros((2, 4)), phis, 1e-12)
         assert result.support.size == 0
-        assert not result.dense(8).any()
+        assert not result.at(np.arange(8)).any()
 
     def test_support_is_per_subcarrier_union(self):
         aset, ops, received, sigma2 = synth(DESK_SNR20, 61, 62, 63)
         result = adaptive_omp(received, ops, _omp_threshold(sigma2, ops.shape[1], received))
         per_p_union = set()
-        for p in range(ops.shape[0]):
-            per_p_union |= set(np.flatnonzero(np.abs(result.dense(ops.shape[2])[p]) > 0).tolist())
+        for row in result.at(np.arange(ops.shape[2])):
+            per_p_union |= set(np.flatnonzero(np.abs(row) > 0).tolist())
         assert set(result.support.tolist()) == per_p_union
 
     def test_threshold_validation(self):
@@ -395,7 +397,8 @@ class TestOracleLs:
     def test_noiseless_floor(self):
         aset, ops, received, _ = synth(DESK_EXACT, 71, 72, 0)
         result = oracle_ls(received, ops, aset.support)
-        assert nmse_db(result.dense(aset.vectors.shape[1]), aset.vectors) <= -100.0
+        every = np.arange(ops.shape[2])
+        assert nmse_db(result.at(every), aset.at(every)) <= -100.0
         assert result.termination_reason is None
 
     def test_empty_support(self):
@@ -404,7 +407,7 @@ class TestOracleLs:
         y = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
         result = oracle_ls(y, phis, np.array([], dtype=int))
         assert result.coefficients.shape == (2, 0)
-        assert not result.dense(8).any()
+        assert not result.at(np.arange(8)).any()
 
     def test_underdetermined_rejected(self):
         phis = np.zeros((1, 3, 8), dtype=complex)
@@ -425,9 +428,9 @@ class TestOracleLs:
             aset, ops, received, _ = synth(DESK_EXACT, chan_seed, ens_seed, noise_seed)
             genie = oracle_ls(received, ops, aset.support)
             pursuit = ssamp(received, ops, P_TH_NOISELESS)
-            dim = aset.vectors.shape[1]
-            assert nmse_db(genie.dense(dim), aset.vectors) <= (
-                nmse_db(pursuit.dense(dim), aset.vectors) + 1e-9
+            every = np.arange(ops.shape[2])
+            assert nmse_db(genie.at(every), aset.at(every)) <= (
+                nmse_db(pursuit.at(every), aset.at(every)) + 1e-9
             )
 
 
@@ -521,7 +524,8 @@ class TestProperties:
             np.testing.assert_array_equal(b.support, a.support)
             assert b.iterations == a.iterations
             assert b.termination_reason == a.termination_reason
-            np.testing.assert_array_equal(b.dense(ops.shape[2]), a.dense(ops.shape[2]) * 2.0**k)
+            every = np.arange(ops.shape[2])
+            np.testing.assert_array_equal(b.at(every), a.at(every) * 2.0**k)
 
     # Fixed examples: ssamp's stage tests compare residual energies, and a
     # rounding-level tie (1 DESK_SNR20 draw in 3,000 with supports below the
@@ -538,9 +542,9 @@ class TestProperties:
             pairs = pairs[1:]  # ssamp at the row count: see the test below
         for a, b in pairs:
             np.testing.assert_array_equal(b.support, a.support)
-            a_dense = a.dense(ops.shape[2])
+            a_dense = a.at(np.arange(ops.shape[2]))
             np.testing.assert_allclose(
-                b.dense(ops.shape[2]), a_dense[perm], rtol=1e-9,
+                b.at(np.arange(ops.shape[2])), a_dense[perm], rtol=1e-9,
                 atol=1e-12 * np.abs(a_dense).max(),
             )
 
@@ -554,10 +558,10 @@ class TestProperties:
         est = ssamp(received, ops, _ssamp_threshold(config))
         assume(np.array_equal(est.support, aset.support))
         oracle = oracle_ls(received, ops, aset.support)
-        dim = aset.vectors.shape[1]
-        np.testing.assert_array_equal(est.dense(dim), oracle.dense(dim))
+        every = np.arange(ops.shape[2])
+        np.testing.assert_array_equal(est.at(every), oracle.at(every))
         if config is DESK_EXACT:
-            assert nmse_db(est.dense(dim), aset.vectors) <= -60.0
+            assert nmse_db(est.at(every), aset.at(every)) <= -60.0
 
     @settings(max_examples=30, deadline=None)
     @given(operator_kinds, st.integers(0, 2**32 - 1))
@@ -566,7 +570,7 @@ class TestProperties:
         instance = _property_instance(kind, seed)
         dim = instance[1].shape[2]
         for est in _estimate_all(*instance):
-            dense = est.dense(dim)
+            dense = est.at(np.arange(dim))
             off = np.ones(dim, dtype=bool)
             off[est.support] = False
             assert not dense[:, off].any()
@@ -607,7 +611,7 @@ class TestProperties:
         threshold = omp_threshold * threshold_scale
         got = adaptive_omp(received, ops, threshold)
         est, supports, picks, reason = omp_reference(received, ops, threshold)
-        dense = got.dense(ops.shape[2])
+        dense = got.at(np.arange(ops.shape[2]))
         for q, support in enumerate(supports):
             np.testing.assert_array_equal(np.flatnonzero(dense[q]), support)
             # exact zeros on the union columns this subcarrier did not pick

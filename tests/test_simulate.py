@@ -8,7 +8,6 @@ import pytest
 from mmwave_scs import simulate
 from mmwave_scs.channel import (
     MultipathChannel,
-    PathComponent,
     SystemConfig,
     dft_pair,
     draw_multipath,
@@ -87,10 +86,9 @@ def _reference_realisation(cfg, seed, point, real):
         received, operators, _omp_threshold(sigma2, operators.shape[1], received)
     )
     columns, combiners = _los_beams(chan, cfg)
-    dim = aset.vectors.shape[1]
-    vectors = {"perfect": aset.vectors, "ssamp": est_ssamp.dense(dim),
-               "adaptive_omp": est_omp.dense(dim)}
-    h_eff = {name: vectors[name][:, columns] for name in CSI_SOURCES}
+    every = np.arange(cfg.angular_dimension)
+    sources = {"perfect": aset, "ssamp": est_ssamp, "adaptive_omp": est_omp}
+    h_eff = {name: sources[name].at(every)[:, columns] for name in CSI_SOURCES}
     zf = {name: _zf_precoders(h_eff[name]) for name in CSI_SOURCES}
     return data_seed, combiners, h_eff["perfect"], zf
 
@@ -226,7 +224,8 @@ class TestRunTrial:
                 "oracle_ls": oracle_ls(received, ops, aset.support),
             }
             for name, est in full.items():
-                want = nmse_db(est.dense(aset.vectors.shape[1]), aset.vectors)
+                every = np.arange(cfg.angular_dimension)
+                want = nmse_db(est.at(every), aset.at(every))
                 assert abs(record.metrics[name].nmse_db - want) <= 1e-12, (seed, name)
                 floored += want == -300.0
         assert floored
@@ -356,10 +355,9 @@ class TestBer:
         for aoa in [(2, 2), (1, 3)]:
             # (LOS gain, AoA bin, AoD bin) per BS: BS 2 is strongest, then BS 0.
             los = {2: (3.0, aoa[0], aod[0]), 0: (2.0, aoa[1], aod[1]), 1: (1.0, 0, 7)}
-            chan = MultipathChannel(links=tuple(
-                (PathComponent(complex(gain), 0.0, rx, tx, True),)
-                for gain, rx, tx in (los[m] for m in range(cfg.n_bs))
-            ))
+            gains, rx, tx = np.array([los[m] for m in range(cfg.n_bs)]).T
+            chan = MultipathChannel(gains[:, None] + 0j, np.zeros((cfg.n_bs, 1)),
+                                    rx.astype(int)[:, None], tx.astype(int)[:, None])
             columns, combiners = _los_beams(chan, cfg)
             h_eff = vectors[:, columns]
             np.testing.assert_allclose(
