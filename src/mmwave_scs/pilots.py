@@ -193,9 +193,7 @@ class KroneckerOperator:
 
     def dense(self) -> np.ndarray:
         """The (P, rows, dim) tensor; for tests and small geometries only."""
-        p, rows, dim = self.shape
-        blocks = self.right[:, :, None, :, None] * self.left[:, :, :, None, :]
-        return blocks.transpose(1, 0, 2, 3, 4).reshape(p, rows, dim)
+        return self.columns(np.arange(self.shape[2]))
 
 
 def as_operator(operators) -> KroneckerOperator:
@@ -262,9 +260,11 @@ def calibrate_noise_variance(clean, snr_db: float) -> float:
     `clean` holds the noiseless received pilots Phi_p h_p, shape (P, rows).
     SNR is their energy summed over subcarriers divided by rows * P *
     sigma^2, so sigma^2 = sum_p ||Phi_p h_p||^2 / (rows * P * 10^(SNR/10)).
-    Raises when every signal is zero (SNR undefined) and when 10^(SNR/10)
-    underflows to zero (SNR = -inf or below about -3,235 dB).
+    Raises when every signal is zero (SNR undefined), when the SNR is NaN and
+    when 10^(SNR/10) underflows to zero (SNR = -inf or below about -3,235 dB).
     """
+    if np.isnan(snr_db):
+        raise ValueError(f"SNR {snr_db} dB is not a number: noise variance is undefined")
     signal = _check_clean(clean)
     energy = float(np.sum(np.abs(signal) ** 2))
     if energy == 0.0:
@@ -283,8 +283,8 @@ def synthesize_received(clean, noise_variance: float, seed: int) -> np.ndarray:
     subcarrier, real parts then imaginary parts, so a seed gives the same
     noise however the clean signal was formed.
     """
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be non-negative")
+    if not 0 <= noise_variance < np.inf:
+        raise ValueError(f"noise_variance {noise_variance} is negative or non-finite")
     signal = _check_clean(clean)
     n_pilots, rows = signal.shape
     draws = np.random.default_rng(seed).standard_normal((n_pilots, 2, rows))

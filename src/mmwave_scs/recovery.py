@@ -124,8 +124,8 @@ def ssamp(received, operators, p_th: float) -> EstimationResult:
     (P, rows, dim) array.
     """
     r, op = _check_inputs(received, operators)
-    if p_th <= 0:
-        raise ValueError("p_th must be positive")
+    if not 0 < p_th < np.inf:
+        raise ValueError(f"p_th must be positive and finite, got {p_th}")
     n_pilots, rows, dim = op.shape
     max_passes = MAX_PASSES_PER_ROW * rows
     subcarriers = np.arange(n_pilots)
@@ -208,8 +208,10 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     per-subcarrier scheme gets wrong.
     """
     r, op = _check_inputs(received, operators)
-    if residual_threshold <= 0:
-        raise ValueError("residual_threshold must be positive")
+    if not 0 < residual_threshold < np.inf:
+        raise ValueError(
+            f"residual_threshold must be positive and finite, got {residual_threshold}"
+        )
     n_pilots, rows, dim = op.shape
     col_norms = op.column_norms()
     col_norms[col_norms == 0] = np.inf

@@ -146,6 +146,7 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
     for name, estimate in estimators.items():
         start = time.perf_counter()
         est = estimate()
+        wall_time_s = time.perf_counter() - start
         # Every estimate is zero off its support and the truth off its own,
         # so the error lives on their union.
         scored = np.union1d(est.support, aset.support)
@@ -153,7 +154,7 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
             nmse_db=nmse_db(est.at(scored), aset.at(scored)),
             exact_support_match=set(est.support.tolist()) == true_set,
             iterations=est.iterations,
-            wall_time_s=time.perf_counter() - start,
+            wall_time_s=wall_time_s,
         )
     return TrialRecord(true_sparsity=aset.sparsity, metrics=metrics)
 

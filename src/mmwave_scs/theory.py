@@ -141,8 +141,7 @@ def bridge_matrices(operators, support) -> np.ndarray:
             "support columns of the first operator are rank-deficient; "
             "bridge matrices are not evaluable"
         )
-    base_pinv = np.linalg.pinv(base, rcond=RANK_REL_TOL)
-    return np.array([ops[p][:, idx] @ base_pinv for p in range(ops.shape[0])])
+    return ops[:, :, idx] @ np.linalg.pinv(base, rcond=RANK_REL_TOL)
 
 
 def uniqueness_check(instance: GmmvInstance) -> UniquenessCertificate:
@@ -152,10 +151,9 @@ def uniqueness_check(instance: GmmvInstance) -> UniquenessCertificate:
     which maps each measurement back into Phi_1 coordinates.
     """
     bridge = bridge_matrices(instance.operators, instance.support)
-    columns = [instance.measurements[0]]
-    for p in range(1, instance.n_vectors):
-        columns.append(np.linalg.pinv(bridge[p], rcond=RANK_REL_TOL) @ instance.measurements[p])
-    ytilde = np.stack(columns, axis=1)
+    y = instance.measurements
+    mapped = np.linalg.pinv(bridge[1:], rcond=RANK_REL_TOL) @ y[1:, :, None]
+    ytilde = np.column_stack([y[0], *mapped[..., 0]])
     spark_phi1 = spark(instance.operators[0])
     rank_ytilde = _numerical_rank(ytilde)
     holds = 2 * instance.sparsity < spark_phi1 - 1 + rank_ytilde
@@ -166,14 +164,16 @@ def uniqueness_check(instance: GmmvInstance) -> UniquenessCertificate:
     )
 
 
-def exhaustive_l0_solve(instance: GmmvInstance):
-    """All common supports of size <= S consistent with every measurement.
+def minimal_supports(instance: GmmvInstance):
+    """Every smallest common support consistent with all measurements.
 
-    A support is consistent when each y_p lies in the span of the selected
-    columns of its own operator (projection residual <= RANK_REL_TOL relative).
-    Returns a list of sorted index tuples; a superset of a consistent support
-    is consistent too, so uniqueness is judged on the minimal size (see
-    unique_minimal_support).
+    A support is consistent when each nonzero y_p lies in the span of the
+    selected columns of its own operator: the minimum-norm residual (pinv
+    cutoff RANK_REL_TOL) is at most RANK_REL_TOL times ||y_p||.  Sizes 1..S
+    are searched in turn, every support of one size for every y_p at once,
+    and the sorted index tuples of the first size that has any are
+    returned: [()] when every y_p is zero, [] when no support up to S fits.
+    The minimal support is unique when exactly one tuple comes back.
     """
     n = instance.operators.shape[2]
     s_max = instance.sparsity
@@ -185,34 +185,19 @@ def exhaustive_l0_solve(instance: GmmvInstance):
         )
     y = instance.measurements
     norms = np.linalg.norm(y, axis=1)
-    consistent = []
-    for k in range(s_max + 1):
-        for combo in combinations(range(n), k):
-            idx = np.array(combo, dtype=int)
-            ok = True
-            for p in range(instance.n_vectors):
-                if norms[p] == 0.0:
-                    continue
-                if k == 0:
-                    ok = False
-                    break
-                block = instance.operators[p][:, idx]
-                coef = np.linalg.lstsq(block, y[p], rcond=RANK_REL_TOL)[0]
-                if np.linalg.norm(y[p] - block @ coef) > RANK_REL_TOL * norms[p]:
-                    ok = False
-                    break
-            if ok:
-                consistent.append(tuple(combo))
-    return consistent
-
-
-def unique_minimal_support(candidates):
-    """The unique smallest support among candidates, or None if not unique."""
-    if not candidates:
-        return None
-    smallest = min(len(c) for c in candidates)
-    minimal = [c for c in candidates if len(c) == smallest]
-    return minimal[0] if len(minimal) == 1 else None
+    keep = norms != 0.0
+    if not keep.any():
+        return [()]
+    ops, y, norms = instance.operators[keep], y[keep, :, None], norms[keep]  # P' vectors
+    for k in range(1, s_max + 1):
+        idx = np.array(list(combinations(range(n), k)))
+        blocks = ops[:, :, idx].transpose(2, 0, 1, 3)  # (n_subsets, P', m, k)
+        coefs = np.linalg.pinv(blocks, rcond=RANK_REL_TOL) @ y
+        residuals = np.linalg.norm(y - blocks @ coefs, axis=(2, 3))  # (n_subsets, P')
+        fits = np.all(residuals <= RANK_REL_TOL * norms, axis=1)
+        if fits.any():
+            return [tuple(combo) for combo in idx[fits].tolist()]
+    return []
 
 
 def min_time_slots(sparsity: int, n_chains: int) -> int:
@@ -280,8 +265,6 @@ def run_certificate_battery(n_instances: int, seed: int):
         cert = uniqueness_check(inst)
         if not cert.condition_holds:
             continue
-        solutions = exhaustive_l0_solve(inst)
-        best = unique_minimal_support(solutions)
         records.append(
             CertificateRecord(
                 instance=len(records),
@@ -292,8 +275,7 @@ def run_certificate_battery(n_instances: int, seed: int):
                 spark_phi1=cert.spark_phi1,
                 rank_ytilde=cert.rank_ytilde,
                 certificate_holds=True,
-                # best is None unless the minimal support is unique.
-                consistent=best == tuple(inst.support.tolist()),
+                consistent=minimal_supports(inst) == [tuple(inst.support.tolist())],
             )
         )
     if len(records) < n_instances:

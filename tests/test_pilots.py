@@ -369,6 +369,10 @@ class TestNoiseCalibration:
             with pytest.raises(ValueError, match="underflows to zero"):
                 calibrate_noise_variance(np.einsum("prd,pd->pr", ops, vecs), snr_db)
 
+    def test_nan_snr_rejected(self):
+        with pytest.raises(ValueError, match="not a number"):
+            calibrate_noise_variance(np.ones((1, 4)), np.nan)
+
     def test_all_zero_signal_rejected(self):
         ops = np.zeros((2, 4, 6))
         vecs = np.zeros((2, 6))
@@ -435,3 +439,8 @@ class TestSynthesize:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             synthesize_received(np.ones((1, 2)), -1.0, 0)
+
+    def test_non_finite_variance_rejected(self):
+        for variance in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="negative or non-finite"):
+                synthesize_received(np.ones((1, 2)), variance, 0)

@@ -271,8 +271,9 @@ class TestSsampBehavior:
         rng = np.random.default_rng(4)
         phis = rng.standard_normal((2, 4, 8)) + 0j
         y = rng.standard_normal((2, 4)) + 0j
-        with pytest.raises(ValueError, match="p_th"):
-            ssamp(y, phis, 0.0)
+        for p_th in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="p_th must be positive and finite"):
+                ssamp(y, phis, p_th)
         with pytest.raises(ValueError):
             ssamp(y[0], phis, 0.01)
         with pytest.raises(ValueError, match="mismatch"):
@@ -337,8 +338,9 @@ class TestAdaptiveOmp:
         assert set(result.support.tolist()) == per_p_union
 
     def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            adaptive_omp(np.zeros((1, 2)), np.zeros((1, 2, 3)), 0.0)
+        for threshold in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="residual_threshold must be positive and finite"):
+                adaptive_omp(np.zeros((1, 2)), np.zeros((1, 2, 3)), threshold)
 
 
 class TestFit:

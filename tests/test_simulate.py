@@ -1,5 +1,6 @@
 """Monte-Carlo harness: paired trials, sweeps, BER study, QAM mapping."""
 
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -186,6 +187,17 @@ class TestRunTrial:
         assert set(record.metrics) == set(ESTIMATORS)
         assert record.metrics["oracle_ls"].exact_support_match
         assert 0 < record.true_sparsity <= DESK_SNR20.n_bs * DESK_SNR20.n_paths
+
+    def test_wall_time_excludes_scoring(self, monkeypatch):
+        # the clock stops when the estimator returns, so a 50 ms scoring
+        # step shows in no estimator's wall time
+        def slow_nmse_db(estimates, truth):
+            time.sleep(0.05)
+            return nmse_db(estimates, truth)
+
+        monkeypatch.setattr(simulate, "nmse_db", slow_nmse_db)
+        record = run_trial(DESK_SNR20, 6)
+        assert all(m.wall_time_s < 0.05 for m in record.metrics.values())
 
     def test_noiseless_exact(self):
         record = run_trial(DESK_EXACT, 1001)

@@ -1,20 +1,22 @@
-"""Uniqueness certificates, spark, bridges, exhaustive l0, overhead formulas."""
+"""Uniqueness certificates, spark, bridges, minimal supports, overhead formulas."""
+
+from itertools import combinations
 
 import numpy as np
 import pytest
 
+from mmwave_scs import theory
 from mmwave_scs.channel import SystemConfig
 from mmwave_scs.pilots import draw_ensemble, measurement_operators
 from mmwave_scs.theory import (
     GmmvInstance,
     bridge_matrices,
     draw_gmmv_instance,
-    exhaustive_l0_solve,
     min_time_slots,
+    minimal_supports,
     orthogonal_pilot_overhead,
     run_certificate_battery,
     spark,
-    unique_minimal_support,
     uniqueness_check,
 )
 
@@ -181,48 +183,108 @@ def test_certificate_on_pipeline_operators():
 # --------------------------------------------------------------- exhaustive l0
 
 
+def _instance(operators, signals, support):
+    return GmmvInstance(
+        operators=operators,
+        signals=signals,
+        measurements=np.einsum("pmn,pn->pm", operators, signals),
+        support=np.array(support, dtype=int),
+    )
+
+
+def _cgauss(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def test_l0_single_atom():
     rng = np.random.default_rng(7)
-    phi = rng.standard_normal((2, 5, 8)) + 1j * rng.standard_normal((2, 5, 8))
+    phi = _cgauss(rng, (2, 5, 8))
     x = np.zeros((2, 8), dtype=complex)
     x[:, 3] = [1.5, -2.0j]
-    inst = GmmvInstance(
-        operators=phi,
-        signals=x,
-        measurements=np.einsum("pmn,pn->pm", phi, x),
-        support=np.array([3]),
-    )
-    solutions = exhaustive_l0_solve(inst)
-    assert solutions == [(3,)]
-    assert unique_minimal_support(solutions) == (3,)
+    assert minimal_supports(_instance(phi, x, [3])) == [(3,)]
 
 
 def test_l0_zero_measurements():
     rng = np.random.default_rng(8)
-    phi = rng.standard_normal((2, 5, 8)) + 1j * rng.standard_normal((2, 5, 8))
+    phi = _cgauss(rng, (2, 5, 8))
+    assert minimal_supports(_instance(phi, np.zeros((2, 8), dtype=complex), [])) == [()]
+
+
+def test_l0_zero_vector_is_skipped():
+    # y_2 = 0 fits every support, so y_1 alone decides
+    rng = np.random.default_rng(9)
+    phi = _cgauss(rng, (2, 5, 8))
+    x = np.zeros((2, 8), dtype=complex)
+    x[0, [1, 6]] = [1.0, 1.0j]
+    assert minimal_supports(_instance(phi, x, [1, 6])) == [(1, 6)]
+
+
+def test_l0_tie_returns_every_smallest_support():
+    # column 5 duplicates column 3, so (3,) and (5,) explain y equally
+    rng = np.random.default_rng(10)
+    phi = _cgauss(rng, (2, 5, 8))
+    phi[:, :, 5] = phi[:, :, 3]
+    x = np.zeros((2, 8), dtype=complex)
+    x[:, 3] = [1.0, 2.0]
+    assert minimal_supports(_instance(phi, x, [3])) == [(3,), (5,)]
+
+
+def test_l0_none_up_to_sparsity():
+    # generic measurements lie in no span of S = 1 column
+    rng = np.random.default_rng(11)
+    phi = _cgauss(rng, (2, 5, 8))
     inst = GmmvInstance(
         operators=phi,
         signals=np.zeros((2, 8), dtype=complex),
-        measurements=np.zeros((2, 5), dtype=complex),
-        support=np.array([], dtype=int),
+        measurements=_cgauss(rng, (2, 5)),
+        support=np.array([2]),
     )
-    solutions = exhaustive_l0_solve(inst)
-    assert solutions == [()]
-    assert unique_minimal_support(solutions) == ()
+    assert minimal_supports(inst) == []
+
+
+def _lstsq_minimal_supports(inst):
+    """Reference: one lstsq per support and vector, smallest consistent size."""
+    y, tol = inst.measurements, theory.RANK_REL_TOL
+    for k in range(inst.sparsity + 1):
+        found = [
+            combo
+            for combo in combinations(range(inst.operators.shape[2]), k)
+            if all(
+                np.linalg.norm(
+                    y[p] - inst.operators[p][:, combo]
+                    @ np.linalg.lstsq(inst.operators[p][:, combo], y[p], rcond=tol)[0]
+                ) <= tol * np.linalg.norm(y[p])
+                for p in range(inst.n_vectors)
+            )
+        ]
+        if found:
+            return found
+    return []
+
+
+def test_l0_matches_lstsq_reference():
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        m = int(rng.integers(3, 7))
+        n = int(rng.integers(6, 11))
+        s = int(rng.integers(0, 4))
+        p = int(rng.integers(1, 4))
+        inst = draw_gmmv_instance(
+            m, n, s, p, seed=int(rng.integers(2**31)),
+            shared_operator=bool(rng.integers(2)),
+        )
+        if s and rng.integers(3) == 0:  # measurements that S columns may not fit
+            inst = GmmvInstance(
+                inst.operators, inst.signals, _cgauss(rng, (p, m)), inst.support
+            )
+        assert minimal_supports(inst) == _lstsq_minimal_supports(inst)
 
 
 def test_l0_size_guards():
-    with pytest.raises(ValueError):
-        exhaustive_l0_solve(draw_gmmv_instance(4, 20, 2, 1, seed=0))
-    big_s = draw_gmmv_instance(10, 16, 4, 1, seed=0)
-    with pytest.raises(ValueError):
-        exhaustive_l0_solve(big_s)
-
-
-def test_unique_minimal_support():
-    assert unique_minimal_support([]) is None
-    assert unique_minimal_support([(1,), (2,)]) is None
-    assert unique_minimal_support([(1,), (1, 2)]) == (1,)
+    with pytest.raises(ValueError, match="20 columns exceeds the exhaustive limit"):
+        minimal_supports(draw_gmmv_instance(4, 20, 2, 1, seed=0))
+    with pytest.raises(ValueError, match="sparsity 4 exceeds the exhaustive limit"):
+        minimal_supports(draw_gmmv_instance(10, 16, 4, 1, seed=0))
 
 
 # ------------------------------------------------------------- overhead counts
@@ -293,3 +355,15 @@ def test_battery_small_run():
     assert len(records) == 5
     for rec in records:
         assert rec.certificate_holds
+
+
+def test_battery_records_a_tie_as_inconsistent(monkeypatch):
+    # two minimal supports, the truth among them: the truth is not unique
+    def tied(instance):
+        truth = tuple(instance.support.tolist())
+        return [truth, tuple(i + 1 for i in truth)]
+
+    monkeypatch.setattr(theory, "minimal_supports", tied)
+    records = run_certificate_battery(3, seed=99)
+    assert len(records) == 3
+    assert not any(rec.consistent for rec in records)

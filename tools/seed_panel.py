@@ -6,21 +6,27 @@ iterations], plus three ber_experiment tables: at 10/20/30 dB one at desk
 scale (10^4 symbols, 2 realisations) and one at SystemConfig(), the geometry
 of the perfbench ber-long workload (10^5 symbols, 1 realisation), and one at
 the perfbench trial-wide BER point (G = 12, 20 dB, 2*10^5 symbols,
-2 realisations).  `compare A.json B.json` prints the NMSE delta (dB) of every
+2 realisations), and every field of the run_certificate_battery(20, 0)
+records.  `compare A.json B.json` prints the NMSE delta (dB) of every
 trial that differs, then per estimator the exact-support flips,
 iteration-count changes and largest |delta|, then whether each BER table is
 identical with every differing row (table, SNR, CSI source, old -> new BER
 and the change in binomial standard errors of the mean BER over 4 bits per
-symbol), and exits 1 if any trial or BER row differs.
+symbol), then whether the certificate records are identical with every
+differing record, and exits 1 if any trial, BER row or certificate record
+differs.
 """
 
 import json
 import math
 import sys
+from dataclasses import asdict
+from itertools import zip_longest
 
 
 def dump(path):
     from mmwave_scs import SystemConfig, ber_experiment, run_trial
+    from mmwave_scs.theory import run_certificate_battery
 
     desk = dict(n_ant_bs=16, n_ant_user=4, n_paths=2, n_subcarriers=8,
                 n_pilot_subcarriers=8, n_slots=6, max_delay_s=25e-9)
@@ -43,8 +49,9 @@ def dump(path):
               "wide": ber_experiment(SystemConfig(**wide), [20.0], 2 * 10**5, 0,
                                      n_realizations=2)}
     ber = {name: [list(row) for row in table.rows] for name, table in tables.items()}
+    certificates = [asdict(record) for record in run_certificate_battery(20, 0)]
     with open(path, "w") as handle:
-        json.dump({"trials": trials, "ber": ber}, handle, indent=1)
+        json.dump({"trials": trials, "ber": ber, "certificates": certificates}, handle, indent=1)
     return 0
 
 
@@ -89,7 +96,13 @@ def compare(path_a, path_b):
                 (ber_a, _), (ber_b, symbols) = old.get(key, [None] * 2), new.get(key, [None] * 2)
                 print(f"  {name} {key[0]:g} dB {key[1]}: {ber_a} -> {ber_b}"
                       f"{_sigma_move(ber_a, ber_b, symbols)}")
-    return 1 if differ or not same_ber else 0
+    cert_a, cert_b = a.get("certificates", []), b.get("certificates", [])
+    same_certs = cert_a == cert_b
+    print(f"certificate records: {'identical' if same_certs else 'differ'}")
+    for i, (old, new) in enumerate(zip_longest(cert_a, cert_b)):
+        if old != new:
+            print(f"  certificate {i}: {old} -> {new}")
+    return 1 if differ or not same_ber or not same_certs else 0
 
 
 if __name__ == "__main__":
