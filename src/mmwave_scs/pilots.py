@@ -260,8 +260,9 @@ def calibrate_noise_variance(clean, snr_db: float) -> float:
     `clean` holds the noiseless received pilots Phi_p h_p, shape (P, rows).
     SNR is their energy summed over subcarriers divided by rows * P *
     sigma^2, so sigma^2 = sum_p ||Phi_p h_p||^2 / (rows * P * 10^(SNR/10)).
-    Raises when every signal is zero (SNR undefined), when the SNR is NaN and
-    when 10^(SNR/10) underflows to zero (SNR = -inf or below about -3,235 dB).
+    Raises when every signal is zero (SNR undefined), when the SNR is NaN,
+    when 10^(SNR/10) underflows to zero (SNR = -inf or below about -3,235 dB)
+    and when sigma^2 overflows (a finite SNR of about -3,080 dB or below).
     """
     if np.isnan(snr_db):
         raise ValueError(f"SNR {snr_db} dB is not a number: noise variance is undefined")
@@ -273,7 +274,10 @@ def calibrate_noise_variance(clean, snr_db: float) -> float:
     if snr_lin == 0.0:
         raise ValueError(f"SNR {snr_db} dB underflows to zero: noise variance is infinite")
     n_pilots, rows = signal.shape
-    return energy / (rows * n_pilots * snr_lin)
+    sigma2 = energy / (rows * n_pilots * snr_lin)
+    if not np.isfinite(sigma2):
+        raise ValueError(f"SNR {snr_db} dB gives a non-finite noise variance ({sigma2})")
+    return sigma2
 
 
 def synthesize_received(clean, noise_variance: float, seed: int) -> np.ndarray:

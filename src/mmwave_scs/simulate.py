@@ -8,6 +8,7 @@ estimation pipeline to feed a simplified two-stream downlink and measures how
 CSI quality propagates into hard-decision errors.
 """
 
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -47,6 +48,17 @@ BER_COLUMNS = ("snr_db", "csi_source", "ber", "symbols")
 OMP_THRESHOLD_MARGIN = 0.1
 
 _SWEEP_FIELDS = {"slots": "n_slots", "snr": "snr_db"}
+
+# ber_experiment fans realisations out over worker processes only when that
+# saves more than a pool costs.  Starting and joining a fork pool of two
+# workers, one trivial task each, took 11-19 ms (median 15 ms, 40 pools) on a
+# 2-core Xeon with numpy 2.4.6 and OpenBLAS 0.3.31, after a ber_experiment
+# call in the same process ...
+FORK_POOL_START_JOIN_S = 0.02
+# ... and only when a realisation ran on about one core: at wide geometries
+# OpenBLAS threads the correlations (CPU over wall time 1.9-2.0), and worker
+# processes there would contend for the cores it already uses.
+MULTICORE_CPU_PER_WALL = 1.5
 
 
 @dataclass(frozen=True)
@@ -183,6 +195,20 @@ def _aggregate(records, sweep_var, value) -> list:
     return rows
 
 
+def _pool_map(fn, *iterables, workers: int, chunksize: int = 1) -> list:
+    """list(map(fn, *iterables)) over a pool of `workers` processes that this
+    call starts and joins, so none outlives it.  Results come back in task
+    order.  An exception raised in a worker is raised here, once the tasks
+    not yet started are cancelled and the running ones have ended."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        return list(pool.map(fn, *iterables, chunksize=chunksize))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def sweep(
     config: SystemConfig,
     variable: str,
@@ -224,11 +250,10 @@ def sweep(
     seeds = [base_seed + t for _ in values for t in range(n_trials)]
     if workers > 1:
         # About four chunks per worker: few round trips, balanced load.
-        from concurrent.futures import ProcessPoolExecutor
-
         chunksize = -(-len(seeds) // (4 * workers))
-        with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-            records = list(pool.map(run_trial, configs, seeds, chunksize=chunksize))
+        records = _pool_map(
+            run_trial, configs, seeds, workers=min(workers, len(seeds)), chunksize=chunksize
+        )
     else:
         records = list(map(run_trial, configs, seeds))
     rows = []
@@ -363,6 +388,81 @@ def _noise_root(combiners):
     return (gram + root_det * np.eye(2)) / np.sqrt(trace + 2.0 * root_det)
 
 
+def _ber_counts(tasks, n_vec: int) -> list:
+    """Bit errors per CSI source, (3,) int64 in CSI_SOURCES order, of each
+    realisation (config, seed, point, real) in `tasks`, in order.
+
+    `config` carries the point's SNR, and n_vec symbol vectors ride each
+    subcarrier.  Realisation `real` of point `point` is seeded by
+    SeedSequence(seed, spawn_key=(point, real)) alone, so it gives the same
+    counts in any process and in any order.
+    """
+    # Data-stage buffers, reused on every subcarrier of every realisation:
+    # each payload byte carries two symbols, four float parts and four Gray
+    # bit pairs.
+    sym = np.empty((2, n_vec), dtype=complex)
+    drawn = np.empty(n_vec, dtype=np.uint32)
+    normals = np.empty((2, n_vec))
+    w = np.empty((2, n_vec), dtype=complex)
+    eta = np.empty((2, n_vec), dtype=complex)
+    rx = np.empty((len(CSI_SOURCES), 2, n_vec), dtype=complex)
+    rx_parts = rx.view(np.float64)
+    noise = np.empty((2, 2 * n_vec))
+    decided = np.empty((len(CSI_SOURCES), 4 * n_vec), dtype=np.uint8)
+    decided_words = decided.view(np.uint32)  # four pairs, one payload byte
+    flags = np.empty((2, rx_parts.size), dtype=bool)
+    counts = []
+    for config, seed, point, real in tasks:
+        ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
+        chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
+        chan, aset, operators, received, sigma2 = _synthesize(
+            config, chan_seed, ens_seed, noise_seed
+        )
+        est_ssamp = ssamp(received, operators, _ssamp_threshold(config))
+        est_omp = adaptive_omp(
+            received, operators, _omp_threshold(sigma2, operators.shape[1], received)
+        )
+
+        columns, combiners = _los_beams(chan, config)
+        # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
+        h_eff = np.stack([source.at(columns) for source in (aset, est_ssamp, est_omp)])
+        zf, betas = _zf_precoders(h_eff)
+        # H_true zf_k per source, (source, P, 2, 2): beta_k scales the
+        # transmit side and the receiver divides it out, so it only
+        # scales the noise.
+        links = h_eff[0] @ zf
+        root = _noise_root(combiners)
+        # Data noise is calibrated on the perfect-CSI link and shared by
+        # all sources, as are the payload bits.
+        beta_true = betas[0]
+        inv_betas = 1.0 / betas
+        snr_lin = 10.0 ** (config.snr_db / 10.0)
+        errors = np.zeros(len(CSI_SOURCES), dtype=np.int64)
+        rng = np.random.default_rng(data_seed)
+        for p in range(config.n_pilot_subcarriers):
+            payload = rng.integers(0, 256, n_vec, dtype=np.uint8)
+            # Bytes are always in range; "clip" writes out unbuffered.
+            np.take(_BYTE_SYMBOLS, payload, axis=0, out=sym.reshape(n_vec, 2), mode="clip")
+            np.take(_BYTE_PAIRS.view(np.uint32), payload, out=drawn, mode="clip")
+            sigma_d2 = beta_true[p] ** 2 / snr_lin
+            w.real = rng.standard_normal(out=normals)
+            w.imag = rng.standard_normal(out=normals)
+            np.matmul(np.sqrt(sigma_d2 / 2.0) * root, w, out=eta)
+            # All CSI sources at once, (source, stream, n_vec), with the
+            # per-source arithmetic of a one-source loop.  eta / beta is
+            # added as each float part times 1 / beta, which is how numpy
+            # divides complex by real, up to the sign of a zero
+            # (test_complex_by_real_division_is_reciprocal_multiplication).
+            np.matmul(links[:, p], sym, out=rx)
+            for k, inv_beta in enumerate(inv_betas[:, p]):
+                rx_parts[k] += np.multiply(eta.view(np.float64), inv_beta, out=noise)
+            _gray_pairs(rx_parts.ravel(), decided.ravel(), flags)
+            np.bitwise_xor(decided_words, drawn, out=decided_words)
+            errors += np.bitwise_count(decided_words).sum(axis=1, dtype=np.int64)
+        counts.append(errors)
+    return counts
+
+
 def ber_experiment(
     config: SystemConfig,
     snr_values,
@@ -386,6 +486,14 @@ def ber_experiment(
     antenna, beta_true being the perfect-CSI power scale.  Only its two
     combined components reach the streams, so they are drawn directly:
     eta = sigma_d L w with w ~ CN(0, I_2) and L L^H = C^H C (_noise_root).
+
+    The first realisation runs in this process and is timed.  The others
+    fan out over one worker process per usable core when that realisation
+    ran on about one core (process CPU time under MULTICORE_CPU_PER_WALL
+    times its wall time; wide geometries, where BLAS already threads, stay
+    here) and splitting them saves more than FORK_POOL_START_JOIN_S;
+    otherwise they run here too.  Each realisation's error counts are
+    integers summed in task order, so the table is the same either way.
     """
     if config.n_bs < 2:
         raise ValueError("ber_experiment needs n_bs >= 2 for two LOS streams")
@@ -402,73 +510,32 @@ def ber_experiment(
     n_vec = -(-n_symbols // (n_realizations * n_p * 2))
     total_symbols = n_realizations * n_p * 2 * n_vec
     total_bits = 4 * total_symbols
-    # Data-stage buffers, reused on every subcarrier: each payload byte
-    # carries two symbols, four float parts and four Gray bit pairs.
-    sym = np.empty((2, n_vec), dtype=complex)
-    drawn = np.empty(n_vec, dtype=np.uint32)
-    normals = np.empty((2, n_vec))
-    w = np.empty((2, n_vec), dtype=complex)
-    eta = np.empty((2, n_vec), dtype=complex)
-    rx = np.empty((len(CSI_SOURCES), 2, n_vec), dtype=complex)
-    rx_parts = rx.view(np.float64)
-    noise = np.empty((2, 2 * n_vec))
-    decided = np.empty((len(CSI_SOURCES), 4 * n_vec), dtype=np.uint8)
-    decided_words = decided.view(np.uint32)  # four pairs, one payload byte
-    flags = np.empty((2, rx_parts.size), dtype=bool)
+    # Every (point, realisation), point-major.
+    tasks = [
+        (replace(config, snr_db=snr_db), seed, point, real)
+        for point, snr_db in enumerate(snr_values)
+        for real in range(n_realizations)
+    ]
+    wall, cpu = time.perf_counter(), time.process_time()
+    counts = _ber_counts(tasks[:1], n_vec)
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    rest = tasks[1:]
+    workers = min(len(os.sched_getaffinity(0)), len(rest))
+    # Realisations cost about the same, so a pool ends after ceil(rest /
+    # workers) of them.  One costs its wall time, or its CPU time when other
+    # processes hold the cores and stretch the wall time.
+    saved_s = (len(rest) - -(-len(rest) // max(workers, 1))) * min(wall, cpu)
+    if workers > 1 and cpu < MULTICORE_CPU_PER_WALL * wall and saved_s > FORK_POOL_START_JOIN_S:
+        # One task per realisation, so the pool balances them as they end.
+        parts = _pool_map(
+            _ber_counts, [[task] for task in rest], [n_vec] * len(rest), workers=workers
+        )
+        counts += [part[0] for part in parts]
+    else:
+        counts += _ber_counts(rest, n_vec)
     rows = []
     for point, snr_db in enumerate(snr_values):
-        cfg = replace(config, snr_db=snr_db)
-        snr_lin = 10.0 ** (snr_db / 10.0)
-        errors = np.zeros(len(CSI_SOURCES), dtype=np.int64)
-        for real in range(n_realizations):
-            ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
-            chan_seed, ens_seed, noise_seed, data_seed = (
-                int(s) for s in ss.generate_state(4)
-            )
-            chan, aset, operators, received, sigma2 = _synthesize(
-                cfg, chan_seed, ens_seed, noise_seed
-            )
-            est_ssamp = ssamp(received, operators, _ssamp_threshold(cfg))
-            est_omp = adaptive_omp(
-                received,
-                operators,
-                _omp_threshold(sigma2, operators.shape[1], received),
-            )
-
-            columns, combiners = _los_beams(chan, cfg)
-            # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
-            h_eff = np.stack([source.at(columns) for source in (aset, est_ssamp, est_omp)])
-            zf, betas = _zf_precoders(h_eff)
-            # H_true zf_k per source, (source, P, 2, 2): beta_k scales the
-            # transmit side and the receiver divides it out, so it only
-            # scales the noise.
-            links = h_eff[0] @ zf
-            root = _noise_root(combiners)
-            # Data noise is calibrated on the perfect-CSI link and shared by
-            # all sources, as are the payload bits.
-            beta_true = betas[0]
-            inv_betas = 1.0 / betas
-            rng = np.random.default_rng(data_seed)
-            for p in range(n_p):
-                payload = rng.integers(0, 256, n_vec, dtype=np.uint8)
-                # Bytes are always in range; "clip" writes out unbuffered.
-                np.take(_BYTE_SYMBOLS, payload, axis=0, out=sym.reshape(n_vec, 2), mode="clip")
-                np.take(_BYTE_PAIRS.view(np.uint32), payload, out=drawn, mode="clip")
-                sigma_d2 = beta_true[p] ** 2 / snr_lin
-                w.real = rng.standard_normal(out=normals)
-                w.imag = rng.standard_normal(out=normals)
-                np.matmul(np.sqrt(sigma_d2 / 2.0) * root, w, out=eta)
-                # All CSI sources at once, (source, stream, n_vec), with the
-                # per-source arithmetic of a one-source loop.  eta / beta is
-                # added as each float part times 1 / beta, which is how numpy
-                # divides complex by real, up to the sign of a zero
-                # (test_complex_by_real_division_is_reciprocal_multiplication).
-                np.matmul(links[:, p], sym, out=rx)
-                for k, inv_beta in enumerate(inv_betas[:, p]):
-                    rx_parts[k] += np.multiply(eta.view(np.float64), inv_beta, out=noise)
-                _gray_pairs(rx_parts.ravel(), decided.ravel(), flags)
-                np.bitwise_xor(decided_words, drawn, out=decided_words)
-                errors += np.bitwise_count(decided_words).sum(axis=1, dtype=np.int64)
+        errors = sum(counts[point * n_realizations : (point + 1) * n_realizations])
         for name, count in zip(CSI_SOURCES, errors.tolist()):
             rows.append((snr_db, name, count / total_bits, total_symbols))
     return ResultTable(columns=BER_COLUMNS, rows=tuple(rows))

@@ -310,15 +310,15 @@ def test_exit_code_bad_seed_or_out(tmp_path, capsys, subcommand, flags, out_name
 
 def test_exit_code_numerical_error(tmp_path, capsys):
     # a finite SNR so low that the calibrated noise variance overflows to inf
-    code = main(
-        [
-            "sweep-mse", "--config", _desk_config(tmp_path), "--variable", "snr",
-            "--values=-3100", "--trials", "1", "--out", str(tmp_path / "r"),
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "numerical error" in captured.err and "non-finite" in captured.err
+    for argv in (
+        ["sweep-mse", "--variable", "snr", "--values=-3100", "--trials", "1"],
+        ["sweep-ber", "--snrs=-3100", "--symbols", "10000", "--realizations", "1"],
+    ):
+        code = main([*argv, "--config", _desk_config(tmp_path), "--out", str(tmp_path / "r")])
+        captured = capsys.readouterr()
+        assert code == 3, argv
+        assert "numerical error" in captured.err and "non-finite" in captured.err
+        assert "SNR -3100.0 dB" in captured.err
 
 
 @pytest.mark.parametrize(

@@ -369,6 +369,11 @@ class TestNoiseCalibration:
             with pytest.raises(ValueError, match="underflows to zero"):
                 calibrate_noise_variance(np.einsum("prd,pd->pr", ops, vecs), snr_db)
 
+    def test_overflowing_noise_variance_names_the_snr(self):
+        # 10^(-310) is subnormal, not zero, and sigma^2 overflows to inf
+        with pytest.raises(ValueError, match=r"SNR -3100.0 dB gives a non-finite noise variance"):
+            calibrate_noise_variance(np.ones((1, 4)), -3100.0)
+
     def test_nan_snr_rejected(self):
         with pytest.raises(ValueError, match="not a number"):
             calibrate_noise_variance(np.ones((1, 4)), np.nan)

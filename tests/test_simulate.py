@@ -1,5 +1,7 @@
 """Monte-Carlo harness: paired trials, sweeps, BER study, QAM mapping."""
 
+import concurrent.futures
+import os
 import time
 from dataclasses import fields, replace
 
@@ -14,6 +16,7 @@ from mmwave_scs.channel import (
     draw_multipath,
     grid_steering_vector,
 )
+from mmwave_scs.cli import main
 from mmwave_scs.recovery import adaptive_omp, nmse_db, oracle_ls, ssamp
 from mmwave_scs.simulate import (
     BER_COLUMNS,
@@ -166,6 +169,24 @@ def ber_reference(config, snr_values, n_symbols, seed, n_realizations):
 def ber_reference_per_antenna(config, snr_values, n_symbols, seed, n_realizations):
     """The same channels and CSI with the per-antenna noise and bit draws."""
     return _reference_rows(config, snr_values, n_symbols, seed, n_realizations, _per_antenna_data)
+
+
+def _set_cores(monkeypatch, n):
+    """Make ber_experiment see n usable cores."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _record_pools(monkeypatch):
+    """Record the worker count of every process pool constructed, in a list."""
+    made = []
+    pool_class = concurrent.futures.ProcessPoolExecutor
+
+    def recorded(max_workers):
+        made.append(max_workers)
+        return pool_class(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
+    return made
 
 
 def _strip_time(metrics):
@@ -401,6 +422,10 @@ class TestBer:
         assert not zf[1].any() and betas[1] == 1.0
 
     def test_data_stage_matches_reference(self, monkeypatch):
+        # Calls of the patched _gray_pairs in worker processes would not come
+        # back here, so one core keeps every realisation in this process, and
+        # the count shows that every subcarrier pass was recorded.
+        _set_cores(monkeypatch, 1)
         largest = []
         decide = simulate._gray_pairs
 
@@ -410,6 +435,7 @@ class TestBer:
 
         monkeypatch.setattr(simulate, "_gray_pairs", recorded)
         snrs = [10.0, 20.0, 30.0]
+        passes = 0
         for config, n_symbols, seed, n_realizations in [
             *((DESK_SNR20, 10**4, seed, 2) for seed in range(4)),
             (SystemConfig(), 10**4, 0, 1),
@@ -420,10 +446,59 @@ class TestBer:
             expected = ber_reference(config, snrs, n_symbols, seed, n_realizations)
             actual = ber_experiment(config, snrs, n_symbols, seed, n_realizations).rows
             assert actual == expected
+            passes += len(snrs) * n_realizations * config.n_pilot_subcarriers
         # CSI that misses a serving path is exactly zero there, so ZF never
         # amplifies rounding residue: every decided part stays below 2^50,
         # where the comparisons and the argmin reference agree.
-        assert largest and np.max(largest) < 2.0**50
+        assert len(largest) == passes
+        assert np.max(largest) < 2.0**50
+
+    def test_fan_out_matches_in_process(self, monkeypatch):
+        # 4 realisations of about 30 ms at each of 3 points: the 11 after the
+        # first fan out over two workers, and the rows are those of the same
+        # call on one core, which stays in this process.
+        pools = _record_pools(monkeypatch)
+        args = (SystemConfig(), [10.0, 20.0, 30.0], 10**6, 5, 4)
+        _set_cores(monkeypatch, 2)
+        fanned = ber_experiment(*args).rows
+        assert pools == [2]
+        _set_cores(monkeypatch, 1)
+        assert ber_experiment(*args).rows == fanned
+        assert pools == [2]
+
+    def test_desk_call_constructs_no_pool(self, monkeypatch):
+        # A desk realisation takes about 6 ms, and splitting the three after
+        # the first saves one of them, less than a pool costs.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a desk-scale call constructed a process pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        _set_cores(monkeypatch, 2)
+        table = ber_experiment(DESK_SNR20, [10.0, 20.0], 10**4, 3, n_realizations=2)
+        assert len(table.rows) == 2 * len(CSI_SOURCES)
+
+    def test_worker_exception_reaches_caller(self, monkeypatch, tmp_path, capsys):
+        # Forked workers inherit a _synthesize that fails at the last SNR
+        # point, whose realisations all run in workers.
+        synthesize = simulate._synthesize
+
+        def failing(config, *seeds):
+            if config.snr_db == 30.0:
+                raise np.linalg.LinAlgError("synthesis failed at 30 dB")
+            return synthesize(config, *seeds)
+
+        monkeypatch.setattr(simulate, "_synthesize", failing)
+        pools = _record_pools(monkeypatch)
+        _set_cores(monkeypatch, 2)
+        with pytest.raises(np.linalg.LinAlgError, match="synthesis failed at 30 dB"):
+            ber_experiment(SystemConfig(), [10.0, 20.0, 30.0], 10**6, 0, n_realizations=2)
+        assert pools == [2]
+        code = main([
+            "sweep-ber", "--snrs", "10,20,30", "--symbols", "1000000",
+            "--realizations", "2", "--out", str(tmp_path / "r"),
+        ])
+        assert code == 3 and pools == [2, 2]
+        assert "numerical error: synthesis failed at 30 dB" in capsys.readouterr().err
 
     def test_complex_by_real_division_is_reciprocal_multiplication(self):
         # The data stage adds eta * (1 / beta) part by part where the

@@ -2,12 +2,14 @@
 runs run_trial on DESK_SNR20 seeds 3000-3199, DESK_SNR10 seeds 0-49,
 SystemConfig(n_slots=G) for G = 9/12/16 seeds 0-39 and the perfbench trial-wide
 point seeds 0-3, keeping per estimator [NMSE as float hex, exact-support flag,
-iterations], plus three ber_experiment tables: at 10/20/30 dB one at desk
-scale (10^4 symbols, 2 realisations) and one at SystemConfig(), the geometry
+iterations], plus four ber_experiment tables: at 10/20/30 dB one at desk
+scale (10^4 symbols, 2 realisations), one at SystemConfig(), the geometry
 of the perfbench ber-long workload (10^5 symbols, 1 realisation), and one at
-the perfbench trial-wide BER point (G = 12, 20 dB, 2*10^5 symbols,
-2 realisations), and every field of the run_certificate_battery(20, 0)
-records.  `compare A.json B.json` prints the NMSE delta (dB) of every
+a ber-long call (SystemConfig(n_slots=16), 10^6 symbols, 4 realisations,
+whose realisations after the first fan out over worker processes on a
+multi-core host), and one at the perfbench trial-wide BER point (G = 12,
+20 dB, 2*10^5 symbols, 2 realisations), and every field of the
+run_certificate_battery(20, 0) records.  `compare A.json B.json` prints the NMSE delta (dB) of every
 trial that differs, then per estimator the exact-support flips,
 iteration-count changes and largest |delta|, then whether each BER table is
 identical with every differing row (table, SNR, CSI source, old -> new BER
@@ -46,6 +48,8 @@ def dump(path):
     snrs = [10.0, 20.0, 30.0]
     tables = {"desk": ber_experiment(SystemConfig(**desk), snrs, 10**4, 0, n_realizations=2),
               "default": ber_experiment(SystemConfig(), snrs, 10**5, 0, n_realizations=1),
+              "ber-long": ber_experiment(SystemConfig(n_slots=16), snrs, 10**6, 0,
+                                         n_realizations=4),
               "wide": ber_experiment(SystemConfig(**wide), [20.0], 2 * 10**5, 0,
                                      n_realizations=2)}
     ber = {name: [list(row) for row in table.rows] for name, table in tables.items()}
