@@ -223,13 +223,11 @@ def _sweep_values(variable, text, flag="--values") -> list:
 
 
 def cmd_sweep_mse(args) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     if args.trials < 1:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     values = _sweep_values(args.variable, args.values)
     config = _load_config(args)
-    table = sweep(config, args.variable, values, args.trials, args.seed, args.workers)
+    table = sweep(config, args.variable, values, args.trials, args.seed)
     summary = {
         "variable": args.variable,
         "values": values,
@@ -312,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variable", choices=("slots", "snr"), required=True)
     p.add_argument("--values", required=True, help="comma-separated values")
     p.add_argument("--trials", type=int, default=50)
-    p.add_argument("--workers", type=int, default=1)
     _add_common(p)
     p.set_defaults(func=cmd_sweep_mse)
 

@@ -5,7 +5,8 @@ one stacked sensing matrix per pilot subcarrier, with the unknown vectors
 sharing a common support.  ssamp() walks through sparsity stages and selects
 support jointly from the energy summed across subcarriers; adaptive_omp()
 treats every subcarrier on its own and serves as the weak baseline;
-oracle_ls() is the genie bound computed on the true support.
+oracle_ls() is the genie-aided reference fit on the true support, not a
+bound on the others.
 """
 
 from dataclasses import dataclass
@@ -264,7 +265,9 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
 
 
 def oracle_ls(received, operators, true_support) -> EstimationResult:
-    """Genie-aided least squares on the true support; the performance bound."""
+    """Genie-aided least squares on the true support: a reference, not a
+    bound.  Near K = rows the unregularised fit amplifies noise, and a
+    pruned estimate can beat it."""
     r, op = _check_inputs(received, operators)
     support = np.asarray(true_support, dtype=int)
     support = np.unique(support)

@@ -11,6 +11,7 @@ CSI quality propagates into hard-decision errors.
 import os
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -49,15 +50,15 @@ OMP_THRESHOLD_MARGIN = 0.1
 
 _SWEEP_FIELDS = {"slots": "n_slots", "snr": "snr_db"}
 
-# ber_experiment fans realisations out over worker processes only when that
+# _fan_out sends the tasks left over to worker processes only when that
 # saves more than a pool costs.  Starting and joining a fork pool of two
 # workers, one trivial task each, took 11-19 ms (median 15 ms, 40 pools) on a
 # 2-core Xeon with numpy 2.4.6 and OpenBLAS 0.3.31, after a ber_experiment
 # call in the same process ...
 FORK_POOL_START_JOIN_S = 0.02
-# ... and only when a realisation ran on about one core: at wide geometries
-# OpenBLAS threads the correlations (CPU over wall time 1.9-2.0), and worker
-# processes there would contend for the cores it already uses.
+# ... and only when the tasks so far ran on about one core: at wide
+# geometries OpenBLAS threads the correlations (CPU over wall time 1.9-2.0),
+# and worker processes there would contend for the cores it already uses.
 MULTICORE_CPU_PER_WALL = 1.5
 
 
@@ -195,18 +196,62 @@ def _aggregate(records, sweep_var, value) -> list:
     return rows
 
 
-def _pool_map(fn, *iterables, workers: int, chunksize: int = 1) -> list:
-    """list(map(fn, *iterables)) over a pool of `workers` processes that this
-    call starts and joins, so none outlives it.  Results come back in task
-    order.  An exception raised in a worker is raised here, once the tasks
-    not yet started are cancelled and the running ones have ended."""
+def _listed(fn, tasks) -> list:
+    """A pool task: fn's results for one chunk of tasks."""
+    return list(fn(tasks))
+
+
+def _fan_out(fn, tasks: list) -> list:
+    """list(fn(tasks)) for a generator function fn that yields one result
+    per task, in order; the tasks may fan out over worker processes.
+
+    Tasks run here one at a time.  After each, the rest fan out over one
+    worker per usable core (os.sched_getaffinity) when the tasks run so far,
+    summed, took CPU time under MULTICORE_CPU_PER_WALL times their wall time
+    (BLAS was not already threading them) and splitting the rest saves more
+    than FORK_POOL_START_JOIN_S.  Sums, not single tasks, decide: warm tasks
+    outweigh a cold first one, and one odd task does not fork.  The pool is
+    joined inside the call, and a worker's exception is raised here once the
+    chunks not yet started are cancelled.
+    """
+    cores = len(os.sched_getaffinity(0))
+    results = []
+    wall, cpu = time.perf_counter(), time.process_time()
+    for done, result in enumerate(fn(tasks), 1):
+        results.append(result)
+        left = len(tasks) - done
+        workers = min(cores, left)
+        if workers < 2:
+            continue
+        spent_wall, spent_cpu = time.perf_counter() - wall, time.process_time() - cpu
+        # Tasks cost about the same, so a pool ends after ceil(left /
+        # workers) of them.  One costs the mean wall time so far, or the
+        # mean CPU time when other processes hold the cores and stretch the
+        # wall time.
+        saved_s = (left - -(-left // workers)) * min(spent_wall, spent_cpu) / done
+        if spent_cpu < MULTICORE_CPU_PER_WALL * spent_wall and saved_s > FORK_POOL_START_JOIN_S:
+            break
+    rest = tasks[len(results) :]
+    if not rest:
+        return results
     from concurrent.futures import ProcessPoolExecutor
 
+    # About four chunks per worker: few round trips, balanced load.
+    size = max(1, len(rest) // (4 * workers))
+    chunks = [rest[i : i + size] for i in range(0, len(rest), size)]
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        return list(pool.map(fn, *iterables, chunksize=chunksize))
+        for part in pool.map(_listed, [fn] * len(chunks), chunks):
+            results.extend(part)
     finally:
         pool.shutdown(cancel_futures=True)
+    return results
+
+
+def _trials(tasks):
+    """run_trial's record for each (config, seed) in tasks, in order."""
+    for config, seed in tasks:
+        yield run_trial(config, seed)
 
 
 def sweep(
@@ -215,7 +260,6 @@ def sweep(
     values,
     n_trials: int,
     base_seed: int,
-    workers: int = 1,
 ) -> ResultTable:
     """Paired Monte-Carlo sweep over slot count or SNR.
 
@@ -225,9 +269,9 @@ def sweep(
     base_seed + t at every sweep value, so estimator and sweep-point
     comparisons are paired.  The per-trial NMSE ratios are averaged in the
     linear domain and reported in dB; stderr is the delta-method standard
-    error of that mean.  workers > 1 runs the trials of all values through
-    one process pool; aggregation order is fixed, so results match the
-    serial run bit for bit.
+    error of that mean.  The trials of all values may fan out over worker
+    processes (_fan_out); records come back in task order, so the table is
+    the same either way.
     """
     field = _SWEEP_FIELDS.get(variable)
     if field is None:
@@ -243,19 +287,13 @@ def sweep(
         raise ValueError("values must be non-empty")
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    # Every (value, trial) pair, value-major, through one pool.
-    configs = [replace(config, **{field: value}) for value in values for _ in range(n_trials)]
-    seeds = [base_seed + t for _ in values for t in range(n_trials)]
-    if workers > 1:
-        # About four chunks per worker: few round trips, balanced load.
-        chunksize = -(-len(seeds) // (4 * workers))
-        records = _pool_map(
-            run_trial, configs, seeds, workers=min(workers, len(seeds)), chunksize=chunksize
-        )
-    else:
-        records = list(map(run_trial, configs, seeds))
+    # Every (value, trial) pair, value-major.
+    tasks = [
+        (replace(config, **{field: value}), base_seed + t)
+        for value in values
+        for t in range(n_trials)
+    ]
+    records = _fan_out(_trials, tasks)
     rows = []
     for i, value in enumerate(values):
         rows.extend(_aggregate(records[i * n_trials : (i + 1) * n_trials], field, value))
@@ -388,9 +426,9 @@ def _noise_root(combiners):
     return (gram + root_det * np.eye(2)) / np.sqrt(trace + 2.0 * root_det)
 
 
-def _ber_counts(tasks, n_vec: int) -> list:
-    """Bit errors per CSI source, (3,) int64 in CSI_SOURCES order, of each
-    realisation (config, seed, point, real) in `tasks`, in order.
+def _ber_counts(tasks, n_vec: int):
+    """Yield the bit errors per CSI source, (3,) int64 in CSI_SOURCES order,
+    of each realisation (config, seed, point, real) in `tasks`, in order.
 
     `config` carries the point's SNR, and n_vec symbol vectors ride each
     subcarrier.  Realisation `real` of point `point` is seeded by
@@ -411,7 +449,6 @@ def _ber_counts(tasks, n_vec: int) -> list:
     decided = np.empty((len(CSI_SOURCES), 4 * n_vec), dtype=np.uint8)
     decided_words = decided.view(np.uint32)  # four pairs, one payload byte
     flags = np.empty((2, rx_parts.size), dtype=bool)
-    counts = []
     for config, seed, point, real in tasks:
         ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
         chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
@@ -459,8 +496,10 @@ def _ber_counts(tasks, n_vec: int) -> list:
             _gray_pairs(rx_parts.ravel(), decided.ravel(), flags)
             np.bitwise_xor(decided_words, drawn, out=decided_words)
             errors += np.bitwise_count(decided_words).sum(axis=1, dtype=np.int64)
-        counts.append(errors)
-    return counts
+        # Drop this operator while the caller holds the generator, so the
+        # next realisation does not build its own beside it.
+        del operators
+        yield errors
 
 
 def ber_experiment(
@@ -487,13 +526,10 @@ def ber_experiment(
     combined components reach the streams, so they are drawn directly:
     eta = sigma_d L w with w ~ CN(0, I_2) and L L^H = C^H C (_noise_root).
 
-    The first realisation runs in this process and is timed.  The others
-    fan out over one worker process per usable core when that realisation
-    ran on about one core (process CPU time under MULTICORE_CPU_PER_WALL
-    times its wall time; wide geometries, where BLAS already threads, stay
-    here) and splitting them saves more than FORK_POOL_START_JOIN_S;
-    otherwise they run here too.  Each realisation's error counts are
-    integers summed in task order, so the table is the same either way.
+    Realisations may fan out over worker processes (_fan_out); those that
+    run in this process share one set of data-stage buffers.  Each
+    realisation's error counts are integers summed in task order, so the
+    table is the same either way.
     """
     if config.n_bs < 2:
         raise ValueError("ber_experiment needs n_bs >= 2 for two LOS streams")
@@ -516,23 +552,7 @@ def ber_experiment(
         for point, snr_db in enumerate(snr_values)
         for real in range(n_realizations)
     ]
-    wall, cpu = time.perf_counter(), time.process_time()
-    counts = _ber_counts(tasks[:1], n_vec)
-    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
-    rest = tasks[1:]
-    workers = min(len(os.sched_getaffinity(0)), len(rest))
-    # Realisations cost about the same, so a pool ends after ceil(rest /
-    # workers) of them.  One costs its wall time, or its CPU time when other
-    # processes hold the cores and stretch the wall time.
-    saved_s = (len(rest) - -(-len(rest) // max(workers, 1))) * min(wall, cpu)
-    if workers > 1 and cpu < MULTICORE_CPU_PER_WALL * wall and saved_s > FORK_POOL_START_JOIN_S:
-        # One task per realisation, so the pool balances them as they end.
-        parts = _pool_map(
-            _ber_counts, [[task] for task in rest], [n_vec] * len(rest), workers=workers
-        )
-        counts += [part[0] for part in parts]
-    else:
-        counts += _ber_counts(rest, n_vec)
+    counts = _fan_out(partial(_ber_counts, n_vec=n_vec), tasks)
     rows = []
     for point, snr_db in enumerate(snr_values):
         errors = sum(counts[point * n_realizations : (point + 1) * n_realizations])

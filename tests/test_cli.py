@@ -457,17 +457,19 @@ def test_exit_code_repeated_key(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_exit_code_workers_below_one(tmp_path, capsys):
-    code = main(
-        [
-            "sweep-mse", "--config", _desk_config(tmp_path), "--variable", "snr",
-            "--values", "10", "--trials", "1", "--workers", "0",
-            "--out", str(tmp_path / "r"),
-        ]
-    )
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "config error" in captured.err and "--workers" in captured.err
+def test_exit_code_workers_flag_rejected(tmp_path, capsys):
+    # The fan-out rule picks the worker count; --workers is an unknown flag.
+    out = tmp_path / "r"
+    with pytest.raises(SystemExit) as exit_info:
+        main(
+            [
+                "sweep-mse", "--config", _desk_config(tmp_path), "--variable", "snr",
+                "--values", "10", "--trials", "1", "--workers", "2", "--out", str(out),
+            ]
+        )
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_version_subprocess():

@@ -172,8 +172,38 @@ def ber_reference_per_antenna(config, snr_values, n_symbols, seed, n_realization
 
 
 def _set_cores(monkeypatch, n):
-    """Make ber_experiment see n usable cores."""
+    """Make _fan_out see n usable cores."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class _Clock:
+    """Stands in for simulate's time module.  Its wall and CPU readings move
+    only when a test task advances them, so _fan_out decides the same way
+    whatever this host's speed and BLAS threads."""
+
+    def __init__(self):
+        self.wall = self.cpu = 0.0
+
+    def perf_counter(self):
+        return self.wall
+
+    def process_time(self):
+        return self.cpu
+
+
+def _fake_clock(monkeypatch):
+    clock = _Clock()
+    monkeypatch.setattr(simulate, "time", clock)
+    return clock
+
+
+def _costed_tasks(tasks):
+    """_fan_out's task function for tests: each task (wall_s, cpu_s)
+    advances the fake clock by its cost and yields the process it ran in."""
+    for wall_s, cpu_s in tasks:
+        simulate.time.wall += wall_s
+        simulate.time.cpu += cpu_s
+        yield os.getpid()
 
 
 def _record_pools(monkeypatch):
@@ -187,6 +217,15 @@ def _record_pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
     return made
+
+
+def _refuse_pools(monkeypatch, what):
+    """Fail the test if `what` constructs a process pool."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} constructed a process pool")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
 
 
 def _strip_time(metrics):
@@ -310,9 +349,25 @@ class TestSweep:
         b = sweep(DESK_SNR20, "snr", [10.0, 20.0], 3, 7)
         assert a.rows == b.rows
 
-    def test_parallel_matches_serial(self):
-        serial = sweep(DESK_SNR20, "snr", [10.0, 20.0], 8, 11, workers=1)
-        parallel = sweep(DESK_SNR20, "snr", [10.0, 20.0], 8, 11, workers=2)
+    def test_parallel_matches_serial(self, monkeypatch):
+        # Every trial reads one second on one core, so on two cores the 15
+        # after the first fan out over two workers; on one they stay here.
+        clock = _fake_clock(monkeypatch)
+        trial = simulate.run_trial
+
+        def costed(*args):
+            clock.wall += 1.0
+            clock.cpu += 1.0
+            return trial(*args)
+
+        monkeypatch.setattr(simulate, "run_trial", costed)
+        pools = _record_pools(monkeypatch)
+        _set_cores(monkeypatch, 1)
+        serial = sweep(DESK_SNR20, "snr", [10.0, 20.0], 8, 11)
+        assert pools == []
+        _set_cores(monkeypatch, 2)
+        parallel = sweep(DESK_SNR20, "snr", [10.0, 20.0], 8, 11)
+        assert pools == [2]
         assert serial.rows == parallel.rows
 
     def test_validation(self):
@@ -327,9 +382,6 @@ class TestSweep:
         for values in ([8.5], [6, 12.5], [float("nan")]):
             with pytest.raises(ValueError, match="slot counts must be integers"):
                 sweep(DESK_SNR20, "slots", values, 1, 0)
-        for workers in (0, -2):
-            with pytest.raises(ValueError, match="workers"):
-                sweep(DESK_SNR20, "snr", [10.0], 1, 0, workers=workers)
 
     def test_more_slots_help(self):
         # at the published-style scale ratio (S_a = 8, 2 S_a / N_chain = 8),
@@ -338,6 +390,41 @@ class TestSweep:
         nmse = {row[1]: row[3] for row in table.rows if row[2] == "ssamp"}
         assert nmse[12] < nmse[9] - 0.5
         assert nmse[16] < nmse[12] - 0.5
+
+
+class TestFanOut:
+    def test_cold_first_task_fans_out_after_the_second(self, monkeypatch):
+        # A first task on two cores' worth of CPU (OpenBLAS starting up),
+        # then warm ones on about one: the sums pass after the second task.
+        _fake_clock(monkeypatch)
+        pools = _record_pools(monkeypatch)
+        _set_cores(monkeypatch, 2)
+        tasks = [(1.0, 2.0)] + [(1.0, 0.9)] * 9
+        ran_in = simulate._fan_out(_costed_tasks, tasks)
+        assert pools == [2]
+        assert len(ran_in) == len(tasks)
+        assert ran_in[:2] == [os.getpid()] * 2
+        assert os.getpid() not in ran_in[2:]
+
+    @pytest.mark.parametrize(
+        "tasks",
+        [
+            [(1.0, 2.0)] * 30,
+            [(1.0, 1.5)] * 30,
+            # One task alone at 1.42, as one trial of 120 read at the wide
+            # geometry: the sums stay above the threshold.
+            [(1.0, 2.0)] * 10 + [(1.0, 1.42)] + [(1.0, 2.0)] * 19,
+            # Too cheap: splitting the rest of ten 2 ms tasks saves at most
+            # four of them, 8 ms, under the 20 ms a pool costs.
+            [(0.002, 0.002)] * 10,
+        ],
+        ids=["threaded", "threshold", "one-odd-task", "cheap"],
+    )
+    def test_construct_no_pool(self, monkeypatch, tasks):
+        _refuse_pools(monkeypatch, "threaded or cheap tasks")
+        _fake_clock(monkeypatch)
+        _set_cores(monkeypatch, 2)
+        assert simulate._fan_out(_costed_tasks, tasks) == [os.getpid()] * len(tasks)
 
 
 class TestBer:
@@ -467,19 +554,16 @@ class TestBer:
         assert pools == [2]
 
     def test_desk_call_constructs_no_pool(self, monkeypatch):
-        # A desk realisation takes about 6 ms, and splitting the three after
-        # the first saves one of them, less than a pool costs.
-        def refuse(*args, **kwargs):
-            raise AssertionError("a desk-scale call constructed a process pool")
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        # A desk realisation takes about 6 ms, and splitting those left after
+        # any of the four saves at most one of them, less than a pool costs.
+        _refuse_pools(monkeypatch, "a desk-scale call")
         _set_cores(monkeypatch, 2)
         table = ber_experiment(DESK_SNR20, [10.0, 20.0], 10**4, 3, n_realizations=2)
         assert len(table.rows) == 2 * len(CSI_SOURCES)
 
     def test_worker_exception_reaches_caller(self, monkeypatch, tmp_path, capsys):
         # Forked workers inherit a _synthesize that fails at the last SNR
-        # point, whose realisations all run in workers.
+        # point, whose realisations and trials all run in workers.
         synthesize = simulate._synthesize
 
         def failing(config, *seeds):
@@ -493,12 +577,17 @@ class TestBer:
         with pytest.raises(np.linalg.LinAlgError, match="synthesis failed at 30 dB"):
             ber_experiment(SystemConfig(), [10.0, 20.0, 30.0], 10**6, 0, n_realizations=2)
         assert pools == [2]
-        code = main([
-            "sweep-ber", "--snrs", "10,20,30", "--symbols", "1000000",
-            "--realizations", "2", "--out", str(tmp_path / "r"),
-        ])
-        assert code == 3 and pools == [2, 2]
-        assert "numerical error: synthesis failed at 30 dB" in capsys.readouterr().err
+        for calls, argv in enumerate(
+            (
+                ["sweep-ber", "--snrs", "10,20,30", "--symbols", "1000000", "--realizations", "2"],
+                # Trials of about 12 ms: those at 30 dB are the last ten of 30.
+                ["sweep-mse", "--variable", "snr", "--values", "10,20,30", "--trials", "10"],
+            ),
+            2,
+        ):
+            code = main([*argv, "--out", str(tmp_path / argv[0])])
+            assert code == 3 and pools == [2] * calls
+            assert "numerical error: synthesis failed at 30 dB" in capsys.readouterr().err
 
     def test_complex_by_real_division_is_reciprocal_multiplication(self):
         # The data stage adds eta * (1 / beta) part by part where the

@@ -8,14 +8,17 @@ of the perfbench ber-long workload (10^5 symbols, 1 realisation), and one at
 a ber-long call (SystemConfig(n_slots=16), 10^6 symbols, 4 realisations,
 whose realisations after the first fan out over worker processes on a
 multi-core host), and one at the perfbench trial-wide BER point (G = 12,
-20 dB, 2*10^5 symbols, 2 realisations), and every field of the
-run_certificate_battery(20, 0) records.  `compare A.json B.json` prints the NMSE delta (dB) of every
+20 dB, 2*10^5 symbols, 2 realisations), the sweep(SystemConfig(), "slots",
+[9, 12, 16], 40, 0) table (whose trials fan out over worker processes on a
+multi-core host), and every field of the run_certificate_battery(20, 0)
+records.  `compare A.json B.json` prints the NMSE delta (dB) of every
 trial that differs, then per estimator the exact-support flips,
 iteration-count changes and largest |delta|, then whether each BER table is
 identical with every differing row (table, SNR, CSI source, old -> new BER
 and the change in binomial standard errors of the mean BER over 4 bits per
-symbol), then whether the certificate records are identical with every
-differing record, and exits 1 if any trial, BER row or certificate record
+symbol), then whether the sweep table is identical with every differing row,
+then whether the certificate records are identical with every differing
+record, and exits 1 if any trial, BER row, sweep row or certificate record
 differs.
 """
 
@@ -28,6 +31,7 @@ from itertools import zip_longest
 
 def dump(path):
     from mmwave_scs import SystemConfig, ber_experiment, run_trial
+    from mmwave_scs.simulate import sweep
     from mmwave_scs.theory import run_certificate_battery
 
     desk = dict(n_ant_bs=16, n_ant_user=4, n_paths=2, n_subcarriers=8,
@@ -53,9 +57,11 @@ def dump(path):
               "wide": ber_experiment(SystemConfig(**wide), [20.0], 2 * 10**5, 0,
                                      n_realizations=2)}
     ber = {name: [list(row) for row in table.rows] for name, table in tables.items()}
+    rows = [list(row) for row in sweep(SystemConfig(), "slots", [9, 12, 16], 40, 0).rows]
     certificates = [asdict(record) for record in run_certificate_battery(20, 0)]
     with open(path, "w") as handle:
-        json.dump({"trials": trials, "ber": ber, "certificates": certificates}, handle, indent=1)
+        json.dump({"trials": trials, "ber": ber, "sweep": rows, "certificates": certificates},
+                  handle, indent=1)
     return 0
 
 
@@ -100,13 +106,19 @@ def compare(path_a, path_b):
                 (ber_a, _), (ber_b, symbols) = old.get(key, [None] * 2), new.get(key, [None] * 2)
                 print(f"  {name} {key[0]:g} dB {key[1]}: {ber_a} -> {ber_b}"
                       f"{_sigma_move(ber_a, ber_b, symbols)}")
+    sweep_a, sweep_b = a.get("sweep", []), b.get("sweep", [])
+    same_sweep = sweep_a == sweep_b
+    print(f"sweep table: {'identical' if same_sweep else 'differs'}")
+    for old, new in zip_longest(sweep_a, sweep_b):
+        if old != new:
+            print(f"  sweep row: {old} -> {new}")
     cert_a, cert_b = a.get("certificates", []), b.get("certificates", [])
     same_certs = cert_a == cert_b
     print(f"certificate records: {'identical' if same_certs else 'differ'}")
     for i, (old, new) in enumerate(zip_longest(cert_a, cert_b)):
         if old != new:
             print(f"  certificate {i}: {old} -> {new}")
-    return 1 if differ or not same_ber or not same_certs else 0
+    return 1 if differ or not same_ber or not same_sweep or not same_certs else 0
 
 
 if __name__ == "__main__":
