@@ -103,7 +103,8 @@ class KroneckerOperator:
     block of consecutive subcarriers costs no copy.  Products go through
     the support's columns (columns) and correlations through adjoint_abs,
     the one correlation path, `block` subcarriers at a time into buffers
-    the caller allocates once.
+    the caller allocates once.  Non-finite factors are rejected when the
+    operator is built, so its users need not scan them again.
     """
 
     def __init__(self, left, right):
@@ -114,6 +115,8 @@ class KroneckerOperator:
                 "expected left (G, P, N_chain_US, N_US) and right (G, P, M * N_BS), "
                 f"got {left.shape} and {right.shape}"
             )
+        if not (np.isfinite(left).all() and np.isfinite(right).all()):
+            raise ValueError("operators contain non-finite values (NaN or Inf)")
         self.left = left
         self.right = right
 
@@ -187,9 +190,6 @@ class KroneckerOperator:
             np.square(right_sq, out=right_sq)  # (G, block, M * N_BS)
             np.matmul(right_sq.transpose(1, 2, 0), left_sq[a : a + block], out=out[a : a + block])
         return np.sqrt(out, out=out).reshape(p, -1)
-
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.left).all() and np.isfinite(self.right).all())
 
     def dense(self) -> np.ndarray:
         """The (P, rows, dim) tensor; for tests and small geometries only."""

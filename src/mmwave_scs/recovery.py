@@ -49,6 +49,17 @@ class EstimationResult(AngularChannelSet):
     termination_reason: str | None
 
 
+def _index_union(*arrays) -> np.ndarray:
+    """Sorted, de-duplicated union of integer index arrays (flattened), as np.intp.
+
+    np.union1d and np.unique give the same values, but in numpy 2.4 their
+    masked-array check imports numpy.ma on first use.  Supports are small
+    (hundreds of indices at most), where Python's set is the cheap route.
+    """
+    merged = np.concatenate(arrays, axis=None).tolist()
+    return np.array(sorted(set(merged)), dtype=np.intp)
+
+
 def _top_indices(energy: np.ndarray, count: int) -> np.ndarray:
     """Sorted indices of the `count` largest entries; ties go to the lowest index."""
     if count >= energy.size:
@@ -56,7 +67,7 @@ def _top_indices(energy: np.ndarray, count: int) -> np.ndarray:
     cutoff = np.partition(energy, -count)[-count]
     above = np.flatnonzero(energy > cutoff)
     ties = np.flatnonzero(energy == cutoff)[: count - above.size]
-    return np.union1d(above, ties)
+    return _index_union(above, ties)
 
 
 def _fit(cols, received):
@@ -87,7 +98,8 @@ def _residual(received, cols, coefs):
 
 
 def _check_inputs(received, operators):
-    """(received as complex (P, rows), operator); rejects bad shapes and non-finite data."""
+    """(received as complex (P, rows), operator); rejects bad shapes and non-finite
+    pilots (the operator checks its own factors when it is built)."""
     r = np.asarray(received, dtype=np.complex128)
     op = as_operator(operators)
     if r.ndim != 2:
@@ -96,8 +108,6 @@ def _check_inputs(received, operators):
         raise ValueError(f"shape mismatch: received {r.shape} vs operators {op.shape}")
     if not np.isfinite(r).all():
         raise ValueError("received pilots contain non-finite values (NaN or Inf)")
-    if not op.is_finite():
-        raise ValueError("operators contain non-finite values (NaN or Inf)")
     return r, op
 
 
@@ -160,7 +170,7 @@ def ssamp(received, operators, p_th: float) -> EstimationResult:
                     proxy_energy += row
             stale = False
         gamma = _top_indices(proxy_energy, sparsity)
-        union = np.union1d(support, gamma)
+        union = _index_union(support, gamma)
         trial = _fit(op.columns(union), r)
         keep = _top_indices(np.sum(np.abs(trial) ** 2, axis=0), sparsity)
         omega = union[keep]
@@ -269,8 +279,7 @@ def oracle_ls(received, operators, true_support) -> EstimationResult:
     bound.  Near K = rows the unregularised fit amplifies noise, and a
     pruned estimate can beat it."""
     r, op = _check_inputs(received, operators)
-    support = np.asarray(true_support, dtype=int)
-    support = np.unique(support)
+    support = _index_union(np.asarray(true_support, dtype=int))
     rows, dim = op.shape[1], op.shape[2]
     if support.size > rows:
         raise ValueError(

@@ -32,11 +32,13 @@ from .pilots import (
     synthesize_received,
 )
 from .recovery import (
+    _index_union,
     adaptive_omp,
     nmse_db,
     oracle_ls,
     p_th_for_snr,
     ssamp,
+    support_metrics,
 )
 
 ESTIMATORS = ("ssamp", "adaptive_omp", "oracle_ls")
@@ -64,10 +66,18 @@ MULTICORE_CPU_PER_WALL = 1.5
 
 @dataclass(frozen=True)
 class EstimatorMetrics:
+    """One estimator's score in one trial, and how its run went: stages and
+    termination_reason as the estimator reports them, precision and recall
+    of its support against the true one (recovery.support_metrics)."""
+
     nmse_db: float
     exact_support_match: bool
     iterations: int
     wall_time_s: float
+    stages: int
+    termination_reason: str | None
+    precision: float
+    recall: float
 
 
 @dataclass(frozen=True)
@@ -147,7 +157,6 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
         config, chan_seed, ens_seed, noise_seed
     )
     rows = operators.shape[1]
-    true_set = set(aset.support.tolist())
     estimators = {
         "ssamp": lambda: ssamp(received, operators, _ssamp_threshold(config)),
         "adaptive_omp": lambda: adaptive_omp(
@@ -162,12 +171,17 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
         wall_time_s = time.perf_counter() - start
         # Every estimate is zero off its support and the truth off its own,
         # so the error lives on their union.
-        scored = np.union1d(est.support, aset.support)
+        scored = _index_union(est.support, aset.support)
+        exact, precision, recall = support_metrics(est.support, aset.support)
         metrics[name] = EstimatorMetrics(
             nmse_db=nmse_db(est.at(scored), aset.at(scored)),
-            exact_support_match=set(est.support.tolist()) == true_set,
+            exact_support_match=exact,
             iterations=est.iterations,
             wall_time_s=wall_time_s,
+            stages=est.stages,
+            termination_reason=est.termination_reason,
+            precision=precision,
+            recall=recall,
         )
     return TrialRecord(true_sparsity=aset.sparsity, metrics=metrics)
 

@@ -86,7 +86,7 @@ def test_primary_2_oracle_gap_at_20db():
     _report(
         2,
         ok,
-        f"mean NMSE gap to the genie bound {gap:.2f} dB (tolerance 1.5 dB), "
+        f"mean NMSE gap to the oracle LS reference {gap:.2f} dB (tolerance 1.5 dB), "
         f"{elapsed:.1f} s — known shortfall, see README",
     )
     assert elapsed < 300.0

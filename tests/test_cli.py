@@ -157,7 +157,10 @@ def test_estimate_writes_artifacts(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     lines = (out / "estimate.csv").read_text().strip().splitlines()
-    assert lines[0] == "estimator,nmse_db,exact_support_match,iterations,wall_time_s"
+    assert lines[0] == (
+        "estimator,nmse_db,exact_support_match,iterations,wall_time_s,"
+        "stages,termination_reason,precision,recall"
+    )
     assert [line.split(",")[0] for line in lines[1:]] == ["ssamp", "adaptive_omp", "oracle_ls"]
     assert (out / "estimate_summary.json").exists()
     manifest = json.loads((out / "manifest.json").read_text())

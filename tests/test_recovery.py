@@ -26,6 +26,7 @@ from mmwave_scs.recovery import (
     TERM_RESIDUAL,
     TERM_THRESHOLD,
     _fit,
+    _index_union,
     _top_indices,
     adaptive_omp,
     nmse_db,
@@ -395,13 +396,39 @@ def test_top_indices_matches_stable_argsort(values, count):
     np.testing.assert_array_equal(_top_indices(energy, count), expected)
 
 
+# Small ranges make repeats frequent; lists come unsorted and may be empty.
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(-5, 40), max_size=12),
+    st.lists(st.integers(-5, 40), max_size=12),
+)
+def test_index_union_matches_union1d(a, b):
+    a, b = np.array(a, dtype=np.intp), np.array(b, dtype=np.intp)
+    got, expected = _index_union(a, b), np.union1d(a, b)
+    np.testing.assert_array_equal(got, expected)
+    assert got.dtype == expected.dtype == np.intp
+
+
+def test_index_union_flattens_and_casts():
+    grid = np.array([[3, 1], [1, 0]])
+    np.testing.assert_array_equal(_index_union(grid), np.unique(grid))
+    small = np.array([9, 2, 2], dtype=np.int32)
+    np.testing.assert_array_equal(_index_union(small, small[:1]), [2, 9])
+    assert _index_union(small).dtype == np.intp
+    assert _index_union(np.array([], dtype=int)).dtype == np.intp
+
+
 class TestOracleLs:
     def test_noiseless_floor(self):
         aset, ops, received, _ = synth(DESK_EXACT, 71, 72, 0)
-        result = oracle_ls(received, ops, aset.support)
         every = np.arange(ops.shape[2])
-        assert nmse_db(result.at(every), aset.at(every)) <= -100.0
-        assert result.termination_reason is None
+        # An unsorted (P, K) support with repeats names the same columns.
+        shuffled = np.repeat(aset.support[::-1], 2).reshape(2, -1)
+        for support in (aset.support, shuffled):
+            result = oracle_ls(received, ops, support)
+            np.testing.assert_array_equal(result.support, aset.support)
+            assert nmse_db(result.at(every), aset.at(every)) <= -100.0
+            assert result.termination_reason is None
 
     def test_empty_support(self):
         rng = np.random.default_rng(0)
@@ -422,9 +449,10 @@ class TestOracleLs:
             oracle_ls(np.zeros((1, 3)), phis, [7, 8])
 
     def test_noiseless_dominance_per_record(self):
-        # with no noise the genie bound holds record by record; with noise it
-        # holds in the mean but individual draws can invert when the pursuit
-        # drops a weak atom the genie is forced to fit (see test_simulate)
+        # with no noise the oracle reference is never worse record by
+        # record; with noise only in the mean, and individual draws can
+        # invert when the pursuit drops a weak atom the oracle is forced to
+        # fit (see test_simulate)
         for t in range(20):
             chan_seed, ens_seed, noise_seed = _trial_seeds(1000 + t)
             aset, ops, received, _ = synth(DESK_EXACT, chan_seed, ens_seed, noise_seed)

@@ -24,6 +24,48 @@ from mmwave_scs.theory import (
 # ----------------------------------------------------------------------- spark
 
 
+def spark_exhaustive(matrix) -> int:
+    """The reference: every subset size from 2 up, smallest failing size first."""
+    a = np.asarray(matrix)
+    m, n = a.shape
+    norms = np.linalg.norm(a, axis=0)
+    if np.any(norms <= theory.RANK_REL_TOL * norms.max()):
+        return 1
+    for k in range(2, min(m, n) + 1):
+        idx = np.array(list(combinations(range(n), k)))
+        s = np.linalg.svd(a[:, idx].transpose(1, 0, 2), compute_uv=False)
+        if np.any(s[:, -1] <= theory.RANK_REL_TOL * s[:, 0]):
+            return k
+    return min(m, n) + 1
+
+
+def test_spark_matches_exhaustive_search_on_planted_dependencies():
+    rng = np.random.default_rng(2024)
+    sparks = set()
+    for _ in range(150):
+        m, n = int(rng.integers(1, 7)), int(rng.integers(1, 11))
+        a = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+        kind = rng.integers(3)
+        if kind == 1 and n >= 2:
+            # one column a combination of d - 1 others: spark at most d
+            d = int(rng.integers(2, min(m + 1, n) + 1))
+            cols = rng.choice(n, size=d, replace=False)
+            a[:, cols[0]] = a[:, cols[1:]] @ rng.standard_normal(d - 1)
+        elif kind == 2:
+            # rank r: every r + 1 columns are dependent
+            rank = int(rng.integers(1, m + 1))
+            a = rng.standard_normal((m, rank)) @ a[:rank]
+        value = spark(a)
+        assert value == spark_exhaustive(a), (m, n, kind)
+        sparks.add(value)
+    assert len(sparks) >= 5
+    # Only the last 7 columns are dependent: of the 11,440 7-subsets, the
+    # one that fails lies beyond the first 4,096, in a later SVD batch.
+    a = rng.standard_normal((7, 16)) + 1j * rng.standard_normal((7, 16))
+    a[:, 15] = a[:, 9:15] @ rng.standard_normal(6)
+    assert spark(a) == spark_exhaustive(a) == 7
+
+
 def test_spark_identity():
     assert spark(np.eye(5)) == 6
 
