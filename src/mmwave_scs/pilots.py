@@ -99,12 +99,11 @@ class KroneckerOperator:
       left   (G, P, N_chain_US, N_US)   Z^H A_RX
       right  (G, P, M * N_BS)           A_TX^H f, the BSs' beams stacked
 
-    Slicing the subcarrier axis (op[a:b]) gives views of the factors, so a
-    block of consecutive subcarriers costs no copy.  Products go through
-    the support's columns (columns) and correlations through adjoint_abs,
-    the one correlation path, `block` subcarriers at a time into buffers
-    the caller allocates once.  Non-finite factors are rejected when the
-    operator is built, so its users need not scan them again.
+    Products go through the support's columns (columns) and correlations
+    through adjoint_abs, the one correlation path, `block` subcarriers at a
+    time into buffers the caller allocates once.  Non-finite factors are
+    rejected when the operator is built, so its users need not scan them
+    again.
     """
 
     def __init__(self, left, right):
@@ -135,10 +134,6 @@ class KroneckerOperator:
         """Subcarriers per block: as many as fit BLOCK_BYTES of complex output, 1 to P."""
         p, _, dim = self.shape
         return max(1, min(p, BLOCK_BYTES // (16 * dim)))
-
-    def __getitem__(self, key) -> "KroneckerOperator":
-        """The subcarriers that `key` selects: a slice gives views, an index array copies."""
-        return KroneckerOperator(self.left[:, key], self.right[:, key])
 
     def adjoint_abs(self, r, subcarriers, work, out):
         """|Phi_q^H r_i| for q = subcarriers[i], one block of subcarriers at a time.

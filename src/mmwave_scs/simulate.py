@@ -15,7 +15,8 @@ from functools import partial
 
 import numpy as np
 
-# dft_pair and inverse_angular_transform are unused here; perfbench's tracer wraps them by name.
+# dft_pair, grid_steering_vector and inverse_angular_transform are unused
+# here; perfbench's tracer wraps them by name.
 from .channel import (
     SystemConfig,
     angular_channel_set,
@@ -194,16 +195,14 @@ def _aggregate(records, sweep_var, value) -> list:
         matches = np.array(
             [rec.metrics[name].exact_support_match for rec in records], dtype=float
         )
+        # nmse_db floors at -300 dB, so mean_lin is at least 1e-30.
         mean_lin = float(lin.mean())
-        if mean_lin <= 0.0:
-            mean_db, stderr_db = -300.0, 0.0
+        mean_db = 10.0 * np.log10(mean_lin)
+        if n_trials > 1:
+            stderr_lin = float(lin.std(ddof=1)) / np.sqrt(n_trials)
+            stderr_db = 10.0 / np.log(10.0) * stderr_lin / mean_lin
         else:
-            mean_db = 10.0 * np.log10(mean_lin)
-            if n_trials > 1:
-                stderr_lin = float(lin.std(ddof=1)) / np.sqrt(n_trials)
-                stderr_db = 10.0 / np.log(10.0) * stderr_lin / mean_lin
-            else:
-                stderr_db = 0.0
+            stderr_db = 0.0
         rows.append(
             (sweep_var, value, name, mean_db, float(matches.mean()), n_trials, stderr_db)
         )
@@ -224,9 +223,9 @@ def _fan_out(fn, tasks: list) -> list:
     summed, took CPU time under MULTICORE_CPU_PER_WALL times their wall time
     (BLAS was not already threading them) and splitting the rest saves more
     than FORK_POOL_START_JOIN_S.  Sums, not single tasks, decide: warm tasks
-    outweigh a cold first one, and one odd task does not fork.  The pool is
-    joined inside the call, and a worker's exception is raised here once the
-    chunks not yet started are cancelled.
+    outweigh a cold first one, and one odd task does not fork.  The fork pool
+    is joined inside the call, and a worker's exception is raised here once
+    the chunks not yet started are cancelled.
     """
     cores = len(os.sched_getaffinity(0))
     results = []
@@ -248,12 +247,13 @@ def _fan_out(fn, tasks: list) -> list:
     rest = tasks[len(results) :]
     if not rest:
         return results
+    import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
     # About four chunks per worker: few round trips, balanced load.
     size = max(1, len(rest) // (4 * workers))
     chunks = [rest[i : i + size] for i in range(0, len(rest), size)]
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
     try:
         for part in pool.map(_listed, [fn] * len(chunks), chunks):
             results.extend(part)
@@ -392,20 +392,17 @@ def qam16_hard_bits(symbols) -> np.ndarray:
 
 def _los_beams(chan, config: SystemConfig):
     """The two strongest LOS paths (ties to the lower BS index): the (2, 2)
-    angular-vector columns of their effective channel, and their combiners.
+    angular-vector columns of their effective channel, and their AoA bins.
 
-    Stream k is LOS path k of BS m_k.  Its precoder and both combiners are
-    DFT-grid steering vectors, so combiner a and precoder k pick one entry of
-    BS m_k's angular matrix: entry (a, k) is column
+    Stream k is LOS path k of BS m_k.  Its precoder and combiner are
+    DFT-grid steering vectors, so combiner a (AoA bin aoa_a) and precoder k
+    pick one entry of BS m_k's angular matrix: entry (a, k) is column
     (m_k N_BS + aod_k) N_US + aoa_a of the aggregate angular vector.
     """
     serving = np.argsort(-np.abs(chan.gains[:, 0]), kind="stable")[:2]
     aoa = chan.aoa_bins[serving, 0]
     tx = serving * config.n_ant_bs + chan.aod_bins[serving, 0]
-    combiners = np.column_stack(
-        [grid_steering_vector(config.n_ant_user, a) for a in aoa]
-    ) / np.sqrt(config.n_ant_user)
-    return tx * config.n_ant_user + aoa[:, None], combiners
+    return tx * config.n_ant_user + aoa[:, None], aoa
 
 
 def _zf_precoders(h_eff):
@@ -422,22 +419,14 @@ def _zf_precoders(h_eff):
     return precoders, betas
 
 
-def _noise_root(combiners):
-    """A 2x2 root L with L L^H = C^H C for the (U, 2) combiners C.
+def _noise_root(aoa):
+    """A 2x2 root L with L L^H = C^H C for the combiners C of AoA bins aoa.
 
-    Combined noise C^H n with n ~ CN(0, s I_U) has covariance s C^H C, so it
-    is drawn as sqrt(s) L w with w ~ CN(0, I_2).  C^H C is the identity when
-    the two streams' AoA bins differ and the rank-1 all-ones matrix when they
-    share one, so L is not a Cholesky factor but the principal square root of
-    the PSD 2x2 matrix G, (G + sqrt(det G) I) / sqrt(tr G + 2 sqrt(det G)),
-    with det G clipped at 0.  At a shared bin its rows are equal, and so are
-    the two noise components.
+    Combined noise C^H n, n ~ CN(0, s I_U), is drawn as sqrt(s) L w with
+    w ~ CN(0, I_2).  C holds unitary-DFT columns, so C^H C is I for distinct
+    bins and all ones for a shared bin, where both streams get equal noise.
     """
-    gram = combiners.conj().T @ combiners
-    det = max(gram[0, 0].real * gram[1, 1].real - abs(gram[0, 1]) ** 2, 0.0)
-    root_det = np.sqrt(det)
-    trace = gram[0, 0].real + gram[1, 1].real
-    return (gram + root_det * np.eye(2)) / np.sqrt(trace + 2.0 * root_det)
+    return np.eye(2) if aoa[0] != aoa[1] else np.full((2, 2), np.sqrt(0.5))
 
 
 def _ber_counts(tasks, n_vec: int):
@@ -474,7 +463,7 @@ def _ber_counts(tasks, n_vec: int):
             received, operators, _omp_threshold(sigma2, operators.shape[1], received)
         )
 
-        columns, combiners = _los_beams(chan, config)
+        columns, aoa = _los_beams(chan, config)
         # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
         h_eff = np.stack([source.at(columns) for source in (aset, est_ssamp, est_omp)])
         zf, betas = _zf_precoders(h_eff)
@@ -482,7 +471,7 @@ def _ber_counts(tasks, n_vec: int):
         # transmit side and the receiver divides it out, so it only
         # scales the noise.
         links = h_eff[0] @ zf
-        root = _noise_root(combiners)
+        root = _noise_root(aoa)
         # Data noise is calibrated on the perfect-CSI link and shared by
         # all sources, as are the payload bits.
         beta_true = betas[0]

@@ -39,10 +39,6 @@ class GmmvInstance:
     def sparsity(self) -> int:
         return int(self.support.size)
 
-    @property
-    def n_vectors(self) -> int:
-        return int(self.operators.shape[0])
-
 
 @dataclass(frozen=True)
 class UniquenessCertificate:

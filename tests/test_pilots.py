@@ -230,7 +230,7 @@ def _cnormal(rng, shape):
 
 
 def _check_against_dense(op, dense, rng):
-    """adjoint_abs, columns, column_norms and slicing of `op` against `dense`."""
+    """adjoint_abs, columns and column_norms of `op` against `dense`."""
     n_pilots, rows, dim = op.shape
     r = _cnormal(rng, (n_pilots, rows))
     work = np.empty((n_pilots, dim), dtype=np.complex128)
@@ -241,10 +241,7 @@ def _check_against_dense(op, dense, rng):
     np.testing.assert_array_equal(op.columns(idx), dense[:, :, idx])
     np.testing.assert_allclose(op.column_norms(), np.linalg.norm(dense, axis=1),
                                rtol=1e-12)
-    sub = slice(int(rng.integers(0, n_pilots)), n_pilots)
-    np.testing.assert_array_equal(op[sub].dense(), dense[sub])
     picked = np.array([n_pilots - 1, 0])
-    np.testing.assert_array_equal(op[picked].dense(), dense[picked])
     # one support per subcarrier, repeats allowed
     per_sub = rng.integers(0, dim, size=(n_pilots, int(rng.integers(0, dim + 1))))
     gathered = np.stack([dense[q][:, per_sub[q]] for q in range(n_pilots)])
@@ -298,8 +295,6 @@ class TestKroneckerOperator:
         op = measurement_operators(draw_ensemble(DESK_EXACT, 1))
         with pytest.raises(ValueError, match="expected left"):
             type(op)(op.left, op.right[:, :1])
-        with pytest.raises(ValueError, match="expected left"):
-            op[0]  # an integer drops the subcarrier axis
 
     def test_published_scale_stays_small(self):
         # dim 65,536, P = 64, G = 9: the dense tensor would take 1.2 GB

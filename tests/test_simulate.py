@@ -81,8 +81,14 @@ def contract_hard_bits(symbols):
     return np.stack([b0, b0 ^ (level & 1)], axis=1).ravel()
 
 
+def _combiners(n_ant, bins):
+    """The (n_ant, 2) unit-norm grid combiners of AoA bins `bins`."""
+    return np.column_stack([grid_steering_vector(n_ant, b) for b in bins]) / np.sqrt(n_ant)
+
+
 def _reference_realisation(cfg, seed, point, real):
-    """One realisation's (data_seed, beams, per-source ZF) as ber_experiment forms them."""
+    """One realisation's (data_seed, AoA bins, combiners, true link, per-source
+    ZF) as ber_experiment forms them."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
     chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
     chan, aset, operators, received, sigma2 = _synthesize(
@@ -92,18 +98,18 @@ def _reference_realisation(cfg, seed, point, real):
     est_omp = adaptive_omp(
         received, operators, _omp_threshold(sigma2, operators.shape[1], received)
     )
-    columns, combiners = _los_beams(chan, cfg)
+    columns, aoa = _los_beams(chan, cfg)
     every = np.arange(cfg.angular_dimension)
     sources = {"perfect": aset, "ssamp": est_ssamp, "adaptive_omp": est_omp}
     h_eff = {name: sources[name].at(every)[:, columns] for name in CSI_SOURCES}
     zf = {name: _zf_precoders(h_eff[name]) for name in CSI_SOURCES}
-    return data_seed, combiners, h_eff["perfect"], zf
+    return data_seed, aoa, _combiners(cfg.n_ant_user, aoa), h_eff["perfect"], zf
 
 
 def _reference_rows(config, snr_values, n_symbols, seed, n_realizations, data_stage):
-    """BER rows from data_stage(rng, n_vec, snr_lin, combiners, h_true, zf), which
-    returns each CSI source's bit errors over the subcarriers, n_vec symbol
-    pairs (8 bits) on each."""
+    """BER rows from data_stage(rng, n_vec, snr_lin, aoa, combiners, h_true, zf),
+    which returns each CSI source's bit errors over the subcarriers, n_vec
+    symbol pairs (8 bits) on each."""
     n_p = config.n_pilot_subcarriers
     n_vec = -(-n_symbols // (n_realizations * n_p * 2))
     rows = []
@@ -112,9 +118,12 @@ def _reference_rows(config, snr_values, n_symbols, seed, n_realizations, data_st
         errors = {name: 0 for name in CSI_SOURCES}
         total_bits = total_symbols = 0
         for real in range(n_realizations):
-            data_seed, combiners, h_true, zf = _reference_realisation(cfg, seed, point, real)
+            data_seed, aoa, combiners, h_true, zf = _reference_realisation(
+                cfg, seed, point, real
+            )
             rng = np.random.default_rng(data_seed)
-            counts = data_stage(rng, n_vec, 10.0 ** (snr_db / 10.0), combiners, h_true, zf)
+            snr_lin = 10.0 ** (snr_db / 10.0)
+            counts = data_stage(rng, n_vec, snr_lin, aoa, combiners, h_true, zf)
             for name in CSI_SOURCES:
                 errors[name] += counts[name]
             total_bits += n_p * 8 * n_vec
@@ -124,10 +133,10 @@ def _reference_rows(config, snr_values, n_symbols, seed, n_realizations, data_st
     return tuple(rows)
 
 
-def _two_stream_data(rng, n_vec, snr_lin, combiners, h_true, zf):
+def _two_stream_data(rng, n_vec, snr_lin, aoa, combiners, h_true, zf):
     """The specified data stage: byte-drawn bits, the two combined noise
     components drawn as sigma_d L w, and beta folded out of the link."""
-    root = _noise_root(combiners)
+    root = _noise_root(aoa)
     links = {name: h_true @ zf[name][0] for name in CSI_SOURCES}
     beta_true = zf["perfect"][1]
     errors = {name: 0 for name in CSI_SOURCES}
@@ -143,7 +152,7 @@ def _two_stream_data(rng, n_vec, snr_lin, combiners, h_true, zf):
     return errors
 
 
-def _per_antenna_data(rng, n_vec, snr_lin, combiners, h_true, zf):
+def _per_antenna_data(rng, n_vec, snr_lin, aoa, combiners, h_true, zf):
     """The earlier data stage: integer bits, noise drawn on every user antenna
     and then combined, and beta applied at the transmitter and divided out."""
     beta_true = zf["perfect"][1]
@@ -214,9 +223,9 @@ def _record_pools(monkeypatch):
     made = []
     pool_class = concurrent.futures.ProcessPoolExecutor
 
-    def recorded(max_workers):
+    def recorded(max_workers, **kwargs):
         made.append(max_workers)
-        return pool_class(max_workers=max_workers)
+        return pool_class(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
     return made
@@ -513,10 +522,14 @@ class TestBer:
             gains, rx, tx = np.array([los[m] for m in range(cfg.n_bs)]).T
             chan = MultipathChannel(gains[:, None] + 0j, np.zeros((cfg.n_bs, 1)),
                                     rx.astype(int)[:, None], tx.astype(int)[:, None])
-            columns, combiners = _los_beams(chan, cfg)
+            columns, bins = _los_beams(chan, cfg)
+            assert tuple(bins) == aoa
             h_eff = vectors[:, columns]
             np.testing.assert_allclose(
-                h_eff, effective_channels(mats, precoders, combiners), rtol=0, atol=1e-12
+                h_eff,
+                effective_channels(mats, precoders, _combiners(cfg.n_ant_user, bins)),
+                rtol=0,
+                atol=1e-12,
             )
             for a in range(2):
                 for k, m in enumerate(bs_indices):
@@ -640,7 +653,7 @@ class TestBer:
         z = parts[: parts.size // 2 * 2].view(complex)
         betas = [1.0, *10.0 ** np.linspace(-12, 12, 49)]
         for seed in range(4):
-            zf = _reference_realisation(DESK_SNR20, seed, 1, 0)[3]
+            zf = _reference_realisation(DESK_SNR20, seed, 1, 0)[-1]
             betas.extend(b for name in CSI_SOURCES for b in zf[name][1])
         for beta in betas:
             with np.errstate(over="ignore", under="ignore"):
@@ -684,9 +697,10 @@ class TestBer:
             ber_experiment(DESK_EXACT, [10.0], 10**4, 0, n_realizations=0)
 
 
-def _ber_long_combiners(seed, real):
-    """The combiners of one 30 dB realisation of ber_experiment(SystemConfig(),
-    [10, 20, 30], ...), the benchmark's ber-long call."""
+def _ber_long_aoa(seed, real):
+    """The serving AoA bins of one 30 dB realisation of
+    ber_experiment(SystemConfig(), [10, 20, 30], ...), the benchmark's
+    ber-long call."""
     cfg = SystemConfig(snr_db=30.0)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(2, real))
     chan = draw_multipath(cfg, int(ss.generate_state(4)[0]))
@@ -694,20 +708,16 @@ def _ber_long_combiners(seed, real):
 
 
 class TestNoiseRoot:
-    @staticmethod
-    def combiners(n_ant, bins):
-        return np.column_stack([grid_steering_vector(n_ant, b) for b in bins]) / np.sqrt(n_ant)
-
-    @pytest.mark.parametrize("bins", [(1, 5), (0, 3), (2, 2), (7, 7)])
+    @pytest.mark.parametrize("bins", [(a, b) for a in range(8) for b in range(8)])
     def test_square_root_of_combiner_gram(self, bins):
-        comb = self.combiners(8, bins)
-        root = _noise_root(comb)
+        comb = _combiners(8, bins)
+        root = _noise_root(np.array(bins))
         gram = comb.conj().T @ comb
         np.testing.assert_allclose(root @ root.conj().T, gram, rtol=0, atol=1e-12)
         assert np.linalg.matrix_rank(gram) == (1 if bins[0] == bins[1] else 2)
 
     def test_shared_bin_gives_equal_components(self):
-        root = _noise_root(self.combiners(8, (3, 3)))
+        root = _noise_root(np.array([3, 3]))
         rng = np.random.default_rng(0)
         eta = root @ (rng.standard_normal((2, 50)) + 1j * rng.standard_normal((2, 50)))
         assert np.array_equal(eta[0], eta[1])
@@ -717,11 +727,11 @@ class TestNoiseRoot:
         # Both serving LOS paths of these 30 dB ber-long realisations arrive
         # in one AoA bin, so C^H C is rank 1 and the two streams see the same
         # noise.
-        comb = _ber_long_combiners(seed, real)
-        expected = grid_steering_vector(comb.shape[0], aoa_bin) / np.sqrt(comb.shape[0])
-        np.testing.assert_allclose(comb, np.column_stack([expected, expected]), atol=1e-15)
-        root = _noise_root(comb)
-        np.testing.assert_allclose(root @ root.conj().T, np.ones((2, 2)), rtol=0, atol=1e-12)
+        aoa = _ber_long_aoa(seed, real)
+        assert aoa.tolist() == [aoa_bin, aoa_bin]
+        comb = _combiners(SystemConfig().n_ant_user, aoa)
+        root = _noise_root(aoa)
+        np.testing.assert_allclose(root @ root.conj().T, comb.conj().T @ comb, rtol=0, atol=1e-12)
         eta = root @ (np.ones((2, 3)) + 1j * np.arange(6).reshape(2, 3))
         assert np.array_equal(eta[0], eta[1])
 

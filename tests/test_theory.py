@@ -296,7 +296,7 @@ def _lstsq_minimal_supports(inst):
                     y[p] - inst.operators[p][:, combo]
                     @ np.linalg.lstsq(inst.operators[p][:, combo], y[p], rcond=tol)[0]
                 ) <= tol * np.linalg.norm(y[p])
-                for p in range(inst.n_vectors)
+                for p in range(len(inst.operators))
             )
         ]
         if found:
@@ -376,7 +376,7 @@ def test_instance_flags():
 
 def test_instance_invariants():
     inst = draw_gmmv_instance(5, 9, 3, 2, seed=3)
-    assert inst.sparsity == 3 and inst.n_vectors == 2
+    assert inst.sparsity == 3 and inst.operators.shape[0] == 2
     assert np.array_equal(inst.support, np.sort(inst.support))
     np.testing.assert_allclose(
         inst.measurements, np.einsum("pmn,pn->pm", inst.operators, inst.signals)

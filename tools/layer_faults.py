@@ -13,9 +13,15 @@ gives each layer's own share per trial, its children's excluded, so
 rows give the loop as a whole: the calls' total and the whole process,
 with its system time.  Only numpy and mmwave_scs are needed;
 perfbench/workloads.py and tracing.py are imported, not changed.
+
+For the whole run os.sched_getaffinity reports one core, so
+simulate._fan_out keeps every trial and BER realisation in this process,
+where the wrappers count them; forked workers would count in their own
+copies.  The process's CPU affinity and BLAS threads are left alone.
 """
 
 import argparse
+import os
 import resource
 import sys
 import time
@@ -83,6 +89,8 @@ def main(argv=None) -> int:
 
     from mmwave_scs import simulate
 
+    # What _fan_out reads as the usable cores: one, so nothing forks.
+    os.sched_getaffinity = lambda pid: {0}
     workload = WORKLOADS[args.workload]
     problems = []
     _, found = first_call(workload)

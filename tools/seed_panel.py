@@ -2,13 +2,16 @@
 runs run_trial on DESK_SNR20 seeds 3000-3199, DESK_SNR10 seeds 0-49,
 SystemConfig(n_slots=G) for G = 9/12/16 seeds 0-39 and the perfbench trial-wide
 point seeds 0-3, keeping per estimator [NMSE as float hex, exact-support flag,
-iterations], plus four ber_experiment tables: at 10/20/30 dB one at desk
-scale (10^4 symbols, 2 realisations), one at SystemConfig(), the geometry
-of the perfbench ber-long workload (10^5 symbols, 1 realisation), and one at
-a ber-long call (SystemConfig(n_slots=16), 10^6 symbols, 4 realisations,
-whose realisations after the first fan out over worker processes on a
-multi-core host), and one at the perfbench trial-wide BER point (G = 12,
-20 dB, 2*10^5 symbols, 2 realisations), the sweep(SystemConfig(), "slots",
+iterations], plus five ber_experiment tables at 10/20/30 dB: desk scale
+(10^4 symbols, 2 realisations); SystemConfig(), the geometry of the
+perfbench ber-long workload (10^5 symbols, 1 realisation); a ber-long-sized
+call at SystemConfig(n_slots=16) (10^6 symbols, 4 realisations), whose
+realisations after the first fan out over worker processes on a multi-core
+host; the ber-long call with seed 1 (SystemConfig(), 10^6 symbols, 4
+realisations), whose realisation 2 at 30 dB serves both LOS streams from
+AoA bin 7, so both streams see the same noise (simulate._noise_root); and,
+at 20 dB only, the perfbench trial-wide BER point (G = 12, 2*10^5 symbols,
+2 realisations).  Then the sweep(SystemConfig(), "slots",
 [9, 12, 16], 40, 0) table (whose trials fan out over worker processes on a
 multi-core host), and every field of the run_certificate_battery(20, 0)
 records.  `compare A.json B.json` prints the NMSE delta (dB) of every
@@ -54,6 +57,7 @@ def dump(path):
               "default": ber_experiment(SystemConfig(), snrs, 10**5, 0, n_realizations=1),
               "ber-long": ber_experiment(SystemConfig(n_slots=16), snrs, 10**6, 0,
                                          n_realizations=4),
+              "shared-bin": ber_experiment(SystemConfig(), snrs, 10**6, 1, n_realizations=4),
               "wide": ber_experiment(SystemConfig(**wide), [20.0], 2 * 10**5, 0,
                                      n_realizations=2)}
     ber = {name: [list(row) for row in table.rows] for name, table in tables.items()}
