@@ -101,9 +101,8 @@ class KroneckerOperator:
 
     Products go through the support's columns (columns) and correlations
     through adjoint_abs, the one correlation path, `block` subcarriers at a
-    time into buffers the caller allocates once.  Non-finite factors are
-    rejected when the operator is built, so its users need not scan them
-    again.
+    time.  Non-finite factors are rejected when the operator is built, so
+    its users need not scan them again.
     """
 
     def __init__(self, left, right):
@@ -135,26 +134,28 @@ class KroneckerOperator:
         p, _, dim = self.shape
         return max(1, min(p, BLOCK_BYTES // (16 * dim)))
 
-    def adjoint_abs(self, r, subcarriers, work, out):
+    def adjoint_abs(self, r, subcarriers):
         """|Phi_q^H r_i| for q = subcarriers[i], one block of subcarriers at a time.
 
         `subcarriers` is a sorted index array and r holds one row per entry.
-        Yields (i, key, magnitudes) per block of n <= len(out) entries:
-        magnitudes = out[:n] holds rows i to i + n, and key selects their
-        subcarriers (see _key).  `work` (complex) and `out` (float) are
-        C-contiguous buffers of the same number of rows and dim columns that
-        the caller allocates once and every block reuses, so a block must be
+        Yields (i, key, magnitudes) per block of n <= block entries:
+        magnitudes (n, dim) holds rows i to i + n, and key selects their
+        subcarriers (see _key).  Every block is written into the same two
+        (block, dim) buffers, allocated once per call, so a block must be
         used before the next is drawn.  A block's values are
         |right^T (conj(r)^T left)| = |conj(Phi_q^H r_i)| = |Phi_q^H r_i|, which
         needs neither a conjugated copy of right nor a conjugate of the result.
         """
         g, _, c, u = self.left.shape
         n_beams = self.right.shape[2]
+        block = self.block
+        work = np.empty((block, n_beams * u), dtype=np.complex128)
+        out = np.empty((block, n_beams * u))
         slots = np.asarray(r).conj().reshape(-1, g, 1, c)
         left = self.left[:, _key(subcarriers)].transpose(1, 0, 2, 3)
         per_slot = (slots @ left)[:, :, 0]  # (S, G, N_US)
-        for i in range(0, len(subcarriers), len(work)):
-            n = min(len(work), len(subcarriers) - i)
+        for i in range(0, len(subcarriers), block):
+            n = min(block, len(subcarriers) - i)
             key = _key(subcarriers[i : i + n])
             beams = self.right[:, key].transpose(1, 2, 0)  # (n, M * N_BS, G)
             np.matmul(beams, per_slot[i : i + n], out=work[:n].reshape(n, n_beams, u))

@@ -140,8 +140,6 @@ def ssamp(received, operators, p_th: float) -> EstimationResult:
     n_pilots, rows, dim = op.shape
     max_passes = MAX_PASSES_PER_ROW * rows
     subcarriers = np.arange(n_pilots)
-    work = np.empty((op.block, dim), dtype=np.complex128)
-    magnitudes = np.empty((op.block, dim))
 
     sparsity = 1  # T, the target support size of the current stage
     # Last accepted support, its coefficients and its residuals.
@@ -165,7 +163,7 @@ def ssamp(received, operators, p_th: float) -> EstimationResult:
             # Residual correlations, energy summed over subcarriers in
             # subcarrier order, as np.sum(axis=0) adds them.
             proxy_energy.fill(0.0)
-            for _, _, block in op.adjoint_abs(residuals, subcarriers, work, magnitudes):
+            for _, _, block in op.adjoint_abs(residuals, subcarriers):
                 for row in np.square(block, out=block):
                     proxy_energy += row
             stale = False
@@ -226,8 +224,6 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     n_pilots, rows, dim = op.shape
     col_norms = op.column_norms()
     col_norms[col_norms == 0] = np.inf
-    work = np.empty((op.block, dim), dtype=np.complex128)
-    magnitudes = np.empty((op.block, dim))
     block_rows = np.arange(op.block)[:, None]
     picked = np.zeros(dim, dtype=bool)
     res_energy = np.sum(np.abs(r) ** 2, axis=1)
@@ -240,7 +236,7 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     finished = []  # (subcarriers, their sorted supports, their coefficients)
     while active.size:
         best = np.empty(active.size, dtype=int)
-        for i, key, corr in op.adjoint_abs(residual, active, work, magnitudes):
+        for i, key, corr in op.adjoint_abs(residual, active):
             n = len(corr)
             corr /= col_norms[key]
             corr[block_rows[:n], picks[i : i + n]] = -1.0  # never re-pick

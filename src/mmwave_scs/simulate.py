@@ -9,9 +9,9 @@ CSI quality propagates into hard-decision errors.
 """
 
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -59,6 +59,13 @@ _SWEEP_FIELDS = {"slots": "n_slots", "snr": "snr_db"}
 # 2-core Xeon with numpy 2.4.6 and OpenBLAS 0.3.31, after a ber_experiment
 # call in the same process ...
 FORK_POOL_START_JOIN_S = 0.02
+# ... plus this for the first pool of a process, which also imports
+# concurrent.futures and multiprocessing.  Measured 2026-10-20 on that host:
+# after 2 desk BER realisations in process, a pool running the next 2 or 10
+# (the workers' first tasks included) took 23-58 ms (medians 28 and 40 ms,
+# 22 fresh processes) more than those tasks split over two cores, and
+# 9-53 ms (medians 13 and 23 ms) when it was the process's second pool ...
+POOL_IMPORT_S = 0.02
 # ... and only when the tasks so far ran on about one core: at wide
 # geometries OpenBLAS threads the correlations (CPU over wall time 1.9-2.0),
 # and worker processes there would contend for the cores it already uses.
@@ -138,7 +145,8 @@ def _ssamp_threshold(config: SystemConfig) -> float:
     return p_th_for_snr(config.snr_db) * config.n_ant_user * config.n_ant_bs
 
 
-def _omp_threshold(sigma2: float, rows: int, received) -> float:
+def _omp_threshold(sigma2: float, received) -> float:
+    rows = received.shape[1]
     threshold = sigma2 * rows * (1.0 + OMP_THRESHOLD_MARGIN)
     # Noiseless runs: keep the stop rule reachable under float rounding.
     floor = 1e-24 * float(np.mean(np.abs(received) ** 2)) * rows
@@ -157,11 +165,10 @@ def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
     chan, aset, operators, received, sigma2 = _synthesize(
         config, chan_seed, ens_seed, noise_seed
     )
-    rows = operators.shape[1]
     estimators = {
         "ssamp": lambda: ssamp(received, operators, _ssamp_threshold(config)),
         "adaptive_omp": lambda: adaptive_omp(
-            received, operators, _omp_threshold(sigma2, rows, received)
+            received, operators, _omp_threshold(sigma2, received)
         ),
         "oracle_ls": lambda: oracle_ls(received, operators, aset.support),
     }
@@ -209,29 +216,32 @@ def _aggregate(records, sweep_var, value) -> list:
     return rows
 
 
-def _listed(fn, tasks) -> list:
-    """A pool task: fn's results for one chunk of tasks."""
-    return list(fn(tasks))
-
-
 def _fan_out(fn, tasks: list) -> list:
-    """list(fn(tasks)) for a generator function fn that yields one result
-    per task, in order; the tasks may fan out over worker processes.
+    """[fn(*task) for task in tasks], in order; the tasks may fan out over
+    worker processes, so fn must be picklable by name.
 
     Tasks run here one at a time.  After each, the rest fan out over one
     worker per usable core (os.sched_getaffinity) when the tasks run so far,
     summed, took CPU time under MULTICORE_CPU_PER_WALL times their wall time
     (BLAS was not already threading them) and splitting the rest saves more
-    than FORK_POOL_START_JOIN_S.  Sums, not single tasks, decide: warm tasks
-    outweigh a cold first one, and one odd task does not fork.  The fork pool
-    is joined inside the call, and a worker's exception is raised here once
-    the chunks not yet started are cancelled.
+    than a pool costs.  Sums, not single tasks, decide: warm tasks outweigh
+    a cold first one, and one odd task does not fork.  A process that has
+    built no pool yet (concurrent.futures not imported) may be fresh: its
+    pool costs POOL_IMPORT_S on top of FORK_POOL_START_JOIN_S, and the first
+    task, which then carries one-time start-up costs, is left out of the
+    sums.  The fork pool is joined inside the call, and a worker's exception
+    is raised here once the chunks not yet started are cancelled.
     """
     cores = len(os.sched_getaffinity(0))
+    fresh = "concurrent.futures" not in sys.modules
+    pool_s = FORK_POOL_START_JOIN_S + (POOL_IMPORT_S if fresh else 0.0)
     results = []
     wall, cpu = time.perf_counter(), time.process_time()
-    for done, result in enumerate(fn(tasks), 1):
-        results.append(result)
+    for done, task in enumerate(tasks, 1):
+        results.append(fn(*task))
+        if fresh and done == 1:
+            wall, cpu = time.perf_counter(), time.process_time()
+            continue
         left = len(tasks) - done
         workers = min(cores, left)
         if workers < 2:
@@ -241,8 +251,8 @@ def _fan_out(fn, tasks: list) -> list:
         # workers) of them.  One costs the mean wall time so far, or the
         # mean CPU time when other processes hold the cores and stretch the
         # wall time.
-        saved_s = (left - -(-left // workers)) * min(spent_wall, spent_cpu) / done
-        if spent_cpu < MULTICORE_CPU_PER_WALL * spent_wall and saved_s > FORK_POOL_START_JOIN_S:
+        saved_s = (left - -(-left // workers)) * min(spent_wall, spent_cpu) / (done - fresh)
+        if spent_cpu < MULTICORE_CPU_PER_WALL * spent_wall and saved_s > pool_s:
             break
     rest = tasks[len(results) :]
     if not rest:
@@ -252,20 +262,19 @@ def _fan_out(fn, tasks: list) -> list:
 
     # About four chunks per worker: few round trips, balanced load.
     size = max(1, len(rest) // (4 * workers))
-    chunks = [rest[i : i + size] for i in range(0, len(rest), size)]
     pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        for part in pool.map(_listed, [fn] * len(chunks), chunks):
-            results.extend(part)
+        results.extend(pool.map(fn, *zip(*rest), chunksize=size))
     finally:
         pool.shutdown(cancel_futures=True)
     return results
 
 
-def _trials(tasks):
-    """run_trial's record for each (config, seed) in tasks, in order."""
-    for config, seed in tasks:
-        yield run_trial(config, seed)
+def _trial(config: SystemConfig, seed: int) -> TrialRecord:
+    """run_trial, looked up by name when the task runs.  A pool pickles the
+    task function by name, and the name run_trial may hold a wrapper (a
+    test's or a tracer's) that cannot be pickled."""
+    return run_trial(config, seed)
 
 
 def sweep(
@@ -307,7 +316,7 @@ def sweep(
         for value in values
         for t in range(n_trials)
     ]
-    records = _fan_out(_trials, tasks)
+    records = _fan_out(_trial, tasks)
     rows = []
     for i, value in enumerate(values):
         rows.extend(_aggregate(records[i * n_trials : (i + 1) * n_trials], field, value))
@@ -429,18 +438,17 @@ def _noise_root(aoa):
     return np.eye(2) if aoa[0] != aoa[1] else np.full((2, 2), np.sqrt(0.5))
 
 
-def _ber_counts(tasks, n_vec: int):
-    """Yield the bit errors per CSI source, (3,) int64 in CSI_SOURCES order,
-    of each realisation (config, seed, point, real) in `tasks`, in order.
+def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: int):
+    """The bit errors per CSI source, (3,) int64 in CSI_SOURCES order, of
+    realisation `real` of SNR point `point`.
 
     `config` carries the point's SNR, and n_vec symbol vectors ride each
-    subcarrier.  Realisation `real` of point `point` is seeded by
-    SeedSequence(seed, spawn_key=(point, real)) alone, so it gives the same
-    counts in any process and in any order.
+    subcarrier.  The realisation is seeded by SeedSequence(seed,
+    spawn_key=(point, real)) alone, so it gives the same counts in any
+    process and in any order.
     """
-    # Data-stage buffers, reused on every subcarrier of every realisation:
-    # each payload byte carries two symbols, four float parts and four Gray
-    # bit pairs.
+    # Data-stage buffers, reused on every subcarrier: each payload byte
+    # carries two symbols, four float parts and four Gray bit pairs.
     sym = np.empty((2, n_vec), dtype=complex)
     drawn = np.empty(n_vec, dtype=np.uint32)
     normals = np.empty((2, n_vec))
@@ -452,57 +460,51 @@ def _ber_counts(tasks, n_vec: int):
     decided = np.empty((len(CSI_SOURCES), 4 * n_vec), dtype=np.uint8)
     decided_words = decided.view(np.uint32)  # four pairs, one payload byte
     flags = np.empty((2, rx_parts.size), dtype=bool)
-    for config, seed, point, real in tasks:
-        ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
-        chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
-        chan, aset, operators, received, sigma2 = _synthesize(
-            config, chan_seed, ens_seed, noise_seed
-        )
-        est_ssamp = ssamp(received, operators, _ssamp_threshold(config))
-        est_omp = adaptive_omp(
-            received, operators, _omp_threshold(sigma2, operators.shape[1], received)
-        )
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
+    chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
+    chan, aset, operators, received, sigma2 = _synthesize(
+        config, chan_seed, ens_seed, noise_seed
+    )
+    est_ssamp = ssamp(received, operators, _ssamp_threshold(config))
+    est_omp = adaptive_omp(received, operators, _omp_threshold(sigma2, received))
 
-        columns, aoa = _los_beams(chan, config)
-        # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
-        h_eff = np.stack([source.at(columns) for source in (aset, est_ssamp, est_omp)])
-        zf, betas = _zf_precoders(h_eff)
-        # H_true zf_k per source, (source, P, 2, 2): beta_k scales the
-        # transmit side and the receiver divides it out, so it only
-        # scales the noise.
-        links = h_eff[0] @ zf
-        root = _noise_root(aoa)
-        # Data noise is calibrated on the perfect-CSI link and shared by
-        # all sources, as are the payload bits.
-        beta_true = betas[0]
-        inv_betas = 1.0 / betas
-        snr_lin = 10.0 ** (config.snr_db / 10.0)
-        errors = np.zeros(len(CSI_SOURCES), dtype=np.int64)
-        rng = np.random.default_rng(data_seed)
-        for p in range(config.n_pilot_subcarriers):
-            payload = rng.integers(0, 256, n_vec, dtype=np.uint8)
-            # Bytes are always in range; "clip" writes out unbuffered.
-            np.take(_BYTE_SYMBOLS, payload, axis=0, out=sym.reshape(n_vec, 2), mode="clip")
-            np.take(_BYTE_PAIRS.view(np.uint32), payload, out=drawn, mode="clip")
-            sigma_d2 = beta_true[p] ** 2 / snr_lin
-            w.real = rng.standard_normal(out=normals)
-            w.imag = rng.standard_normal(out=normals)
-            np.matmul(np.sqrt(sigma_d2 / 2.0) * root, w, out=eta)
-            # All CSI sources at once, (source, stream, n_vec), with the
-            # per-source arithmetic of a one-source loop.  eta / beta is
-            # added as each float part times 1 / beta, which is how numpy
-            # divides complex by real, up to the sign of a zero
-            # (test_complex_by_real_division_is_reciprocal_multiplication).
-            np.matmul(links[:, p], sym, out=rx)
-            for k, inv_beta in enumerate(inv_betas[:, p]):
-                rx_parts[k] += np.multiply(eta.view(np.float64), inv_beta, out=noise)
-            _gray_pairs(rx_parts.ravel(), decided.ravel(), flags)
-            np.bitwise_xor(decided_words, drawn, out=decided_words)
-            errors += np.bitwise_count(decided_words).sum(axis=1, dtype=np.int64)
-        # Drop this operator while the caller holds the generator, so the
-        # next realisation does not build its own beside it.
-        del operators
-        yield errors
+    columns, aoa = _los_beams(chan, config)
+    # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
+    h_eff = np.stack([source.at(columns) for source in (aset, est_ssamp, est_omp)])
+    zf, betas = _zf_precoders(h_eff)
+    # H_true zf_k per source, (source, P, 2, 2): beta_k scales the
+    # transmit side and the receiver divides it out, so it only
+    # scales the noise.
+    links = h_eff[0] @ zf
+    root = _noise_root(aoa)
+    # Data noise is calibrated on the perfect-CSI link and shared by
+    # all sources, as are the payload bits.
+    beta_true = betas[0]
+    inv_betas = 1.0 / betas
+    snr_lin = 10.0 ** (config.snr_db / 10.0)
+    errors = np.zeros(len(CSI_SOURCES), dtype=np.int64)
+    rng = np.random.default_rng(data_seed)
+    for p in range(config.n_pilot_subcarriers):
+        payload = rng.integers(0, 256, n_vec, dtype=np.uint8)
+        # Bytes are always in range; "clip" writes out unbuffered.
+        np.take(_BYTE_SYMBOLS, payload, axis=0, out=sym.reshape(n_vec, 2), mode="clip")
+        np.take(_BYTE_PAIRS.view(np.uint32), payload, out=drawn, mode="clip")
+        sigma_d2 = beta_true[p] ** 2 / snr_lin
+        w.real = rng.standard_normal(out=normals)
+        w.imag = rng.standard_normal(out=normals)
+        np.matmul(np.sqrt(sigma_d2 / 2.0) * root, w, out=eta)
+        # All CSI sources at once, (source, stream, n_vec), with the
+        # per-source arithmetic of a one-source loop.  eta / beta is
+        # added as each float part times 1 / beta, which is how numpy
+        # divides complex by real, up to the sign of a zero
+        # (test_complex_by_real_division_is_reciprocal_multiplication).
+        np.matmul(links[:, p], sym, out=rx)
+        for k, inv_beta in enumerate(inv_betas[:, p]):
+            rx_parts[k] += np.multiply(eta.view(np.float64), inv_beta, out=noise)
+        _gray_pairs(rx_parts.ravel(), decided.ravel(), flags)
+        np.bitwise_xor(decided_words, drawn, out=decided_words)
+        errors += np.bitwise_count(decided_words).sum(axis=1, dtype=np.int64)
+    return errors
 
 
 def ber_experiment(
@@ -529,8 +531,7 @@ def ber_experiment(
     combined components reach the streams, so they are drawn directly:
     eta = sigma_d L w with w ~ CN(0, I_2) and L L^H = C^H C (_noise_root).
 
-    Realisations may fan out over worker processes (_fan_out); those that
-    run in this process share one set of data-stage buffers.  Each
+    Realisations may fan out over worker processes (_fan_out).  Each
     realisation's error counts are integers summed in task order, so the
     table is the same either way.
     """
@@ -551,11 +552,11 @@ def ber_experiment(
     total_bits = 4 * total_symbols
     # Every (point, realisation), point-major.
     tasks = [
-        (replace(config, snr_db=snr_db), seed, point, real)
+        (replace(config, snr_db=snr_db), seed, point, real, n_vec)
         for point, snr_db in enumerate(snr_values)
         for real in range(n_realizations)
     ]
-    counts = _fan_out(partial(_ber_counts, n_vec=n_vec), tasks)
+    counts = _fan_out(_ber_errors, tasks)
     rows = []
     for point, snr_db in enumerate(snr_values):
         errors = sum(counts[point * n_realizations : (point + 1) * n_realizations])

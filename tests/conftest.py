@@ -1,8 +1,8 @@
 """Shared desk-scale configurations, the synthesis pipeline helper, and the
 reference formulas of the system model: the frequency-domain channel and its
 angular projection, the BER study's effective channel through the antenna
-domain, the per-slot measurement operator and the operator factors built with
-dense DFT matrices.
+domain and its expected bit error rate, the per-slot measurement operator and
+the operator factors built with dense DFT matrices.
 
 The desk geometry (2 BSs x 2 paths on a 16x4 grid, 8 subcarriers, all
 carrying pilots) keeps one full trial in the millisecond range so the
@@ -12,6 +12,7 @@ Monte-Carlo tests stay fast.
 from dataclasses import replace
 
 import numpy as np
+from scipy.special import ndtr
 
 from mmwave_scs.channel import SystemConfig, grid_steering_vector, inverse_angular_transform
 from mmwave_scs.pilots import KroneckerOperator
@@ -96,6 +97,40 @@ def effective_channels(h_matrices, precoders, combiners):
     """2x2 combined channel per subcarrier for one CSI source: column k is
     combiners^H h_matrices[:, k] precoders[:, k]."""
     return np.einsum("ua,pkub,bk->pak", combiners.conj(), h_matrices, precoders)
+
+
+# The BER study's expected bit error rate, from the Gaussian tail at the
+# decision thresholds, kept apart from the Monte-Carlo data stage that the
+# tests check against it.
+QAM_LEVELS = np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0)
+
+
+def exact_ber(link, betas, beta_true, combiners, snr_lin):
+    """Expected BER of one CSI source over one realisation's subcarriers.
+
+    Stream a of subcarrier p receives x = (link_p s)_a + n_a / betas_p for
+    a uniform pair s of Gray-mapped 16-QAM symbols, where link_p is H_true
+    times the source's ZF precoder (P, 2, 2) and n_a ~ CN(0, sigma_d^2
+    ||c_a||^2) is user-antenna noise of variance sigma_d^2 = beta_true_p^2 /
+    snr_lin through combiner c_a.  Each float part is decided at the
+    thresholds 0 (first Gray bit) and +-2/sqrt(10) (second: inner levels),
+    so each bit errs with a Gaussian tail probability (ndtr); the result
+    averages them over subcarriers, symbol pairs, streams and bits.
+    """
+    # Every (level I, level Q) index pair of both streams: (256, 2, 2).
+    idx = np.stack(np.meshgrid(*[np.arange(4)] * 4, indexing="ij"), -1).reshape(-1, 2, 2)
+    symbols = QAM_LEVELS[idx[..., 0]] + 1j * QAM_LEVELS[idx[..., 1]]  # (256, 2)
+    mean = np.einsum("pab,sb->psa", link, symbols)  # (P, 256, 2)
+    noise_var = beta_true[:, None] ** 2 / snr_lin * np.sum(np.abs(combiners) ** 2, axis=0)
+    sigma = (np.sqrt(noise_var / 2.0) / betas[:, None])[:, None, :]  # per float part
+    step = 2.0 / np.sqrt(10.0)
+    errors = []
+    for part, level in ((mean.real, idx[..., 0]), (mean.imag, idx[..., 1])):
+        upper = part / sigma  # P(decided level >= 2) = ndtr(upper)
+        inner = ndtr((step - part) / sigma) - ndtr((-step - part) / sigma)
+        errors.append(np.where(level >= 2, ndtr(-upper), ndtr(upper)))
+        errors.append(np.where((level == 1) | (level == 2), 1.0 - inner, inner))
+    return float(np.mean(errors))
 
 
 # The per-slot formula, written from the system model and kept apart from the

@@ -189,9 +189,9 @@ class _CountingOperator(KroneckerOperator):
         super().__init__(op.left, op.right)
         self.correlated = []
 
-    def adjoint_abs(self, r, subcarriers, work, out):
+    def adjoint_abs(self, r, subcarriers):
         self.correlated.append(np.array(r))
-        return super().adjoint_abs(r, subcarriers, work, out)
+        return super().adjoint_abs(r, subcarriers)
 
 
 class TestSsampAgainstReference:
@@ -340,7 +340,7 @@ class TestAdaptiveOmp:
 
     def test_support_is_per_subcarrier_union(self):
         aset, ops, received, sigma2 = synth(DESK_SNR20, 61, 62, 63)
-        result = adaptive_omp(received, ops, _omp_threshold(sigma2, ops.shape[1], received))
+        result = adaptive_omp(received, ops, _omp_threshold(sigma2, received))
         per_p_union = set()
         for row in result.at(np.arange(ops.shape[2])):
             per_p_union |= set(np.flatnonzero(np.abs(row) > 0).tolist())
@@ -515,7 +515,7 @@ def test_joint_support_beats_per_subcarrier():
             alone = ssamp(received[p : p + 1], _subcarriers(ops, slice(p, p + 1)), p_th)
             single_hits += set(alone.support.tolist()) == truth
             single_total += 1
-        omp = adaptive_omp(received, ops, _omp_threshold(sigma2, ops.shape[1], received))
+        omp = adaptive_omp(received, ops, _omp_threshold(sigma2, received))
         omp_hits += set(omp.support.tolist()) == truth
     assert joint_hits / 200 > single_hits / single_total
     assert omp_hits <= joint_hits
@@ -529,12 +529,12 @@ def _property_instance(kind, seed):
     """
     if kind == "kronecker":
         aset, ops, received, sigma2 = synth(DESK_SNR20, *_trial_seeds(seed))
-        omp_threshold = _omp_threshold(sigma2, ops.shape[1], received)
+        omp_threshold = _omp_threshold(sigma2, received)
         return received, ops, aset.support, _ssamp_threshold(DESK_SNR20), omp_threshold
     received, phis = _random_instance(seed)
     support = np.random.default_rng(seed).choice(phis.shape[2], 2, replace=False)
     # _random_instance's noise has variance 2 * 0.05^2 per entry
-    return received, phis, support, 0.01, _omp_threshold(0.005, phis.shape[1], received)
+    return received, phis, support, 0.01, _omp_threshold(0.005, received)
 
 
 def _estimate_all(received, operators, support, p_th, omp_threshold):
@@ -677,14 +677,14 @@ class TestSubcarrierBlocks:
         subcarriers = np.flatnonzero(chosen)
         block = data.draw(st.integers(1, n_pilots))
         reference = np.abs(_adjoint_reference(op, r))
-        work = np.empty((block, dim), dtype=np.complex128)
-        out = np.empty((block, dim))
         got = np.full((subcarriers.size, dim), np.nan)
-        for i, key, magnitudes in op.adjoint_abs(r[subcarriers], subcarriers, work, out):
-            n = len(magnitudes)
-            assert 1 <= n <= block and np.shares_memory(magnitudes, out)
-            np.testing.assert_array_equal(np.arange(n_pilots)[key], subcarriers[i : i + n])
-            got[i : i + n] = magnitudes
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pilots, "BLOCK_BYTES", 16 * dim * block)
+            for i, key, magnitudes in op.adjoint_abs(r[subcarriers], subcarriers):
+                n = len(magnitudes)
+                assert 1 <= n <= block and magnitudes.shape == (n, dim)
+                np.testing.assert_array_equal(np.arange(n_pilots)[key], subcarriers[i : i + n])
+                got[i : i + n] = magnitudes
         np.testing.assert_array_equal(got, reference[subcarriers])
 
     @settings(max_examples=30, deadline=None)
@@ -731,7 +731,7 @@ def test_wide_trial_forms_no_subcarrier_by_grid_temporaries():
     _, ops, received, sigma2 = synth(WIDE, *_trial_seeds(0))
     n_pilots, rows, dim = ops.shape
     assert (n_pilots, dim) == (8, 16384)
-    threshold = _omp_threshold(sigma2, rows, received)
+    threshold = _omp_threshold(sigma2, received)
     peaks = (
         _peak_bytes(lambda: ssamp(received, ops, _ssamp_threshold(WIDE))),
         _peak_bytes(lambda: adaptive_omp(received, ops, threshold)),
