@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from mmwave_scs import simulate
 from mmwave_scs.channel import (
@@ -158,7 +159,9 @@ def _exact_rows(config, snr_values, seed, n_realizations):
 
 def _two_stream_data(rng, n_vec, snr_lin, aoa, combiners, h_true, zf):
     """The specified data stage: byte-drawn bits, the two combined noise
-    components drawn as sigma_d L w, and beta folded out of the link."""
+    components drawn as sigma_d L w, and beta folded out of the link.  w is
+    drawn by Box-Muller from one uniform fill after the bytes: radius
+    uniforms first, then angle uniforms; float64 radius, float32 angle."""
     root = _noise_root(aoa)
     links = {name: h_true @ zf[name][0] for name in CSI_SOURCES}
     beta_true = zf["perfect"][1]
@@ -167,7 +170,10 @@ def _two_stream_data(rng, n_vec, snr_lin, aoa, combiners, h_true, zf):
         bits = np.unpackbits(rng.integers(0, 256, n_vec, dtype=np.uint8))
         sym = modulate_reference(bits).reshape(2, n_vec)
         sigma_d2 = beta_true[p] ** 2 / snr_lin
-        w = rng.standard_normal((2, n_vec)) + 1j * rng.standard_normal((2, n_vec))
+        u = rng.random((2, 2, n_vec))
+        radius = np.sqrt(-2.0 * np.log(1.0 - u[0]))
+        angle = (2.0 * np.pi * u[1]).astype(np.float32)
+        w = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
         eta = (np.sqrt(sigma_d2 / 2.0) * root) @ w
         for name in CSI_SOURCES:
             rx = links[name][p] @ sym + eta / zf[name][1][p]
@@ -532,6 +538,23 @@ class TestFanOut:
         assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
         assert pools == [2]
 
+    def test_unpicklable_task_raises_before_a_pool(self, monkeypatch):
+        # A fork pool whose task function cannot be pickled raises from map
+        # and then hangs in shutdown; the check comes first, so with pools
+        # refused a regression fails here instead of hanging.
+        _refuse_pools(monkeypatch, "an unpicklable task")
+        _fake_clock(monkeypatch)
+        _set_cores(monkeypatch, 2)
+
+        def local_task(wall_s, cpu_s):
+            return _costed_task(wall_s, cpu_s)
+
+        with pytest.raises(TypeError, match="local_task"):
+            simulate._fan_out(local_task, [(1.0, 0.9)] * 10)
+        # The same tasks by a module-level function reach the pool.
+        with pytest.raises(AssertionError, match="constructed a process pool"):
+            simulate._fan_out(_costed_task, [(1.0, 0.9)] * 10)
+
 
 class TestBer:
     def test_noiseless_perfect_and_joint_exact(self):
@@ -818,6 +841,64 @@ class TestNoiseRoot:
         np.testing.assert_allclose(root @ root.conj().T, comb.conj().T @ comb, rtol=0, atol=1e-12)
         eta = root @ (np.ones((2, 3)) + 1j * np.arange(6).reshape(2, 3))
         assert np.array_equal(eta[0], eta[1])
+
+
+def _noise(rng, n_vec):
+    """_complex_noise's (2, n_vec) draw, with fresh buffers."""
+    w = np.empty((2, n_vec), dtype=complex)
+    uniforms = np.empty((2, 2, n_vec))
+    trig = np.empty((2, 2, n_vec), dtype=np.float32)
+    return simulate._complex_noise(rng, w, uniforms, trig)
+
+
+class _FixedUniforms:
+    """Stands in for a Generator: random(out=) fills the buffer with value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self, out):
+        out.fill(self.value)
+        return out
+
+
+class TestComplexNoise:
+    # 500,000 complex samples, 10^6 float parts, at one seed; every bound was
+    # fixed before the seed was first run.
+    N_VEC = 250_000
+
+    @pytest.fixture(scope="class")
+    def w(self):
+        return _noise(np.random.default_rng(2027), self.N_VEC)
+
+    def test_parts_are_standard_normal(self, w):
+        parts = w.view(np.float64).ravel()
+        n = parts.size
+        assert n >= 10**6
+        assert stats.kstest(parts, "norm").pvalue > 1e-3
+        assert abs(parts.mean()) <= 5.0 / np.sqrt(n)
+        # The sample variance of n normals has standard error sqrt(2 / n).
+        assert abs(parts.var() - 1.0) <= 5.0 * np.sqrt(2.0 / n)
+
+    def test_real_and_imaginary_parts_uncorrelated(self, w):
+        re, im = w.real.ravel(), w.imag.ravel()
+        assert abs(np.corrcoef(re, im)[0, 1]) <= 5.0 / np.sqrt(re.size)
+
+    def test_tail_beyond_four_sigma(self, w):
+        parts = w.view(np.float64).ravel()
+        p = 2.0 * stats.norm.sf(4.0)
+        expected = p * parts.size
+        beyond = np.count_nonzero(np.abs(parts) > 4.0)
+        assert abs(beyond - expected) <= 5.0 * np.sqrt(expected * (1.0 - p))
+
+    @pytest.mark.parametrize("u", [0.0, np.nextafter(1.0, 0.0)], ids=["zero", "below-one"])
+    def test_finite_at_the_uniform_ends(self, u):
+        w = _noise(_FixedUniforms(u), 3)
+        assert np.isfinite(w.view(np.float64)).all()
+        # |w| is the radius: 0 at the bottom, sqrt(-2 ln(2^-53)) = 8.57 at
+        # the top.
+        radius = np.sqrt(-2.0 * np.log1p(-u))
+        np.testing.assert_allclose(np.abs(w), radius, rtol=1e-6)
 
 
 class TestQam:
