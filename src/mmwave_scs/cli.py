@@ -104,12 +104,6 @@ def parse_config(path) -> SystemConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def write_config(config: SystemConfig, path) -> None:
-    """Write every field as `key = value`; parse_config inverts this exactly."""
-    lines = [f"{f.name} = {getattr(config, f.name)!r}" for f in fields(config)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def _flag_if_large(config: SystemConfig) -> None:
     if config.angular_dimension > LARGE_DIMENSION:
         print(

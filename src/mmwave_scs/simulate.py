@@ -9,7 +9,6 @@ CSI quality propagates into hard-decision errors.
 """
 
 import os
-import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -53,23 +52,27 @@ OMP_THRESHOLD_MARGIN = 0.1
 
 _SWEEP_FIELDS = {"slots": "n_slots", "snr": "snr_db"}
 
-# _fan_out sends the tasks left over to worker processes only when that
-# saves more than a pool costs.  Starting and joining a fork pool of two
-# workers, one trivial task each, took 11-19 ms (median 15 ms, 40 pools) on a
-# 2-core Xeon with numpy 2.4.6 and OpenBLAS 0.3.31, after a ber_experiment
-# call in the same process ...
-FORK_POOL_START_JOIN_S = 0.02
-# ... plus this for the first pool of a process, which also imports
-# concurrent.futures and multiprocessing.  Measured 2026-10-20 on that host:
-# after 2 desk BER realisations in process, a pool running the next 2 or 10
-# (the workers' first tasks included) took 23-58 ms (medians 28 and 40 ms,
-# 22 fresh processes) more than those tasks split over two cores, and
-# 9-53 ms (medians 13 and 23 ms) when it was the process's second pool ...
-POOL_IMPORT_S = 0.02
+# _fan_out forks a child process for each usable core past the first, to
+# share the tasks left over, only when that saves more than the forks cost.
+# Each is charged this.  Measured 2026-10-20 on a 2-vCPU Xeon (Python
+# 3.11.7, numpy 2.4.6, OpenBLAS 0.3.31, thread variables unset), in 36
+# fresh processes per size, each after 2 desk BER realisations in process:
+# sharing the next 2 or 10 with one child took 4-21 ms (median 8 ms) or
+# 0-53 ms (median 9 ms, upper quartile 20 ms) more than half their time in
+# process.  Fork, pipe and waitpid take 3.5-6 ms there; the rest is the
+# 700-800 copy-on-write faults each process takes in its first task after
+# the fork, and sittings in which the two run at half speed each.  At a
+# 20 ms charge, fresh desk-scale `sweep-ber --symbols 10000` runs (18-22 ms
+# to save) forked in 5 of 10 and took 0.078 s (median) against 0.071 s for
+# the same runs kept in one process, so the charge is twice that upper
+# quartile ...
+FORK_S = 0.04
 # ... and only when the tasks so far ran on about one core: at wide
 # geometries OpenBLAS threads the correlations (CPU over wall time 1.9-2.0),
-# and worker processes there would contend for the cores it already uses.
+# and child processes there would contend for the cores it already uses.
 MULTICORE_CPU_PER_WALL = 1.5
+# Set once this process has forked in _fan_out; until then it may be fresh.
+_forked = False
 
 
 @dataclass(frozen=True)
@@ -217,26 +220,23 @@ def _aggregate(records, sweep_var, value) -> list:
 
 
 def _fan_out(fn, tasks: list) -> list:
-    """[fn(*task) for task in tasks], in order; the tasks may fan out over
-    worker processes, so fn must be picklable by name: when fn or the first
-    task left over cannot be pickled, TypeError is raised before any pool is
-    built.
+    """[fn(*task) for task in tasks], in order; the tasks may be shared with
+    child processes forked from this one.
 
-    Tasks run here one at a time.  After each, the rest fan out over one
-    worker per usable core (os.sched_getaffinity) when the tasks run so far,
-    summed, took CPU time under MULTICORE_CPU_PER_WALL times their wall time
-    (BLAS was not already threading them) and splitting the rest saves more
-    than a pool costs.  Sums, not single tasks, decide: warm tasks outweigh
-    a cold first one, and one odd task does not fork.  A process that has
-    built no pool yet (concurrent.futures not imported) may be fresh: its
-    pool costs POOL_IMPORT_S on top of FORK_POOL_START_JOIN_S, and the first
-    task, which then carries one-time start-up costs, is left out of the
-    sums.  The fork pool is joined inside the call, and a worker's exception
-    is raised here once the chunks not yet started are cancelled.
+    Tasks run here one at a time.  After each, the rest are split over this
+    process and one forked child per other usable core (os.sched_getaffinity)
+    when the tasks run so far, summed, took CPU time under
+    MULTICORE_CPU_PER_WALL times their wall time (BLAS was not already
+    threading them) and splitting the rest saves more than FORK_S per child.
+    Sums, not single tasks, decide: warm tasks outweigh a cold first one,
+    and one odd task does not fork.  Until this process has forked here
+    (_forked) it may be fresh, and its first task, which then carries
+    one-time start-up costs, is left out of the sums.  The children are
+    reaped inside the call (_fork_map).
     """
+    global _forked
     cores = len(os.sched_getaffinity(0))
-    fresh = "concurrent.futures" not in sys.modules
-    pool_s = FORK_POOL_START_JOIN_S + (POOL_IMPORT_S if fresh else 0.0)
+    fresh = not _forked
     results = []
     wall, cpu = time.perf_counter(), time.process_time()
     for done, task in enumerate(tasks, 1):
@@ -249,41 +249,97 @@ def _fan_out(fn, tasks: list) -> list:
         if workers < 2:
             continue
         spent_wall, spent_cpu = time.perf_counter() - wall, time.process_time() - cpu
-        # Tasks cost about the same, so a pool ends after ceil(left /
+        # Tasks cost about the same, so the split ends after ceil(left /
         # workers) of them.  One costs the mean wall time so far, or the
         # mean CPU time when other processes hold the cores and stretch the
         # wall time.
         saved_s = (left - -(-left // workers)) * min(spent_wall, spent_cpu) / (done - fresh)
-        if spent_cpu < MULTICORE_CPU_PER_WALL * spent_wall and saved_s > pool_s:
+        if spent_cpu < MULTICORE_CPU_PER_WALL * spent_wall and saved_s > (workers - 1) * FORK_S:
             break
     rest = tasks[len(results) :]
-    if not rest:
-        return results
-    import multiprocessing
-    import pickle
-    from concurrent.futures import ProcessPoolExecutor
-
-    # A pool that cannot pickle its task raises from map and then never
-    # returns from shutdown, so check before building one.
-    try:
-        pickle.dumps((fn, rest[0]))
-    except (pickle.PicklingError, AttributeError, TypeError) as exc:
-        raise TypeError(f"cannot send {fn!r} or its tasks to worker processes: {exc}") from exc
-    # About four chunks per worker: few round trips, balanced load.
-    size = max(1, len(rest) // (4 * workers))
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        results.extend(pool.map(fn, *zip(*rest), chunksize=size))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    if rest:
+        _forked = True
+        results.extend(_fork_map(fn, rest, workers))
     return results
 
 
-def _trial(config: SystemConfig, seed: int) -> TrialRecord:
-    """run_trial, looked up by name when the task runs.  A pool pickles the
-    task function by name, and the name run_trial may hold a wrapper (a
-    test's or a tracer's) that cannot be pickled."""
-    return run_trial(config, seed)
+def _fork_map(fn, tasks: list, workers: int) -> list:
+    """[fn(*task) for task in tasks], in order, over this process and
+    workers - 1 forked children.  Process i runs the strided share
+    tasks[i::workers], so tasks of different cost mix; this one runs share
+    0, then reads each child's pickled (ok, results or exception) from a
+    pipe and reaps it.  A child's exception is raised here; a child that
+    sends nothing it can unpickle raises RuntimeError with its traceback or
+    exit status.  Every child is reaped (killed first if need be) before
+    this returns or raises, and a child never returns from here: it ends in
+    os._exit.
+    """
+    import pickle
+    import signal
+
+    shares = [tasks[i::workers] for i in range(workers)]
+    children = {}  # pid -> (share index, read end of its pipe)
+    try:
+        for i in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(_share_payload(fn, shares[i]))
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children[pid] = (i, os.fdopen(read_fd, "rb"))
+        shares[0] = [fn(*task) for task in shares[0]]
+        for pid, (i, pipe) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[pid]
+            if code < 0:
+                raise RuntimeError(f"child process {pid} was killed by {signal.Signals(-code).name}")
+            if code:
+                raise RuntimeError(f"child process {pid} exited with status {code} and no results")
+            ok, shares[i] = pickle.loads(data)
+            if not ok:
+                raise shares[i]
+    finally:
+        for pid, (_, pipe) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [None] * len(tasks)
+    for i, share in enumerate(shares):
+        results[i::workers] = share
+    return results
+
+
+def _share_payload(fn, share) -> bytes:
+    """A child's pickled (True, [fn(*task) for task in share]), or (False,
+    exception) when a task raises.  When that does not pickle, or the
+    exception would not unpickle, (False, RuntimeError) carrying the
+    traceback as text."""
+    import pickle
+
+    try:
+        payload = (True, [fn(*task) for task in share])
+    except Exception as exc:
+        payload = (False, exc)
+    try:
+        data = pickle.dumps(payload)
+        if not payload[0]:
+            pickle.loads(data)
+        return data
+    except Exception as exc:
+        import traceback
+
+        failed = exc if payload[0] else payload[1]
+        text = "".join(traceback.format_exception(failed))
+        return pickle.dumps((False, RuntimeError(f"a child process failed:\n{text}")))
 
 
 def sweep(
@@ -301,9 +357,10 @@ def sweep(
     base_seed + t at every sweep value, so estimator and sweep-point
     comparisons are paired.  The per-trial NMSE ratios are averaged in the
     linear domain and reported in dB; stderr is the delta-method standard
-    error of that mean.  The trials of all values may fan out over worker
-    processes (_fan_out); records come back in task order, so the table is
-    the same either way.
+    error of that mean.  The trials of all values may be shared with forked
+    child processes (_fan_out), which run whatever run_trial names when
+    sweep is called; records come back in task order, so the table is the
+    same either way.
     """
     field = _SWEEP_FIELDS.get(variable)
     if field is None:
@@ -325,7 +382,7 @@ def sweep(
         for value in values
         for t in range(n_trials)
     ]
-    records = _fan_out(_trial, tasks)
+    records = _fan_out(run_trial, tasks)
     rows = []
     for i, value in enumerate(values):
         rows.extend(_aggregate(records[i * n_trials : (i + 1) * n_trials], field, value))
@@ -573,9 +630,9 @@ def ber_experiment(
     w is drawn by the Box-Muller transform from uniforms, with a float32
     angle whose rounding no hard decision can see (_ber_errors).
 
-    Realisations may fan out over worker processes (_fan_out).  Each
-    realisation's error counts are integers summed in task order, so the
-    table is the same either way.
+    Realisations may be shared with forked child processes (_fan_out).
+    Each realisation's error counts are integers summed in task order, so
+    the table is the same either way.
     """
     if config.n_bs < 2:
         raise ValueError("ber_experiment needs n_bs >= 2 for two LOS streams")

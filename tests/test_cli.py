@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -16,7 +17,6 @@ from mmwave_scs.cli import (
     _flag_if_large,
     main,
     parse_config,
-    write_config,
 )
 from mmwave_scs.recovery import p_th_for_snr
 from mmwave_scs.simulate import BER_COLUMNS, MSE_COLUMNS, _ssamp_threshold
@@ -26,6 +26,12 @@ from conftest import DESK_EXACT, DESK_SNR20
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 CONSOLE_SCRIPT = "mmwave-scs"
 ENTRY_POINT = "mmwave_scs.cli:main"
+
+
+def write_config(config: SystemConfig, path) -> None:
+    """Write every field as `key = value`; parse_config inverts this exactly."""
+    lines = [f"{f.name} = {getattr(config, f.name)!r}" for f in fields(config)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- config files

@@ -1,7 +1,7 @@
 """Monte-Carlo harness: paired trials, sweeps, BER study, QAM mapping."""
 
-import concurrent.futures
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -238,9 +238,16 @@ def _fake_clock(monkeypatch):
     return clock
 
 
-def _fresh_process(monkeypatch):
-    """Make _fan_out see a process that has built no pool."""
-    monkeypatch.delitem(sys.modules, "concurrent.futures")
+@pytest.fixture(autouse=True)
+def _not_forked_yet(monkeypatch):
+    """Every test starts as a process that has not forked in _fan_out (so
+    may be fresh), and leaves simulate._forked as it found it."""
+    monkeypatch.setattr(simulate, "_forked", False)
+
+
+def _forked_before(monkeypatch):
+    """Make _fan_out see a process that has forked before, so is not fresh."""
+    monkeypatch.setattr(simulate, "_forked", True)
 
 
 def _costed_task(wall_s, cpu_s):
@@ -251,26 +258,63 @@ def _costed_task(wall_s, cpu_s):
     return os.getpid()
 
 
-def _record_pools(monkeypatch):
-    """Record the worker count of every process pool constructed, in a list."""
-    made = []
-    pool_class = concurrent.futures.ProcessPoolExecutor
+class _TwoArgError(Exception):
+    """Pickles, but does not unpickle: pickle calls it with one argument."""
 
-    def recorded(max_workers, **kwargs):
-        made.append(max_workers)
-        return pool_class(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded)
-    return made
+    def __init__(self, what, where):
+        super().__init__(f"{what} in {where}")
 
 
-def _refuse_pools(monkeypatch, what):
-    """Fail the test if `what` constructs a process pool."""
+def _acting_task(wall_s, cpu_s, action=None):
+    """_costed_task, then `action`: "raise" a ValueError, raise one that
+    does not pickle ("unpicklable") or one that does not unpickle
+    ("unloadable"), end the process by os._exit(1) ("exit") or SIGKILL
+    ("kill"), or "sleep" for a minute."""
+    pid = _costed_task(wall_s, cpu_s)
+    if action == "raise":
+        raise ValueError(f"task failed in {pid}")
+    if action == "unpicklable":
+        exc = ValueError(f"task failed in {pid}")
+        exc.hook = lambda: None
+        raise exc
+    if action == "unloadable":
+        raise _TwoArgError("task failed", pid)
+    if action == "exit":
+        os._exit(1)
+    if action == "kill":
+        os.kill(pid, signal.SIGKILL)
+    if action == "sleep":
+        time.sleep(60.0)
+    return pid
 
-    def refuse(*args, **kwargs):
-        raise AssertionError(f"{what} constructed a process pool")
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+def _count_forks(monkeypatch):
+    """Record the pid of every child that os.fork makes, in a list."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _refuse_forks(monkeypatch, what):
+    """Fail the test if `what` forks."""
+
+    def refuse():
+        raise AssertionError(f"{what} forked")
+
+    monkeypatch.setattr(os, "fork", refuse)
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _strip_time(metrics):
@@ -425,8 +469,9 @@ class TestSweep:
         assert a.rows == b.rows
 
     def test_parallel_matches_serial(self, monkeypatch):
-        # Every trial reads one second on one core, so on two cores the 15
-        # after the first fan out over two workers; on one they stay here.
+        # Every trial reads one second on one core, so on two cores the 14
+        # after the first two are shared with one child; on one they stay
+        # here.  The wrapper is a closure, and children never pickle it.
         clock = _fake_clock(monkeypatch)
         trial = simulate.run_trial
 
@@ -436,13 +481,13 @@ class TestSweep:
             return trial(*args)
 
         monkeypatch.setattr(simulate, "run_trial", costed)
-        pools = _record_pools(monkeypatch)
+        forks = _count_forks(monkeypatch)
         _set_cores(monkeypatch, 1)
         serial = sweep(DESK_SNR20, "snr", [10.0, 20.0], 8, 11)
-        assert pools == []
+        assert forks == []
         _set_cores(monkeypatch, 2)
         parallel = sweep(DESK_SNR20, "snr", [10.0, 20.0], 8, 11)
-        assert pools == [2]
+        assert len(forks) == 1
         assert serial.rows == parallel.rows
 
     def test_validation(self):
@@ -471,15 +516,18 @@ class TestFanOut:
     def test_cold_first_task_fans_out_after_the_second(self, monkeypatch):
         # A first task on two cores' worth of CPU (OpenBLAS starting up),
         # then warm ones on about one: the sums pass after the second task.
+        # This process runs every other task left, the child the others.
         _fake_clock(monkeypatch)
-        pools = _record_pools(monkeypatch)
+        _forked_before(monkeypatch)
+        forks = _count_forks(monkeypatch)
         _set_cores(monkeypatch, 2)
         tasks = [(1.0, 2.0)] + [(1.0, 0.9)] * 9
         ran_in = simulate._fan_out(_costed_task, tasks)
-        assert pools == [2]
-        assert len(ran_in) == len(tasks)
+        assert len(forks) == 1
         assert ran_in[:2] == [os.getpid()] * 2
-        assert os.getpid() not in ran_in[2:]
+        assert ran_in[2::2] == [os.getpid()] * 4
+        assert ran_in[3::2] == forks * 4
+        _assert_no_children()
 
     @pytest.mark.parametrize(
         "tasks",
@@ -489,24 +537,25 @@ class TestFanOut:
             # One task alone at 1.42, as one trial of 120 read at the wide
             # geometry: the sums stay above the threshold.
             [(1.0, 2.0)] * 10 + [(1.0, 1.42)] + [(1.0, 2.0)] * 19,
-            # Too cheap: splitting the rest of ten 2 ms tasks saves at most
-            # four of them, 8 ms, under the 20 ms a pool costs.
-            [(0.002, 0.002)] * 10,
+            # Too cheap: splitting the rest of ten tasks saves at most four
+            # of them, 4/5 of what a fork costs.
+            [(simulate.FORK_S / 5,) * 2] * 10,
         ],
         ids=["threaded", "threshold", "one-odd-task", "cheap"],
     )
     def test_construct_no_pool(self, monkeypatch, tasks):
-        _refuse_pools(monkeypatch, "threaded or cheap tasks")
+        _refuse_forks(monkeypatch, "threaded or cheap tasks")
         _fake_clock(monkeypatch)
+        _forked_before(monkeypatch)
         _set_cores(monkeypatch, 2)
         assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
 
     @pytest.mark.parametrize(
         "tasks",
         [
-            # A cold first task on one core is no measure of the 2 ms tasks
-            # after it ...
-            [(0.5, 0.5)] + [(0.002, 0.002)] * 9,
+            # A cold first task on one core is no measure of the cheap
+            # tasks after it ...
+            [(0.5, 0.5)] + [(simulate.FORK_S / 5,) * 2] * 9,
             # ... nor of their threads, as in 3 of 40 fresh processes at the
             # wide geometry.
             [(1.0, 1.0)] + [(0.05, 0.1)] * 29,
@@ -514,46 +563,94 @@ class TestFanOut:
         ids=["cheap", "threaded"],
     )
     def test_fresh_process_leaves_the_first_task_out(self, monkeypatch, tasks):
-        _refuse_pools(monkeypatch, "a fresh process's cold first task")
+        _refuse_forks(monkeypatch, "a fresh process's cold first task")
         _fake_clock(monkeypatch)
         _set_cores(monkeypatch, 2)
-        _fresh_process(monkeypatch)
         assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
 
-    def test_first_pool_is_charged_its_imports(self, monkeypatch):
-        # Twelve equal tasks.  Once this process has built a pool, splitting
-        # the eleven left after the first saves five of them, more than a
-        # pool costs.  In a fresh process the sums start after the second,
-        # and splitting the ten left saves five too, less than a first pool
-        # costs with its imports.
+    def test_importing_asyncio_changes_no_decision(self, monkeypatch):
+        # asyncio imports concurrent.futures, whose presence once marked a
+        # process as having built a pool, so a fresh process counted its
+        # cold first task and forked.  Only _fan_out's own fork counts now.
+        import asyncio  # noqa: F401
+
+        assert "concurrent.futures" in sys.modules
+        _refuse_forks(monkeypatch, "a fresh process that imported asyncio")
         _fake_clock(monkeypatch)
         _set_cores(monkeypatch, 2)
-        pools = _record_pools(monkeypatch)
-        cost = (simulate.FORK_POOL_START_JOIN_S + simulate.POOL_IMPORT_S / 2) / 5
+        tasks = [(0.5, 0.5)] + [(simulate.FORK_S / 5,) * 2] * 9
+        assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
+
+    def test_fresh_process_forks_one_task_later(self, monkeypatch):
+        # Twelve equal tasks.  Splitting the eleven left after the first
+        # saves five of them, and so does splitting the ten left after the
+        # second, where a fresh process's sums start: 6/5 of a fork's cost.
+        _fake_clock(monkeypatch)
+        _set_cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        cost = 1.2 * simulate.FORK_S / 5
         tasks = [(cost, cost)] * 12
         ran_in = simulate._fan_out(_costed_task, tasks)
-        assert pools == [2] and ran_in[0] == os.getpid()
-        assert os.getpid() not in ran_in[1:]
-        _fresh_process(monkeypatch)
+        assert len(forks) == 1 and simulate._forked
+        assert ran_in[:2] == [os.getpid()] * 2 and ran_in[3::2] == forks * 5
+        # Now this process has forked, the first task counts.
+        ran_in = simulate._fan_out(_costed_task, tasks)
+        assert len(forks) == 2
+        assert ran_in[0] == os.getpid() and ran_in[2::2] == forks[1:] * 5
+        # At 4/5 of a fork's cost, neither kind of process forks.
+        tasks = [(0.8 * simulate.FORK_S / 5,) * 2] * 12
         assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
-        assert pools == [2]
+        monkeypatch.setattr(simulate, "_forked", False)
+        assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
+        assert len(forks) == 2
 
-    def test_unpicklable_task_raises_before_a_pool(self, monkeypatch):
-        # A fork pool whose task function cannot be pickled raises from map
-        # and then hangs in shutdown; the check comes first, so with pools
-        # refused a regression fails here instead of hanging.
-        _refuse_pools(monkeypatch, "an unpicklable task")
+    def test_local_closure_fans_out(self, monkeypatch):
+        # Children are forked, so the task function is never pickled: a
+        # local closure is shared out and returns what it does in process.
         _fake_clock(monkeypatch)
         _set_cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        scale = 3.0
 
         def local_task(wall_s, cpu_s):
-            return _costed_task(wall_s, cpu_s)
+            return _costed_task(wall_s, cpu_s), scale * wall_s
 
-        with pytest.raises(TypeError, match="local_task"):
-            simulate._fan_out(local_task, [(1.0, 0.9)] * 10)
-        # The same tasks by a module-level function reach the pool.
-        with pytest.raises(AssertionError, match="constructed a process pool"):
-            simulate._fan_out(_costed_task, [(1.0, 0.9)] * 10)
+        tasks = [(1.0 + k, 0.9 + k) for k in range(10)]
+        ran = simulate._fan_out(local_task, tasks)
+        assert len(forks) == 1
+        assert [value for _, value in ran] == [scale * wall_s for wall_s, _ in tasks]
+        assert [pid for pid, _ in ran][3::2] == forks * 4
+
+    @pytest.mark.parametrize(
+        "where, action, error, message",
+        [
+            # The first two tasks run here before the fork; of those left,
+            # this process runs tasks 2 and 4, the child 3 and 5.
+            (2, "raise", ValueError, "task failed in"),
+            (3, "raise", ValueError, "task failed in"),
+            (3, "exit", RuntimeError, "exited with status 1 and no results"),
+            (3, "kill", RuntimeError, "was killed by SIGKILL"),
+            (3, "unpicklable", RuntimeError, r"(?s)Traceback.*_acting_task.*task failed in"),
+            (3, "unloadable", RuntimeError, r"(?s)Traceback.*_acting_task.*_TwoArgError"),
+        ],
+        ids=["own-share-raises", "child-raises", "child-exits", "child-killed",
+             "unpicklable-exception", "unloadable-exception"],
+    )
+    def test_failure_leaves_no_child(self, monkeypatch, where, action, error, message):
+        # When this process's own share raises, the child still sleeping
+        # in task 3 is killed; otherwise the child's failure reaches here.
+        # Either way no child outlives the call.
+        _fake_clock(monkeypatch)
+        _set_cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
+        tasks = [(1.0, 0.9)] * 6
+        tasks[where] = (1.0, 0.9, action)
+        if where == 2:
+            tasks[3] = (1.0, 0.9, "sleep")
+        with pytest.raises(error, match=message):
+            simulate._fan_out(_acting_task, tasks)
+        assert len(forks) == 1
+        _assert_no_children()
 
 
 class TestBer:
@@ -642,7 +739,7 @@ class TestBer:
         assert not zf[1].any() and betas[1] == 1.0
 
     def test_data_stage_matches_reference(self, monkeypatch):
-        # Calls of the patched _gray_pairs in worker processes would not come
+        # Calls of the patched _gray_pairs in a forked child would not come
         # back here, so one core keeps every realisation in this process, and
         # the count shows that every subcarrier pass was recorded.
         _set_cores(monkeypatch, 1)
@@ -696,29 +793,39 @@ class TestBer:
             assert ber == pytest.approx(5 / 16, abs=1e-6)
 
     def test_fan_out_matches_in_process(self, monkeypatch):
-        # 4 realisations of about 30 ms at each of 3 points: the 11 after the
-        # first fan out over two workers, and the rows are those of the same
-        # call on one core, which stays in this process.
-        pools = _record_pools(monkeypatch)
+        # 4 realisations of about 17 ms at each of 3 points: the 10 after
+        # the first two are shared with a child, and the rows are those of
+        # the same call on one core, which stays in this process.
+        forks = _count_forks(monkeypatch)
         args = (SystemConfig(), [10.0, 20.0, 30.0], 10**6, 5, 4)
         _set_cores(monkeypatch, 2)
         fanned = ber_experiment(*args).rows
-        assert pools == [2]
+        assert len(forks) == 1
         _set_cores(monkeypatch, 1)
         assert ber_experiment(*args).rows == fanned
-        assert pools == [2]
+        assert len(forks) == 1
 
     def test_desk_call_constructs_no_pool(self, monkeypatch):
-        # A desk realisation takes about 6 ms, and splitting those left after
-        # any of the four saves at most one of them, less than a pool costs.
-        _refuse_pools(monkeypatch, "a desk-scale call")
+        # Splitting the realisations left after any of the four saves at
+        # most one of them, and a desk realisation costs less than a fork.
+        args = (DESK_SNR20, [10.0, 20.0], 10**4, 3, 2)
+        n_vec = -(-10**4 // (2 * DESK_SNR20.n_pilot_subcarriers * 2))
+        costs = []
+        for real in range(2):
+            start = time.process_time()
+            simulate._ber_errors(replace(DESK_SNR20, snr_db=10.0), 3, 0, real, n_vec)
+            costs.append(time.process_time() - start)
+        assert min(costs) < simulate.FORK_S
+        _refuse_forks(monkeypatch, "a desk-scale call")
+        _forked_before(monkeypatch)
         _set_cores(monkeypatch, 2)
-        table = ber_experiment(DESK_SNR20, [10.0, 20.0], 10**4, 3, n_realizations=2)
+        table = ber_experiment(*args)
         assert len(table.rows) == 2 * len(CSI_SOURCES)
 
     def test_worker_exception_reaches_caller(self, monkeypatch, tmp_path, capsys):
-        # Forked workers inherit a _synthesize that fails at the last SNR
-        # point, whose realisations and trials all run in workers.
+        # Forked children inherit a _synthesize that fails at the last SNR
+        # point, whose realisations and trials all run after the fork, here
+        # and in the child alike.
         synthesize = simulate._synthesize
 
         def failing(config, *seeds):
@@ -727,11 +834,11 @@ class TestBer:
             return synthesize(config, *seeds)
 
         monkeypatch.setattr(simulate, "_synthesize", failing)
-        pools = _record_pools(monkeypatch)
+        forks = _count_forks(monkeypatch)
         _set_cores(monkeypatch, 2)
         with pytest.raises(np.linalg.LinAlgError, match="synthesis failed at 30 dB"):
             ber_experiment(SystemConfig(), [10.0, 20.0, 30.0], 10**6, 0, n_realizations=2)
-        assert pools == [2]
+        assert len(forks) == 1
         for calls, argv in enumerate(
             (
                 ["sweep-ber", "--snrs", "10,20,30", "--symbols", "1000000", "--realizations", "2"],
@@ -741,7 +848,7 @@ class TestBer:
             2,
         ):
             code = main([*argv, "--out", str(tmp_path / argv[0])])
-            assert code == 3 and pools == [2] * calls
+            assert code == 3 and len(forks) == calls
             assert "numerical error: synthesis failed at 30 dB" in capsys.readouterr().err
 
     def test_complex_by_real_division_is_reciprocal_multiplication(self):

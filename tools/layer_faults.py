@@ -16,8 +16,8 @@ perfbench/workloads.py and tracing.py are imported, not changed.
 
 For the whole run os.sched_getaffinity reports one core, so
 simulate._fan_out keeps every trial and BER realisation in this process,
-where the wrappers count them; forked workers would count in their own
-copies.  The process's CPU affinity and BLAS threads are left alone.
+where the wrappers count them; a forked child would count its share in its
+own copy.  The process's CPU affinity and BLAS threads are left alone.
 """
 
 import argparse

@@ -6,14 +6,14 @@ iterations], plus five ber_experiment tables at 10/20/30 dB: desk scale
 (10^4 symbols, 2 realisations); SystemConfig(), the geometry of the
 perfbench ber-long workload (10^5 symbols, 1 realisation); a ber-long-sized
 call at SystemConfig(n_slots=16) (10^6 symbols, 4 realisations), whose
-realisations after the first two fan out over worker processes on a
-multi-core host; the ber-long call with seed 1 (SystemConfig(), 10^6 symbols, 4
+realisations after the first one or two are shared with a forked child process
+on a multi-core host; the ber-long call with seed 1 (SystemConfig(), 10^6 symbols, 4
 realisations), whose realisation 2 at 30 dB serves both LOS streams from
 AoA bin 7, so both streams see the same noise (simulate._noise_root); and,
 at 20 dB only, the perfbench trial-wide BER point (G = 12, 2*10^5 symbols,
 2 realisations).  Then the sweep(SystemConfig(), "slots",
-[9, 12, 16], 40, 0) table (whose trials fan out over worker processes on a
-multi-core host), and every field of the run_certificate_battery(20, 0)
+[9, 12, 16], 40, 0) table (whose trials are shared with a forked child
+process on a multi-core host), and every field of the run_certificate_battery(20, 0)
 records.  `compare A.json B.json` prints the NMSE delta (dB) of every
 trial that differs, then per estimator the exact-support flips,
 iteration-count changes and largest |delta|, then whether each BER table is
