@@ -67,12 +67,12 @@ _SWEEP_FIELDS = {"slots": "n_slots", "snr": "snr_db"}
 # the same runs kept in one process, so the charge is twice that upper
 # quartile ...
 FORK_S = 0.04
-# ... and only when the tasks so far ran on about one core: at wide
-# geometries OpenBLAS threads the correlations (CPU over wall time 1.9-2.0),
-# and child processes there would contend for the cores it already uses.
+# ... and only when the warm tasks so far ran on about one core.  At wide
+# geometries OpenBLAS threads the correlations (warm trials summed: CPU over
+# wall time 1.97-1.99) and a child contends for its cores.  Measured
+# 2026-10-20 on the same host: 9 fresh 30-trial trial-wide sweeps forced to
+# fork took 2.6-16.8 s, against 0.88-1.38 s for 8 of 9 left to this rule.
 MULTICORE_CPU_PER_WALL = 1.5
-# Set once this process has forked in _fan_out; until then it may be fresh.
-_forked = False
 
 
 @dataclass(frozen=True)
@@ -228,20 +228,17 @@ def _fan_out(fn, tasks: list) -> list:
     when the tasks run so far, summed, took CPU time under
     MULTICORE_CPU_PER_WALL times their wall time (BLAS was not already
     threading them) and splitting the rest saves more than FORK_S per child.
-    Sums, not single tasks, decide: warm tasks outweigh a cold first one,
-    and one odd task does not fork.  Until this process has forked here
-    (_forked) it may be fresh, and its first task, which then carries
-    one-time start-up costs, is left out of the sums.  The children are
+    Sums, not single tasks, decide, so one odd task among many does not
+    fork.  Every call leaves its first task out of the sums: it may carry
+    one-time costs (a fresh process, a geometry new to this one, BLAS
+    starting up), so the rule reads warm tasks only.  The children are
     reaped inside the call (_fork_map).
     """
-    global _forked
     cores = len(os.sched_getaffinity(0))
-    fresh = not _forked
     results = []
-    wall, cpu = time.perf_counter(), time.process_time()
     for done, task in enumerate(tasks, 1):
         results.append(fn(*task))
-        if fresh and done == 1:
+        if done == 1:
             wall, cpu = time.perf_counter(), time.process_time()
             continue
         left = len(tasks) - done
@@ -253,12 +250,11 @@ def _fan_out(fn, tasks: list) -> list:
         # workers) of them.  One costs the mean wall time so far, or the
         # mean CPU time when other processes hold the cores and stretch the
         # wall time.
-        saved_s = (left - -(-left // workers)) * min(spent_wall, spent_cpu) / (done - fresh)
+        saved_s = (left - -(-left // workers)) * min(spent_wall, spent_cpu) / (done - 1)
         if spent_cpu < MULTICORE_CPU_PER_WALL * spent_wall and saved_s > (workers - 1) * FORK_S:
             break
     rest = tasks[len(results) :]
     if rest:
-        _forked = True
         results.extend(_fork_map(fn, rest, workers))
     return results
 
@@ -357,10 +353,10 @@ def sweep(
     base_seed + t at every sweep value, so estimator and sweep-point
     comparisons are paired.  The per-trial NMSE ratios are averaged in the
     linear domain and reported in dB; stderr is the delta-method standard
-    error of that mean.  The trials of all values may be shared with forked
-    child processes (_fan_out), which run whatever run_trial names when
-    sweep is called; records come back in task order, so the table is the
-    same either way.
+    error of that mean.  The trials after the first two, of all values, may
+    be shared with forked child processes (_fan_out), which run whatever
+    run_trial names when sweep is called; records come back in task order,
+    so the table is the same either way.
     """
     field = _SWEEP_FIELDS.get(variable)
     if field is None:
@@ -630,9 +626,9 @@ def ber_experiment(
     w is drawn by the Box-Muller transform from uniforms, with a float32
     angle whose rounding no hard decision can see (_ber_errors).
 
-    Realisations may be shared with forked child processes (_fan_out).
-    Each realisation's error counts are integers summed in task order, so
-    the table is the same either way.
+    The realisations after the first two may be shared with forked child
+    processes (_fan_out).  Each realisation's error counts are integers
+    summed in task order, so the table is the same either way.
     """
     if config.n_bs < 2:
         raise ValueError("ber_experiment needs n_bs >= 2 for two LOS streams")

@@ -238,18 +238,6 @@ def _fake_clock(monkeypatch):
     return clock
 
 
-@pytest.fixture(autouse=True)
-def _not_forked_yet(monkeypatch):
-    """Every test starts as a process that has not forked in _fan_out (so
-    may be fresh), and leaves simulate._forked as it found it."""
-    monkeypatch.setattr(simulate, "_forked", False)
-
-
-def _forked_before(monkeypatch):
-    """Make _fan_out see a process that has forked before, so is not fresh."""
-    monkeypatch.setattr(simulate, "_forked", True)
-
-
 def _costed_task(wall_s, cpu_s):
     """_fan_out's task function for tests: advances the fake clock by the
     task's cost and returns the process it ran in."""
@@ -514,11 +502,11 @@ class TestSweep:
 
 class TestFanOut:
     def test_cold_first_task_fans_out_after_the_second(self, monkeypatch):
-        # A first task on two cores' worth of CPU (OpenBLAS starting up),
-        # then warm ones on about one: the sums pass after the second task.
-        # This process runs every other task left, the child the others.
+        # A first task on two cores' worth of CPU (OpenBLAS starting up) is
+        # left out of the sums; the warm ones after it run on about one, so
+        # the rest are split after the second task.  This process runs
+        # every other task left, the child the others.
         _fake_clock(monkeypatch)
-        _forked_before(monkeypatch)
         forks = _count_forks(monkeypatch)
         _set_cores(monkeypatch, 2)
         tasks = [(1.0, 2.0)] + [(1.0, 0.9)] * 9
@@ -546,7 +534,6 @@ class TestFanOut:
     def test_construct_no_pool(self, monkeypatch, tasks):
         _refuse_forks(monkeypatch, "threaded or cheap tasks")
         _fake_clock(monkeypatch)
-        _forked_before(monkeypatch)
         _set_cores(monkeypatch, 2)
         assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
 
@@ -557,16 +544,25 @@ class TestFanOut:
             # tasks after it ...
             [(0.5, 0.5)] + [(simulate.FORK_S / 5,) * 2] * 9,
             # ... nor of their threads, as in 3 of 40 fresh processes at the
-            # wide geometry.
+            # wide geometry, and in processes that had already run another
+            # geometry.  Were it counted, splitting after it would read CPU
+            # over wall 1.0 and save (29 - 15) * 1.0 s, and the child would
+            # contend for the cores BLAS uses.
             [(1.0, 1.0)] + [(0.05, 0.1)] * 29,
         ],
         ids=["cheap", "threaded"],
     )
-    def test_fresh_process_leaves_the_first_task_out(self, monkeypatch, tasks):
-        _refuse_forks(monkeypatch, "a fresh process's cold first task")
+    def test_first_task_left_out_in_a_new_process_and_after_a_fork(self, monkeypatch, tasks):
+        # The same decision, no fork, before this process has forked and
+        # after a call of ber-long-like tasks that forked.
         _fake_clock(monkeypatch)
         _set_cores(monkeypatch, 2)
+        forks = _count_forks(monkeypatch)
         assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
+        simulate._fan_out(_costed_task, [(0.017, 0.017)] * 12)
+        assert len(forks) == 1
+        assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
+        assert len(forks) == 1
 
     def test_importing_asyncio_changes_no_decision(self, monkeypatch):
         # asyncio imports concurrent.futures, whose presence once marked a
@@ -581,27 +577,24 @@ class TestFanOut:
         tasks = [(0.5, 0.5)] + [(simulate.FORK_S / 5,) * 2] * 9
         assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
 
-    def test_fresh_process_forks_one_task_later(self, monkeypatch):
-        # Twelve equal tasks.  Splitting the eleven left after the first
-        # saves five of them, and so does splitting the ten left after the
-        # second, where a fresh process's sums start: 6/5 of a fork's cost.
+    def test_every_call_forks_after_its_second_task(self, monkeypatch):
+        # Twelve equal tasks.  The sums start after the first, and splitting
+        # the ten left after the second saves five of them: 6/5 of a fork's
+        # cost.  A call that follows a fork splits at the same point.
         _fake_clock(monkeypatch)
         _set_cores(monkeypatch, 2)
         forks = _count_forks(monkeypatch)
         cost = 1.2 * simulate.FORK_S / 5
         tasks = [(cost, cost)] * 12
-        ran_in = simulate._fan_out(_costed_task, tasks)
-        assert len(forks) == 1 and simulate._forked
-        assert ran_in[:2] == [os.getpid()] * 2 and ran_in[3::2] == forks * 5
-        # Now this process has forked, the first task counts.
-        ran_in = simulate._fan_out(_costed_task, tasks)
-        assert len(forks) == 2
-        assert ran_in[0] == os.getpid() and ran_in[2::2] == forks[1:] * 5
-        # At 4/5 of a fork's cost, neither kind of process forks.
+        for calls in (1, 2):
+            ran_in = simulate._fan_out(_costed_task, tasks)
+            assert len(forks) == calls
+            assert ran_in[:2] + ran_in[2::2] == [os.getpid()] * 7
+            assert ran_in[3::2] == forks[-1:] * 5
+        # At 4/5 of a fork's cost, no call forks.
         tasks = [(0.8 * simulate.FORK_S / 5,) * 2] * 12
-        assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
-        monkeypatch.setattr(simulate, "_forked", False)
-        assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
+        for _ in range(2):
+            assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
         assert len(forks) == 2
 
     def test_local_closure_fans_out(self, monkeypatch):
@@ -817,7 +810,6 @@ class TestBer:
             costs.append(time.process_time() - start)
         assert min(costs) < simulate.FORK_S
         _refuse_forks(monkeypatch, "a desk-scale call")
-        _forked_before(monkeypatch)
         _set_cores(monkeypatch, 2)
         table = ber_experiment(*args)
         assert len(table.rows) == 2 * len(CSI_SOURCES)

@@ -6,7 +6,7 @@ iterations], plus five ber_experiment tables at 10/20/30 dB: desk scale
 (10^4 symbols, 2 realisations); SystemConfig(), the geometry of the
 perfbench ber-long workload (10^5 symbols, 1 realisation); a ber-long-sized
 call at SystemConfig(n_slots=16) (10^6 symbols, 4 realisations), whose
-realisations after the first one or two are shared with a forked child process
+realisations after the first two are shared with a forked child process
 on a multi-core host; the ber-long call with seed 1 (SystemConfig(), 10^6 symbols, 4
 realisations), whose realisation 2 at 30 dB serves both LOS streams from
 AoA bin 7, so both streams see the same noise (simulate._noise_root); and,
