@@ -4,8 +4,8 @@ Config files are flat `key = value` text with exactly the SystemConfig field
 names as keys; missing keys take the desk-scale defaults, and unknown or
 repeated keys are rejected with their line numbers.  Every subcommand writes a
 CSV of results, a JSON summary, and a manifest recording the config snapshot,
-seed and package version.  Exit codes: 0 success, 2 config error, 3 numerical
-failure.
+seed and package version.  Exit codes: 0 success, 2 config error (including a
+run too large for memory), 3 numerical failure.
 """
 
 import argparse
@@ -336,6 +336,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate.
+        print(f"config error: out of memory: {exc}", file=sys.stderr)
         return 2
     except (ValueError, np.linalg.LinAlgError, RuntimeError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

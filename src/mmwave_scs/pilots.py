@@ -23,7 +23,9 @@ from .channel import SystemConfig
 # Products with every subcarrier's matrix run over blocks of subcarriers
 # whose complex (block, dim) output fits this many bytes, so a correlation
 # forms no (P, dim) temporary: at SystemConfig() (dim 512, P = 16) a block
-# is all P subcarriers, at dim 16,384 it is one.
+# is all P subcarriers, at dim 16,384 it is one.  The operator build takes
+# the BS precoders to the angular grid in blocks of slots under the same
+# cap, so it forms no (G, M, N_BS, N_chain_BS) FFT output beside `right`.
 BLOCK_BYTES = 256 * 1024
 
 
@@ -218,22 +220,31 @@ def measurement_operators(ensemble: PilotEnsemble) -> KroneckerOperator:
     kron((A_TX^H f per BS, stacked)[None, :], Z^H A_RX).  The angular bases
     are unitary DFTs (channel.unitary_dft), so the subcarrier-independent
     analog stages go to the angular grid by FFT along their antenna axis,
-    A^H X = fft(X, norm="ortho"); no DFT matrix is built.
+    A^H X = fft(X, norm="ortho"); no DFT matrix is built.  The BS precoders
+    go through it in blocks of slots (BLOCK_BYTES), so the build holds the
+    factors and one block of FFT output: 4 of 12 slots at dim 16,384.
     """
     g, p = ensemble.n_slots, ensemble.n_pilot_subcarriers
+    _, n_bs, n_ant, _ = ensemble.rf_precoder.shape
+    # A_TX^H f = (A_TX^H F_RF) s * pilot_scale, per BS.  In C order (G, P,
+    # M, N_BS): a strided `right` slows every product with the operator.
+    # The product writes straight into it, as (G, M, N_BS, P), and each
+    # block's FFT output is freed before the next block's is formed.
+    right = np.empty((g, p, n_bs, n_ant), dtype=np.complex128)
+    training = ensemble.eff_training.transpose(0, 2, 3, 1)  # (G, M, N_chain_BS, P)
+    block = max(1, BLOCK_BYTES // (16 * ensemble.rf_precoder[0].size))
+    for t in range(0, g, block):
+        slots = slice(t, t + block)
+        np.matmul(
+            np.fft.fft(ensemble.rf_precoder[slots], axis=2, norm="ortho"),
+            training[slots],
+            out=right[slots].transpose(0, 2, 3, 1),
+        )
+    right *= ensemble.pilot_scale
     # Z^H A_RX = Z_BB^H (Z_RF^H A_RX), with Z_RF^H A_RX = (A_RX^H Z_RF)^H
     rx_rf = np.fft.fft(ensemble.rf_combiner, axis=1, norm="ortho")  # (G, N_US, N_chain_US)
     rf_rx = rx_rf.conj().swapaxes(-1, -2)  # (G, N_chain_US, N_US)
     left = ensemble.bb_combiner.conj().swapaxes(-1, -2) @ rf_rx[:, None]
-    # A_TX^H f = (A_TX^H F_RF) s * pilot_scale, per BS
-    rf_tx = np.fft.fft(ensemble.rf_precoder, axis=2, norm="ortho")  # (G, M, N_BS, N_chain_BS)
-    _, n_bs, n_ant, _ = rf_tx.shape
-    # In C order (G, P, M, N_BS): a strided `right` slows every product with
-    # the operator.  The product writes straight into it, as (G, M, N_BS, P).
-    right = np.empty((g, p, n_bs, n_ant), dtype=np.complex128)
-    training = ensemble.eff_training.transpose(0, 2, 3, 1)  # (G, M, N_chain_BS, P)
-    np.matmul(rf_tx, training, out=right.transpose(0, 2, 3, 1))
-    right *= ensemble.pilot_scale
     return KroneckerOperator(left, right.reshape(g, p, -1))
 
 

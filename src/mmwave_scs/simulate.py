@@ -224,17 +224,18 @@ def _fan_out(fn, tasks: list) -> list:
     child processes forked from this one.
 
     Tasks run here one at a time.  After each, the rest are split over this
-    process and one forked child per other usable core (os.sched_getaffinity)
-    when the tasks run so far, summed, took CPU time under
-    MULTICORE_CPU_PER_WALL times their wall time (BLAS was not already
-    threading them) and splitting the rest saves more than FORK_S per child.
+    process and one forked child per other usable core (os.sched_getaffinity;
+    one core where the platform lacks it, as macOS does) when the tasks run
+    so far, summed, took CPU time under MULTICORE_CPU_PER_WALL times their
+    wall time (BLAS was not already threading them) and splitting the rest
+    saves more than FORK_S per child.
     Sums, not single tasks, decide, so one odd task among many does not
     fork.  Every call leaves its first task out of the sums: it may carry
     one-time costs (a fresh process, a geometry new to this one, BLAS
     starting up), so the rule reads warm tasks only.  The children are
     reaped inside the call (_fork_map).
     """
-    cores = len(os.sched_getaffinity(0))
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     results = []
     for done, task in enumerate(tasks, 1):
         results.append(fn(*task))
@@ -540,20 +541,6 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
     uniforms keep the Gaussian tail out to 8.6 sigma (float32 ones would cut
     it at 5.8 sigma).
     """
-    # Data-stage buffers, reused on every subcarrier: each payload byte
-    # carries two symbols, four float parts and four Gray bit pairs.
-    sym = np.empty((2, n_vec), dtype=complex)
-    drawn = np.empty(n_vec, dtype=np.uint32)
-    uniforms = np.empty((2, 2, n_vec))
-    trig = np.empty((2, 2, n_vec), dtype=np.float32)
-    w = np.empty((2, n_vec), dtype=complex)
-    eta = np.empty((2, n_vec), dtype=complex)
-    rx = np.empty((len(CSI_SOURCES), 2, n_vec), dtype=complex)
-    rx_parts = rx.view(np.float64)
-    noise = np.empty((2, 2 * n_vec))
-    decided = np.empty((len(CSI_SOURCES), 4 * n_vec), dtype=np.uint8)
-    decided_words = decided.view(np.uint32)  # four pairs, one payload byte
-    flags = np.empty((2, rx_parts.size), dtype=bool)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
     chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
     chan, aset, operators, received, sigma2 = _synthesize(
@@ -576,6 +563,25 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
     beta_true = betas[0]
     inv_betas = 1.0 / betas
     snr_lin = 10.0 ** (config.snr_db / 10.0)
+    # The data stage needs only the links and noise scales.  Freeing the
+    # estimation phase's arrays, the operator above all, before its buffers
+    # are allocated makes a realisation peak at the larger phase, not at
+    # their sum.
+    del chan, aset, operators, received, est_ssamp, est_omp, h_eff, zf
+    # Data-stage buffers, reused on every subcarrier: each payload byte
+    # carries two symbols, four float parts and four Gray bit pairs.
+    sym = np.empty((2, n_vec), dtype=complex)
+    drawn = np.empty(n_vec, dtype=np.uint32)
+    uniforms = np.empty((2, 2, n_vec))
+    trig = np.empty((2, 2, n_vec), dtype=np.float32)
+    w = np.empty((2, n_vec), dtype=complex)
+    eta = np.empty((2, n_vec), dtype=complex)
+    rx = np.empty((len(CSI_SOURCES), 2, n_vec), dtype=complex)
+    rx_parts = rx.view(np.float64)
+    noise = np.empty((2, 2 * n_vec))
+    decided = np.empty((len(CSI_SOURCES), 4 * n_vec), dtype=np.uint8)
+    decided_words = decided.view(np.uint32)  # four pairs, one payload byte
+    flags = np.empty((2, rx_parts.size), dtype=bool)
     errors = np.zeros(len(CSI_SOURCES), dtype=np.int64)
     rng = np.random.default_rng(data_seed)
     for p in range(config.n_pilot_subcarriers):

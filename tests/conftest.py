@@ -33,6 +33,11 @@ DESK_EXACT = SystemConfig(
 )
 DESK_SNR20 = replace(DESK_EXACT, n_slots=6, snr_db=20.0)
 DESK_SNR10 = replace(DESK_SNR20, snr_db=10.0)
+# The near-published point of the benchmark's trial-wide workload: dim 16,384.
+WIDE = SystemConfig(
+    n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2, n_subcarriers=16,
+    n_pilot_subcarriers=8, n_slots=12, max_delay_s=25e-9,
+)
 
 
 def synth(config, chan_seed, ens_seed, noise_seed):

@@ -26,6 +26,7 @@ from mmwave_scs.simulate import _ssamp_threshold
 from conftest import (
     DESK_EXACT,
     DESK_SNR20,
+    WIDE,
     angular_transform,
     delay_to_frequency,
     stack_angular,
@@ -262,9 +263,7 @@ SYNTHESIS_GEOMETRIES = {
     "desk": DESK_EXACT,
     "default": SystemConfig(),
     "single-path": SystemConfig(n_paths=1),
-    "wide": SystemConfig(n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2,
-                         n_subcarriers=16, n_pilot_subcarriers=8, n_slots=12,
-                         max_delay_s=25e-9),
+    "wide": WIDE,
 }
 
 

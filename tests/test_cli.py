@@ -317,6 +317,16 @@ def test_exit_code_bad_seed_or_out(tmp_path, capsys, subcommand, flags, out_name
     assert (tmp_path / "file").read_text() == "kept\n"
 
 
+def test_exit_code_out_of_memory(tmp_path, capsys):
+    # 10^15 symbols need data-stage buffers of hundreds of TiB.
+    argv = ["sweep-ber", "--snrs", "20", "--symbols", "1000000000000000"]
+    code = main([*argv, "--out", str(tmp_path / "r")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: out of memory: Unable to allocate" in captured.err
+    assert "complex128" in captured.err
+
+
 def test_exit_code_numerical_error(tmp_path, capsys):
     # a finite SNR so low that the calibrated noise variance overflows to inf
     for argv in (

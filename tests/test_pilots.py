@@ -1,5 +1,6 @@
 """Pilot ensembles and stacked measurement operators."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy import stats
 
 from mmwave_scs.channel import DftPair, SystemConfig, dft_pair
 from mmwave_scs.pilots import (
+    BLOCK_BYTES,
     PilotEnsemble,
     as_operator,
     calibrate_noise_variance,
@@ -22,6 +24,7 @@ from mmwave_scs.pilots import (
 from conftest import (
     DESK_EXACT,
     DESK_SNR20,
+    WIDE,
     combiner_matrix,
     dense_measurement_operators,
     pilot_vector,
@@ -155,10 +158,7 @@ def test_stacking_order():
 FFT_GEOMETRIES = {
     "desk": DESK_EXACT,
     "default": SystemConfig(),
-    "wide": SystemConfig(
-        n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2, n_subcarriers=16,
-        n_pilot_subcarriers=8, n_slots=12, max_delay_s=25e-9,
-    ),
+    "wide": WIDE,
     "non-power-of-two": replace(DESK_EXACT, n_ant_bs=12, n_ant_user=6),
 }
 
@@ -192,6 +192,26 @@ def test_fft_build_matches_dense_dft_products(name):
             assert got.shape == want.shape
             assert got.flags.c_contiguous
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_wide_build_holds_one_block_of_precoder_ffts():
+    # At the trial-wide point one slot's precoder FFT output, complex
+    # (M, N_BS, N_chain_BS), takes 64 KiB and all 12 slots' 768 KiB.  The
+    # build holds the factors it returns and one block of slots that fits
+    # BLOCK_BYTES.
+    ens = draw_ensemble(WIDE, 0)
+    slot_bytes = 16 * ens.rf_precoder[0].size
+    block_bytes = BLOCK_BYTES // slot_bytes * slot_bytes
+    assert block_bytes < ens.n_slots * slot_bytes
+    tracemalloc.start()
+    try:
+        op = measurement_operators(ens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= op.nbytes + block_bytes, (
+        f"peak {peak} bytes, factors {op.nbytes} and one block {block_bytes}"
+    )
 
 
 def test_operator_entry_statistics():

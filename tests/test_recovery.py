@@ -37,7 +37,7 @@ from mmwave_scs.recovery import (
 )
 from mmwave_scs.simulate import _omp_threshold, _ssamp_threshold, _trial_seeds
 
-from conftest import DESK_EXACT, DESK_SNR20, synth
+from conftest import DESK_EXACT, DESK_SNR20, WIDE, synth
 
 
 def ssamp_reference(received, operators, p_th, max_iterations=None):
@@ -706,13 +706,6 @@ class TestSubcarrierBlocks:
                 assert (b.iterations, b.stages) == (a.iterations, a.stages)
                 assert b.termination_reason == a.termination_reason
                 np.testing.assert_array_equal(b.coefficients, a.coefficients)
-
-
-# The near-published point of the benchmark's trial-wide workload.
-WIDE = replace(
-    SystemConfig(), n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2, n_subcarriers=16,
-    n_pilot_subcarriers=8, n_slots=12, max_delay_s=25e-9,
-)
 
 
 def _peak_bytes(estimate):

@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from mmwave_scs.channel import (
     grid_steering_vector,
 )
 from mmwave_scs.cli import main
+from mmwave_scs.pilots import draw_ensemble, measurement_operators
 from mmwave_scs.recovery import adaptive_omp, nmse_db, oracle_ls, ssamp, support_metrics
 from mmwave_scs.simulate import (
     BER_COLUMNS,
@@ -44,6 +46,7 @@ from mmwave_scs.simulate import (
 from conftest import (
     DESK_EXACT,
     DESK_SNR20,
+    WIDE,
     effective_channels,
     exact_ber,
     per_bs_matrices,
@@ -597,6 +600,29 @@ class TestFanOut:
             assert simulate._fan_out(_costed_task, tasks) == [os.getpid()] * len(tasks)
         assert len(forks) == 2
 
+    def test_host_without_affinity_stays_in_process(self, monkeypatch):
+        # macOS has no os.sched_getaffinity; _fan_out counts one core there.
+        # Every trial and realisation reads one second on one core, so on
+        # two cores both calls would fork after their second task.
+        clock = _fake_clock(monkeypatch)
+        for name in ("run_trial", "_ber_errors"):
+
+            def costed(*args, task=getattr(simulate, name)):
+                clock.wall += 1.0
+                clock.cpu += 1.0
+                return task(*args)
+
+            monkeypatch.setattr(simulate, name, costed)
+        calls = (
+            lambda: sweep(DESK_SNR20, "snr", [10.0, 20.0], 4, 11).rows,
+            lambda: ber_experiment(DESK_SNR20, [10.0, 20.0], 10**4, 3, 2).rows,
+        )
+        _set_cores(monkeypatch, 1)
+        one_core = [call() for call in calls]
+        monkeypatch.delattr(os, "sched_getaffinity")
+        _refuse_forks(monkeypatch, "a host without os.sched_getaffinity")
+        assert [call() for call in calls] == one_core
+
     def test_local_closure_fans_out(self, monkeypatch):
         # Children are forked, so the task function is never pickled: a
         # local closure is shared out and returns what it does in process.
@@ -842,6 +868,28 @@ class TestBer:
             code = main([*argv, "--out", str(tmp_path / argv[0])])
             assert code == 3 and len(forks) == calls
             assert "numerical error: synthesis failed at 30 dB" in capsys.readouterr().err
+
+    def test_wide_realisation_frees_the_operator_before_the_data_stage(self):
+        # The trial-wide BER panel point: 2 * 10^5 symbols over 2
+        # realisations, n_vec = 6,250.  Per symbol vector the data stage
+        # holds sym, w and eta (2 complex each), drawn (uint32), uniforms
+        # (4 float64), trig (4 float32), rx (3 x 2 complex), noise (4
+        # float64), decided (3 x 4 uint8), flags (2 x 12 bool) and a
+        # payload byte.  A realisation that allocated them while it held
+        # the operator would peak above the two together.
+        cfg = replace(WIDE, snr_db=20.0)
+        n_vec = -(-2 * 10**5 // (2 * cfg.n_pilot_subcarriers * 2))
+        per_vec = 3 * 2 * 16 + 4 + 4 * 8 + 4 * 4 + 3 * 2 * 16 + 4 * 8 + 3 * 4 + 2 * 12 + 1
+        operator_bytes = measurement_operators(draw_ensemble(cfg, 0)).nbytes
+        tracemalloc.start()
+        try:
+            simulate._ber_errors(cfg, 0, 0, 0, n_vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < operator_bytes + per_vec * n_vec, (
+            f"peak {peak} bytes, operator {operator_bytes}, data stage {per_vec * n_vec}"
+        )
 
     def test_complex_by_real_division_is_reciprocal_multiplication(self):
         # The data stage adds eta * (1 / beta) part by part where the

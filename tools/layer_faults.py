@@ -1,4 +1,5 @@
-"""Minor page faults and time per trial in each layer that `simulate` calls.
+"""Minor page faults, time and peak memory per trial in each layer that
+`simulate` calls.
 
     PYTHONPATH=src python3 tools/layer_faults.py --workload trial-wide --seed 1 --trials 60
 
@@ -11,7 +12,12 @@ to count minor page faults (resource.getrusage) and wall time.  The table
 gives each layer's own share per trial, its children's excluded, so
 `run_trial` or `ber_experiment` is the entry point's own lines.  The last
 rows give the loop as a whole: the calls' total and the whole process,
-with its system time.  Only numpy and mmwave_scs are needed;
+with its system time.  A second pass makes the same calls on the same call
+seeds under tracemalloc, with the counting wrappers removed, so the fault
+and time columns do not pay for it.  Its column gives each layer's peak
+traced allocation above the level at its entry, children included, as the
+largest over its calls: memory numpy allocates counts, BLAS and FFT
+scratch does not.  Only numpy and mmwave_scs are needed;
 perfbench/workloads.py and tracing.py are imported, not changed.
 
 For the whole run os.sched_getaffinity reports one core, so
@@ -25,6 +31,7 @@ import os
 import resource
 import sys
 import time
+import tracemalloc
 from collections import defaultdict
 from pathlib import Path
 
@@ -78,6 +85,36 @@ class LayerCounter:
         self._saved = {}
 
 
+class PeakCounter(LayerCounter):
+    """Largest traced allocation above entry level per wrapped name, over
+    its calls; a call's peak includes its children's."""
+
+    def __init__(self):
+        super().__init__()
+        self.peaks = defaultdict(int)
+        self._open = []  # per open call: [entry level, highest peak seen]
+
+    def _wrap(self, name, fn):
+        def measured(*args, **kwargs):
+            level, peak = tracemalloc.get_traced_memory()
+            if self._open:
+                # The reset below drops the caller's peak so far: keep it.
+                self._open[-1][1] = max(self._open[-1][1], peak)
+            self._open.append([level, 0])
+            tracemalloc.reset_peak()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                entry, seen = self._open.pop()
+                # The traced peak still counts from this call's entry.
+                peak = max(seen, tracemalloc.get_traced_memory()[1])
+                self.peaks[name] = max(self.peaks[name], peak - entry)
+                if self._open:
+                    self._open[-1][1] = max(self._open[-1][1], peak)
+
+        return measured
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), default="trial-wide")
@@ -109,16 +146,28 @@ def main(argv=None) -> int:
         after, wall = _usage(), time.perf_counter() - start
     finally:
         counter.uninstall(simulate)
+
+    peaks = PeakCounter()
+    seeds = op_seeds(args.seed)
+    peaks.install(simulate)
+    tracemalloc.start()
+    try:
+        for index in range(args.trials):
+            call(workload, index, next(seeds))
+    finally:
+        tracemalloc.stop()
+        peaks.uninstall(simulate)
     if problems:
         print("; ".join(problems[:5]), file=sys.stderr)
         return 1
 
     print(f"# {args.workload}: {args.trials} calls, {trials} trials, seed {args.seed}")
-    print(f"{'layer':<28}{'faults/trial':>14}{'ms/trial':>11}{'calls/trial':>13}")
+    print(f"{'layer':<28}{'faults/trial':>14}{'ms/trial':>11}{'calls/trial':>13}"
+          f"{'peak MB':>10}")
     rows = sorted(counter.totals.items(), key=lambda item: -item[1][0])
     for name, (faults, seconds, calls) in rows:
         print(f"{name:<28}{faults / trials:>14.1f}{seconds * 1e3 / trials:>11.2f}"
-              f"{calls / trials:>13.2f}")
+              f"{calls / trials:>13.2f}{peaks.peaks[name] / 1e6:>10.3f}")
     faults = sum(entry[0] for entry in counter.totals.values())
     seconds = sum(entry[1] for entry in counter.totals.values())
     print(f"{'all calls':<28}{faults / trials:>14.1f}{seconds * 1e3 / trials:>11.2f}")
