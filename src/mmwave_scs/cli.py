@@ -5,7 +5,9 @@ names as keys; missing keys take the desk-scale defaults, and unknown or
 repeated keys are rejected with their line numbers.  Every subcommand writes a
 CSV of results, a JSON summary, and a manifest recording the config snapshot,
 seed and package version.  Exit codes: 0 success, 2 config error (including a
-run too large for memory), 3 numerical failure.
+run too large for memory, and an `estimate` or `sweep-mse` run with fewer
+measurement rows than true paths, which oracle LS cannot fit), 3 numerical
+failure.
 """
 
 import argparse
@@ -172,8 +174,23 @@ def cmd_linkbudget(args) -> int:
     return 0
 
 
+def _check_oracle_rows(config: SystemConfig, slot_counts) -> None:
+    """Oracle LS fits all n_bs * n_paths true paths (draw_multipath's AoD
+    bins are distinct), so it needs that many of the n_slots * n_chain_user
+    measurement rows at every slot count a run will use."""
+    paths = config.n_bs * config.n_paths
+    for slots in slot_counts:
+        if paths > slots * config.n_chain_user:
+            raise ConfigError(
+                f"n_bs * n_paths = {paths} true paths exceed n_slots * n_chain_user = "
+                f"{slots * config.n_chain_user} measurement rows at n_slots = {slots}; "
+                "oracle LS needs at least as many rows as paths"
+            )
+
+
 def cmd_estimate(args) -> int:
     config = _load_config(args)
+    _check_oracle_rows(config, [config.n_slots])
     record = run_trial(config, args.seed)
     table = ResultTable(
         columns=("estimator", *(f.name for f in fields(EstimatorMetrics))),
@@ -221,6 +238,7 @@ def cmd_sweep_mse(args) -> int:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     values = _sweep_values(args.variable, args.values)
     config = _load_config(args)
+    _check_oracle_rows(config, values if args.variable == "slots" else [config.n_slots])
     table = sweep(config, args.variable, values, args.trials, args.seed)
     summary = {
         "variable": args.variable,

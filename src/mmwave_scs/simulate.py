@@ -156,30 +156,35 @@ def _omp_threshold(sigma2: float, received) -> float:
     return max(threshold, floor, 1e-300)
 
 
+def _estimate(config: SystemConfig, chan_seed: int, ens_seed: int, noise_seed: int, names):
+    """Synthesis, then each estimator in `names`, in ESTIMATORS order, on the same pilots:
+    (chan, aset, {name: (estimate, wall seconds)}).  The operator and the pilots
+    are freed on return, before a BER realisation allocates its data stage."""
+    chan, aset, operators, received, sigma2 = _synthesize(config, chan_seed, ens_seed, noise_seed)
+    runs = {
+        "ssamp": (ssamp, _ssamp_threshold(config)),
+        "adaptive_omp": (adaptive_omp, _omp_threshold(sigma2, received)),
+        "oracle_ls": (oracle_ls, aset.support),
+    }
+    estimates = {}
+    for name in (name for name in ESTIMATORS if name in names):
+        estimator, arg = runs[name]
+        start = time.perf_counter()
+        estimates[name] = estimator(received, operators, arg), time.perf_counter() - start
+    return chan, aset, estimates
+
+
 def run_trial(config: SystemConfig, seed: int) -> TrialRecord:
     """One paired comparison of ssamp, adaptive OMP and oracle LS.
 
-    All three see the same channel, pilots and noise.  Sub-seeds for the
-    channel, the ensemble and the noise are derived deterministically from
-    `seed`, so a record is reproducible bit for bit.  snr_db = inf in the
-    config runs the trial noiseless.
+    All three see the same channel, pilots and noise (_estimate).  Sub-seeds
+    for the channel, the ensemble and the noise are derived
+    deterministically from `seed`, so a record is reproducible bit for bit.
+    snr_db = inf in the config runs the trial noiseless.
     """
-    chan_seed, ens_seed, noise_seed = _trial_seeds(seed)
-    chan, aset, operators, received, sigma2 = _synthesize(
-        config, chan_seed, ens_seed, noise_seed
-    )
-    estimators = {
-        "ssamp": lambda: ssamp(received, operators, _ssamp_threshold(config)),
-        "adaptive_omp": lambda: adaptive_omp(
-            received, operators, _omp_threshold(sigma2, received)
-        ),
-        "oracle_ls": lambda: oracle_ls(received, operators, aset.support),
-    }
+    _, aset, estimates = _estimate(config, *_trial_seeds(seed), ESTIMATORS)
     metrics = {}
-    for name, estimate in estimators.items():
-        start = time.perf_counter()
-        est = estimate()
-        wall_time_s = time.perf_counter() - start
+    for name, (est, wall_time_s) in estimates.items():
         # Every estimate is zero off its support and the truth off its own,
         # so the error lives on their union.
         scored = _index_union(est.support, aset.support)
@@ -268,12 +273,15 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
     pipe and reaps it.  A child's exception is raised here; a child that
     sends nothing it can unpickle raises RuntimeError with its traceback or
     exit status.  Every child is reaped (killed first if need be) before
-    this returns or raises, and a child never returns from here: it ends in
-    os._exit.
+    this returns or raises a Python exception, and a child never returns
+    from here: it ends in os._exit.  A signal that ends this process runs
+    no Python code, so each child checks before every task that this
+    process is still its parent, and ends at once when it is not.
     """
     import pickle
     import signal
 
+    parent = os.getpid()
     shares = [tasks[i::workers] for i in range(workers)]
     children = {}  # pid -> (share index, read end of its pipe)
     try:
@@ -285,7 +293,7 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
                 try:
                     os.close(read_fd)
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pipe.write(_share_payload(fn, shares[i]))
+                        pipe.write(_share_payload(fn, shares[i], parent))
                     status = 0
                 finally:
                     os._exit(status)
@@ -315,15 +323,21 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
     return results
 
 
-def _share_payload(fn, share) -> bytes:
+def _share_payload(fn, share, parent: int) -> bytes:
     """A child's pickled (True, [fn(*task) for task in share]), or (False,
     exception) when a task raises.  When that does not pickle, or the
     exception would not unpickle, (False, RuntimeError) carrying the
-    traceback as text."""
+    traceback as text.  Before each task the child exits with status 1 if
+    its parent is no longer the process `parent` (it has ended)."""
     import pickle
 
+    def run(task):
+        if os.getppid() != parent:
+            os._exit(1)
+        return fn(*task)
+
     try:
-        payload = (True, [fn(*task) for task in share])
+        payload = (True, [run(task) for task in share])
     except Exception as exc:
         payload = (False, exc)
     try:
@@ -543,15 +557,10 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(point, real))
     chan_seed, ens_seed, noise_seed, data_seed = (int(s) for s in ss.generate_state(4))
-    chan, aset, operators, received, sigma2 = _synthesize(
-        config, chan_seed, ens_seed, noise_seed
-    )
-    est_ssamp = ssamp(received, operators, _ssamp_threshold(config))
-    est_omp = adaptive_omp(received, operators, _omp_threshold(sigma2, received))
-
+    chan, aset, estimates = _estimate(config, chan_seed, ens_seed, noise_seed, CSI_SOURCES[1:])
     columns, aoa = _los_beams(chan, config)
     # One (P, 2, 2) effective channel per CSI source, in CSI_SOURCES order.
-    h_eff = np.stack([source.at(columns) for source in (aset, est_ssamp, est_omp)])
+    h_eff = np.stack([aset.at(columns), *(estimates[n][0].at(columns) for n in CSI_SOURCES[1:])])
     zf, betas = _zf_precoders(h_eff)
     # H_true zf_k per source, (source, P, 2, 2): beta_k scales the
     # transmit side and the receiver divides it out, so it only
@@ -563,11 +572,6 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
     beta_true = betas[0]
     inv_betas = 1.0 / betas
     snr_lin = 10.0 ** (config.snr_db / 10.0)
-    # The data stage needs only the links and noise scales.  Freeing the
-    # estimation phase's arrays, the operator above all, before its buffers
-    # are allocated makes a realisation peak at the larger phase, not at
-    # their sum.
-    del chan, aset, operators, received, est_ssamp, est_omp, h_eff, zf
     # Data-stage buffers, reused on every subcarrier: each payload byte
     # carries two symbols, four float parts and four Gray bit pairs.
     sym = np.empty((2, n_vec), dtype=complex)

@@ -4,7 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -421,6 +421,41 @@ def test_exit_code_sweep_ber_arguments(tmp_path, capsys, argv, message):
     assert code == 2
     assert "config error" in captured.err and message in captured.err
     assert not out.exists()  # rejected before any realisation runs
+
+
+@pytest.mark.parametrize(
+    "config_slots, argv, rows",
+    [
+        (1, ["estimate"], 2),
+        (6, ["sweep-mse", "--variable", "slots", "--values", "6,4,1", "--trials", "200"], 2),
+        (1, ["sweep-mse", "--variable", "snr", "--values", "10,20", "--trials", "200"], 2),
+    ],
+    ids=["estimate", "slot-sweep", "snr-sweep"],
+)
+def test_exit_code_fewer_rows_than_paths(tmp_path, capsys, config_slots, argv, rows):
+    # The desk geometry has n_bs * n_paths = 4 true paths, which oracle LS
+    # cannot fit from n_slots * n_chain_user = 2 rows at one slot.
+    path = tmp_path / "desk.cfg"
+    write_config(replace(DESK_SNR20, n_slots=config_slots), path)
+    out = tmp_path / "r"
+    code = main([*argv, "--config", str(path), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "config error: n_bs * n_paths = 4 true paths exceed " in captured.err
+    assert f"n_slots * n_chain_user = {rows} measurement rows at n_slots = 1" in captured.err
+    assert not out.exists()  # rejected before any trial runs
+
+
+def test_sweep_ber_needs_no_oracle_rows(tmp_path, capsys):
+    # BER runs ssamp and adaptive OMP only, so one slot's 2 rows serve it.
+    path = tmp_path / "desk.cfg"
+    write_config(replace(DESK_SNR20, n_slots=1), path)
+    out = tmp_path / "r"
+    argv = ["sweep-ber", "--snrs", "20", "--symbols", "10000", "--realizations", "1"]
+    code = main([*argv, "--config", str(path), "--out", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert (out / "sweep_ber.csv").exists()
 
 
 @pytest.mark.parametrize(

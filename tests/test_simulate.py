@@ -671,6 +671,42 @@ class TestFanOut:
         assert len(forks) == 1
         _assert_no_children()
 
+    def test_child_ends_soon_after_its_parent_is_killed(self):
+        # SIGTERM ends the caller without running its cleanup.  The child's
+        # share is 30 CPU-bound tasks of 50 ms, so a child that ran it out
+        # would hold the output pipe open for about 1.5 s after the kill.
+        script = """
+import os, time
+from mmwave_scs import simulate
+
+def spin(i):
+    if i < 2:  # each process's first task; one write, so lines never mix
+        os.write(1, b"%d\\n" % os.getpid())
+    end = time.process_time() + 0.05
+    while time.process_time() < end:
+        pass
+    return i
+
+simulate._fork_map(spin, [(i,) for i in range(60)], 2)
+"""
+        src = Path(simulate.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, stdout=subprocess.PIPE, text=True
+        )
+        pids = {int(proc.stdout.readline()) for _ in range(2)}
+        (child,) = pids - {proc.pid}
+        proc.send_signal(signal.SIGTERM)
+        start = time.perf_counter()
+        try:
+            # EOF once the caller and its child have both closed the pipe.
+            proc.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            os.kill(child, signal.SIGKILL)  # it still holds the pipe open
+            proc.communicate()
+            raise
+        assert time.perf_counter() - start < 0.5
+
 
 class TestBer:
     def test_noiseless_perfect_and_joint_exact(self):
@@ -890,6 +926,15 @@ class TestBer:
         assert peak < operator_bytes + per_vec * n_vec, (
             f"peak {peak} bytes, operator {operator_bytes}, data stage {per_vec * n_vec}"
         )
+
+    def test_runs_where_oracle_ls_cannot(self):
+        # Two slots give 4 rows for the 8 true paths: too few for oracle LS,
+        # which every trial runs and no BER realisation does.
+        cfg = replace(SystemConfig(), n_slots=2)
+        table = ber_experiment(cfg, [20.0], 10**4, 0, n_realizations=1)
+        assert [row[1] for row in table.rows] == list(CSI_SOURCES)
+        with pytest.raises(ValueError, match="support size 8 exceeds measurement rows 4"):
+            run_trial(cfg, 0)
 
     def test_complex_by_real_division_is_reciprocal_multiplication(self):
         # The data stage adds eta * (1 / beta) part by part where the

@@ -1,9 +1,10 @@
 """Fixed seed panel.  `PYTHONPATH=src python3 tools/seed_panel.py dump OUT.json`
 runs run_trial on DESK_SNR20 seeds 3000-3199, DESK_SNR10 seeds 0-49,
 SystemConfig(n_slots=G) for G = 9/12/16 seeds 0-39 and the perfbench trial-wide
-point seeds 0-3, keeping per estimator [NMSE as float hex, exact-support flag,
-iterations], plus five ber_experiment tables at 10/20/30 dB: desk scale
-(10^4 symbols, 2 realisations); SystemConfig(), the geometry of the
+point seeds 0-3, keeping per estimator every EstimatorMetrics field but the
+wall time (NMSE, precision and recall as float hex), plus five
+ber_experiment tables at 10/20/30 dB: desk scale (10^4 symbols, 2
+realisations); SystemConfig(), the geometry of the
 perfbench ber-long workload (10^5 symbols, 1 realisation); a ber-long-sized
 call at SystemConfig(n_slots=16) (10^6 symbols, 4 realisations), whose
 realisations after the first two are shared with a forked child process
@@ -14,9 +15,10 @@ at 20 dB only, the perfbench trial-wide BER point (G = 12, 2*10^5 symbols,
 2 realisations).  Then the sweep(SystemConfig(), "slots",
 [9, 12, 16], 40, 0) table (whose trials are shared with a forked child
 process on a multi-core host), and every field of the run_certificate_battery(20, 0)
-records.  `compare A.json B.json` prints the NMSE delta (dB) of every
-trial that differs, then per estimator the exact-support flips,
-iteration-count changes and largest |delta|, then whether each BER table is
+records.  `compare A.json B.json` prints every changed field of every
+trial that differs (the NMSE as a delta in dB), then per estimator the
+number of trials in which each field changed and the largest NMSE |delta|,
+then whether each BER table is
 identical with every differing row (table, SNR, CSI source, old -> new BER
 and the change in binomial standard errors of the mean BER over 4 bits per
 symbol), then whether the sweep table is identical with every differing row,
@@ -30,6 +32,12 @@ import math
 import sys
 from dataclasses import asdict
 from itertools import zip_longest
+
+# The EstimatorMetrics fields a trial record keeps, in order; the floats are
+# stored as float hex so that they round-trip exactly.
+FIELDS = ("nmse_db", "exact_support_match", "iterations", "stages",
+          "termination_reason", "precision", "recall")
+_HEX = {"nmse_db", "precision", "recall"}
 
 
 def dump(path):
@@ -49,7 +57,8 @@ def dump(path):
     for name, config, seeds in panel:
         for seed in seeds:
             trials[f"{name}/{seed}"] = {
-                est: [float(m.nmse_db).hex(), bool(m.exact_support_match), m.iterations]
+                est: {f: float(v).hex() if f in _HEX else v
+                      for f, v in asdict(m).items() if f in FIELDS}
                 for est, m in run_trial(config, seed).metrics.items()
             }
     snrs = [10.0, 20.0, 30.0]
@@ -69,6 +78,11 @@ def dump(path):
     return 0
 
 
+def _show(field, value):
+    """A stored field value as text: float hex back to a float."""
+    return float.fromhex(value) if field in _HEX and value is not None else value
+
+
 def _sigma_move(ber_a, ber_b, symbols):
     """' (+z sigma)': the BER change in binomial standard errors
     sqrt(p (1 - p) / bits), p the mean of both BERs and 4 bits per symbol."""
@@ -83,19 +97,28 @@ def compare(path_a, path_b):
     a, b = (json.load(open(path)) for path in (path_a, path_b))
     keys = sorted(a["trials"].keys() | b["trials"].keys())
     differ = [key for key in keys if a["trials"].get(key) != b["trials"].get(key)]
-    missing = ["nan", None, None]
-    summary = {}  # estimator: (exact-support flips, iteration changes, largest |dB|)
+    estimators = sorted({e for t in (a, b) for rec in t["trials"].values() for e in rec})
+    changes = {est: dict.fromkeys(FIELDS, 0) for est in estimators}
+    largest = dict.fromkeys(estimators, 0.0)  # largest NMSE |delta| in dB
     for key in differ:
         ta, tb = a["trials"].get(key, {}), b["trials"].get(key, {})
         for est in sorted(e for e in ta.keys() | tb.keys() if ta.get(e) != tb.get(e)):
-            (na, ea, ia), (nb, eb, ib) = ta.get(est, missing), tb.get(est, missing)
-            delta = float.fromhex(nb) - float.fromhex(na)
-            print(f"{key} {est}: {delta:+.3g} dB, exact {ea} -> {eb}, iterations {ia} -> {ib}")
-            flips, changes, largest = summary.get(est, (0, 0, 0.0))
-            summary[est] = (flips + (ea != eb), changes + (ia != ib), max(largest, abs(delta)))
-    for est, (flips, changes, largest) in sorted(summary.items()):
-        print(f"{est}: {flips} exact-support flips, {changes} iteration changes, "
-              f"largest |delta| {largest:.3g} dB")
+            ma, mb = ta.get(est, {}), tb.get(est, {})
+            text = []
+            for f in (f for f in FIELDS if ma.get(f) != mb.get(f)):
+                changes[est][f] += 1
+                if f == "nmse_db":
+                    delta = float.fromhex(mb.get(f, "nan")) - float.fromhex(ma.get(f, "nan"))
+                    largest[est] = max(largest[est], abs(delta))
+                    text.append(f"nmse {delta:+.3g} dB")
+                else:
+                    old, new = (_show(f, m.get(f)) for m in (ma, mb))
+                    text.append(f"{f} {old} -> {new}")
+            print(f"{key} {est}: {', '.join(text)}")
+    for est in estimators:
+        counts = ", ".join(f"{f} {n}" for f, n in changes[est].items())
+        print(f"{est}: trials changed per field: {counts}; "
+              f"largest NMSE |delta| {largest[est]:.3g} dB")
     print(f"{len(differ)} of {len(keys)} trials differ")
     same_ber = True
     for name in sorted(a["ber"].keys() | b["ber"].keys()):
