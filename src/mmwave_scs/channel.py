@@ -19,11 +19,15 @@ import math
 import numpy as np
 
 
+class ConfigError(ValueError):
+    """Invalid config or argument; numerical failures raise plain ValueError."""
+
+
 def _check_finite(params, names):
     for name in names:
         value = getattr(params, name)
         if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
+            raise ConfigError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -39,13 +43,13 @@ class LinkBudgetParams:
     def __post_init__(self):
         _check_finite(self, [f.name for f in fields(self)])
         if self.carrier_freq_mhz <= 0:
-            raise ValueError("carrier_freq_mhz must be positive")
+            raise ConfigError("carrier_freq_mhz must be positive")
         if self.distance_km <= 0:
-            raise ValueError("distance_km must be positive")
+            raise ConfigError("distance_km must be positive")
         if self.path_loss_exponent <= 0:
-            raise ValueError("path_loss_exponent must be positive")
+            raise ConfigError("path_loss_exponent must be positive")
         if self.atmos_atten_db_per_km < 0 or self.rain_atten_db_per_km < 0:
-            raise ValueError("attenuation rates must be non-negative")
+            raise ConfigError("attenuation rates must be non-negative")
 
 
 def path_loss_db(params: LinkBudgetParams) -> float:
@@ -91,38 +95,38 @@ class SystemConfig:
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type is int and (not isinstance(value, (int, np.integer)) or value < 1):
-                raise ValueError(f"{f.name} must be a positive integer, got {value!r}")
+                raise ConfigError(f"{f.name} must be a positive integer, got {value!r}")
         if self.n_chain_user > self.n_ant_user:
-            raise ValueError(
+            raise ConfigError(
                 f"n_chain_user ({self.n_chain_user}) must be <= "
                 f"n_ant_user ({self.n_ant_user})"
             )
         if self.n_chain_bs > self.n_ant_bs:
-            raise ValueError(
+            raise ConfigError(
                 f"n_chain_bs ({self.n_chain_bs}) must be <= "
                 f"n_ant_bs ({self.n_ant_bs})"
             )
         if self.n_paths > self.n_ant_bs:
-            raise ValueError(
+            raise ConfigError(
                 f"n_paths ({self.n_paths}) must be <= n_ant_bs ({self.n_ant_bs}): "
                 "AoD bins are drawn without replacement"
             )
         # Pilots sit every N / P subcarriers.
         if self.n_subcarriers % self.n_pilot_subcarriers != 0:
-            raise ValueError(
+            raise ConfigError(
                 f"n_pilot_subcarriers ({self.n_pilot_subcarriers}) must divide "
                 f"n_subcarriers ({self.n_subcarriers})"
             )
         _check_finite(self, ("bandwidth_hz", "max_delay_s", "rician_k_db"))
         if self.bandwidth_hz <= 0:
-            raise ValueError("bandwidth_hz must be positive")
+            raise ConfigError("bandwidth_hz must be positive")
         if self.max_delay_s < 0:
-            raise ValueError("max_delay_s must be non-negative")
+            raise ConfigError("max_delay_s must be non-negative")
         if np.isnan(self.snr_db) or self.snr_db == -np.inf:
-            raise ValueError(f"snr_db must be a number or inf, got {self.snr_db!r}")
+            raise ConfigError(f"snr_db must be a number or inf, got {self.snr_db!r}")
         # Delay spread must fit inside the cyclic prefix implied by the FFT.
         if self.max_delay_s * self.bandwidth_hz >= self.n_subcarriers:
-            raise ValueError(
+            raise ConfigError(
                 f"max_delay_s ({self.max_delay_s}) * bandwidth_hz "
                 f"({self.bandwidth_hz}) must be < n_subcarriers "
                 f"({self.n_subcarriers})"

@@ -4,10 +4,14 @@ Config files are flat `key = value` text with exactly the SystemConfig field
 names as keys; missing keys take the desk-scale defaults, and unknown or
 repeated keys are rejected with their line numbers.  Every subcommand writes a
 CSV of results, a JSON summary, and a manifest recording the config snapshot,
-seed and package version.  Exit codes: 0 success, 2 config error (including a
-run too large for memory, and an `estimate` or `sweep-mse` run with fewer
-measurement rows than true paths, which oracle LS cannot fit), 3 numerical
-failure.
+seed and package version; stdout gets the CSV file's text, or its rows as JSON
+records.  JSON writes a non-finite float as the config format does ("inf").
+Exit codes: 0 success, 2 config error, 3 numerical failure.  Config errors
+are the library's ConfigError (channel.py), raised by the flag checks here,
+the config checks, sweep's and ber_experiment's argument checks and
+simulate.check_oracle_rows (so a library sweep, too, rejects slot counts with
+fewer measurement rows than true paths before any trial), and a run too large
+for memory.
 """
 
 import argparse
@@ -15,19 +19,20 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, astuple, dataclass, fields
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .channel import LinkBudgetParams, SystemConfig, path_loss_db
+from .channel import ConfigError, LinkBudgetParams, SystemConfig, path_loss_db
 from .simulate import (
     ESTIMATORS,
     EstimatorMetrics,
     ResultTable,
     _ssamp_threshold,
     ber_experiment,
+    check_oracle_rows,
     run_trial,
     sweep,
 )
@@ -48,27 +53,6 @@ _PATH_LOSS_NOTE = (
     "this tool reports the formula's numbers (102.04 / 100.55 / 88.69 dB for "
     "the same three scenarios)."
 )
-
-
-class ConfigError(Exception):
-    """Invalid config file or config-level argument."""
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance sidecar written next to every result file."""
-
-    subcommand: str
-    version: str
-    created_utc: str
-    seed: int | None
-    config: dict
-    outputs: dict
-
-    def write(self, path):
-        with open(path, "w") as handle:
-            json.dump(asdict(self), handle, indent=2, sort_keys=True)
-            handle.write("\n")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(SystemConfig)}
@@ -115,35 +99,43 @@ def _flag_if_large(config: SystemConfig) -> None:
         )
 
 
+def _finite_json(obj):
+    """obj with each non-finite float written as the config format writes it
+    ("inf"), so that the JSON is strict."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {key: _finite_json(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(value) for value in obj]
+    return obj
+
+
+def _write_json(path, obj) -> None:
+    with open(path, "w") as handle:
+        json.dump(_finite_json(obj), handle, indent=2, sort_keys=True, allow_nan=False)
+        handle.write("\n")
+
+
 def _write_outputs(subcommand, args, table, summary, config_dict, seed):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"{subcommand.replace('-', '_')}.csv"
     json_path = out / f"{subcommand.replace('-', '_')}_summary.json"
-    manifest_path = out / "manifest.json"
     table.to_csv(csv_path)
-    with open(json_path, "w") as handle:
-        json.dump(summary, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    manifest = RunManifest(
-        subcommand=subcommand,
-        version=__version__,
-        created_utc=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        seed=seed,
-        config=config_dict,
-        outputs={
-            "csv": str(csv_path),
-            "summary": str(json_path),
-        },
-    )
-    manifest.write(manifest_path)
+    _write_json(json_path, summary)
+    _write_json(out / "manifest.json", {
+        "subcommand": subcommand,
+        "version": __version__,
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "seed": seed,
+        "config": config_dict,
+        "outputs": {"csv": str(csv_path), "summary": str(json_path)},
+    })
     if args.format == "json":
-        print(json.dumps(table.to_records(), indent=2))
+        print(json.dumps(_finite_json(table.to_records()), indent=2, allow_nan=False))
     else:
-        print(",".join(str(c) for c in table.columns))
-        for row in table.rows:
-            print(",".join(str(v) for v in row))
-    return csv_path
+        print(csv_path.read_text(), end="")
 
 
 def _load_config(args) -> SystemConfig:
@@ -153,16 +145,13 @@ def _load_config(args) -> SystemConfig:
 
 
 def cmd_linkbudget(args) -> int:
-    try:
-        params = LinkBudgetParams(
-            carrier_freq_mhz=args.freq_mhz,
-            path_loss_exponent=args.exponent,
-            distance_km=args.distance_km,
-            atmos_atten_db_per_km=args.atmos_db_per_km,
-            rain_atten_db_per_km=args.rain_db_per_km,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    params = LinkBudgetParams(
+        carrier_freq_mhz=args.freq_mhz,
+        path_loss_exponent=args.exponent,
+        distance_km=args.distance_km,
+        atmos_atten_db_per_km=args.atmos_db_per_km,
+        rain_atten_db_per_km=args.rain_db_per_km,
+    )
     loss = path_loss_db(params)
     table = ResultTable(
         columns=(*(f.name for f in fields(LinkBudgetParams)), "path_loss_db"),
@@ -174,23 +163,9 @@ def cmd_linkbudget(args) -> int:
     return 0
 
 
-def _check_oracle_rows(config: SystemConfig, slot_counts) -> None:
-    """Oracle LS fits all n_bs * n_paths true paths (draw_multipath's AoD
-    bins are distinct), so it needs that many of the n_slots * n_chain_user
-    measurement rows at every slot count a run will use."""
-    paths = config.n_bs * config.n_paths
-    for slots in slot_counts:
-        if paths > slots * config.n_chain_user:
-            raise ConfigError(
-                f"n_bs * n_paths = {paths} true paths exceed n_slots * n_chain_user = "
-                f"{slots * config.n_chain_user} measurement rows at n_slots = {slots}; "
-                "oracle LS needs at least as many rows as paths"
-            )
-
-
 def cmd_estimate(args) -> int:
     config = _load_config(args)
-    _check_oracle_rows(config, [config.n_slots])
+    check_oracle_rows(config)
     record = run_trial(config, args.seed)
     table = ResultTable(
         columns=("estimator", *(f.name for f in fields(EstimatorMetrics))),
@@ -238,7 +213,6 @@ def cmd_sweep_mse(args) -> int:
         raise ConfigError(f"--trials must be at least 1, got {args.trials}")
     values = _sweep_values(args.variable, args.values)
     config = _load_config(args)
-    _check_oracle_rows(config, values if args.variable == "slots" else [config.n_slots])
     table = sweep(config, args.variable, values, args.trials, args.seed)
     summary = {
         "variable": args.variable,
@@ -257,8 +231,6 @@ def cmd_sweep_ber(args) -> int:
         raise ConfigError(f"--realizations must be at least 1, got {args.realizations}")
     snrs = _sweep_values("snr", args.snrs, "--snrs")
     config = _load_config(args)
-    if config.n_bs < 2:
-        raise ConfigError("sweep-ber needs n_bs >= 2 (two LOS streams)")
     table = ber_experiment(
         config, snrs, args.symbols, args.seed, n_realizations=args.realizations
     )

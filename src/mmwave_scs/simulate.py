@@ -17,6 +17,7 @@ import numpy as np
 # dft_pair, grid_steering_vector and inverse_angular_transform are unused
 # here; perfbench's tracer wraps them by name.
 from .channel import (
+    ConfigError,
     SystemConfig,
     angular_channel_set,
     dft_pair,
@@ -269,14 +270,15 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
     """[fn(*task) for task in tasks], in order, over this process and
     workers - 1 forked children.  Process i runs the strided share
     tasks[i::workers], so tasks of different cost mix; this one runs share
-    0, then reads each child's pickled (ok, results or exception) from a
-    pipe and reaps it.  A child's exception is raised here; a child that
-    sends nothing it can unpickle raises RuntimeError with its traceback or
-    exit status.  Every child is reaped (killed first if need be) before
-    this returns or raises a Python exception, and a child never returns
-    from here: it ends in os._exit.  A signal that ends this process runs
-    no Python code, so each child checks before every task that this
-    process is still its parent, and ends at once when it is not.
+    0, and any share whose fork failed, then reads each child's pickled (ok,
+    results or exception) from a pipe and reaps it.  A child's exception is
+    raised here; a child that sends nothing it can unpickle raises
+    RuntimeError with its traceback or exit status.  Every child is reaped
+    (killed first if need be) before this returns or raises a Python
+    exception, and a child never returns from here: it ends in os._exit.  A
+    signal that ends this process runs no Python code, so each child checks
+    before every task that this process is still its parent, and ends at
+    once when it is not.
     """
     import pickle
     import signal
@@ -287,7 +289,12 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
     try:
         for i in range(1, workers):
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:  # out of processes or memory: no more children
+                os.close(read_fd)
+                os.close(write_fd)
+                break
             if pid == 0:
                 status = 1
                 try:
@@ -299,7 +306,9 @@ def _fork_map(fn, tasks: list, workers: int) -> list:
                     os._exit(status)
             os.close(write_fd)
             children[pid] = (i, os.fdopen(read_fd, "rb"))
-        shares[0] = [fn(*task) for task in shares[0]]
+        # Share 0 and every share left without a child run here.
+        for i in (0, *range(len(children) + 1, workers)):
+            shares[i] = [fn(*task) for task in shares[i]]
         for pid, (i, pipe) in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -353,6 +362,19 @@ def _share_payload(fn, share, parent: int) -> bytes:
         return pickle.dumps((False, RuntimeError(f"a child process failed:\n{text}")))
 
 
+def check_oracle_rows(config: SystemConfig) -> None:
+    """Oracle LS fits all n_bs * n_paths true paths (draw_multipath's AoD
+    bins are distinct), so it needs that many of the n_slots * n_chain_user
+    measurement rows; ConfigError when it lacks them."""
+    paths, rows = config.n_bs * config.n_paths, config.n_slots * config.n_chain_user
+    if paths > rows:
+        raise ConfigError(
+            f"n_bs * n_paths = {paths} true paths exceed n_slots * n_chain_user = "
+            f"{rows} measurement rows at n_slots = {config.n_slots}; "
+            "oracle LS needs at least as many rows as paths"
+        )
+
+
 def sweep(
     config: SystemConfig,
     variable: str,
@@ -368,31 +390,32 @@ def sweep(
     base_seed + t at every sweep value, so estimator and sweep-point
     comparisons are paired.  The per-trial NMSE ratios are averaged in the
     linear domain and reported in dB; stderr is the delta-method standard
-    error of that mean.  The trials after the first two, of all values, may
+    error of that mean.  Every swept config must give oracle LS enough rows
+    (check_oracle_rows), checked before any trial runs; argument errors
+    raise ConfigError.  The trials after the first two, of all values, may
     be shared with forked child processes (_fan_out), which run whatever
     run_trial names when sweep is called; records come back in task order,
     so the table is the same either way.
     """
     field = _SWEEP_FIELDS.get(variable)
     if field is None:
-        raise ValueError(
+        raise ConfigError(
             f"unknown sweep variable {variable!r}; expected one of "
             f"{sorted(_SWEEP_FIELDS)}"
         )
     values = list(values)
     if field == "n_slots" and not all(float(v).is_integer() for v in values):
-        raise ValueError(f"slot counts must be integers, got {values}")
+        raise ConfigError(f"slot counts must be integers, got {values}")
     values = [int(v) if field == "n_slots" else float(v) for v in values]
     if not values:
-        raise ValueError("values must be non-empty")
+        raise ConfigError("values must be non-empty")
     if n_trials < 1:
-        raise ValueError("n_trials must be positive")
+        raise ConfigError("n_trials must be positive")
+    configs = [replace(config, **{field: value}) for value in values]
+    for swept in configs:
+        check_oracle_rows(swept)
     # Every (value, trial) pair, value-major.
-    tasks = [
-        (replace(config, **{field: value}), base_seed + t)
-        for value in values
-        for t in range(n_trials)
-    ]
+    tasks = [(swept, base_seed + t) for swept in configs for t in range(n_trials)]
     records = _fan_out(run_trial, tasks)
     rows = []
     for i, value in enumerate(values):
@@ -641,14 +664,14 @@ def ber_experiment(
     summed in task order, so the table is the same either way.
     """
     if config.n_bs < 2:
-        raise ValueError("ber_experiment needs n_bs >= 2 for two LOS streams")
+        raise ConfigError("ber_experiment needs n_bs >= 2 for two LOS streams")
     snr_values = [float(v) for v in snr_values]
     if not snr_values:
-        raise ValueError("snr_values must be non-empty")
+        raise ConfigError("snr_values must be non-empty")
     if n_symbols < 10**4:
-        raise ValueError("n_symbols must be at least 10^4 per SNR point")
+        raise ConfigError("n_symbols must be at least 10^4 per SNR point")
     if n_realizations < 1:
-        raise ValueError("n_realizations must be positive")
+        raise ConfigError("n_realizations must be positive")
 
     n_p = config.n_pilot_subcarriers
     # Symbol vectors per (realization, subcarrier); 2 QAM symbols per vector.

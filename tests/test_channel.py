@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mmwave_scs.channel import (
+    ConfigError,
     LinkBudgetParams,
     AngularChannelSet,
     MultipathChannel,
@@ -160,6 +161,19 @@ def test_config_rejects_delay_beyond_prefix():
 def test_config_rejects_nonpositive_dimensions():
     with pytest.raises(ValueError, match="n_slots"):
         SystemConfig(n_slots=0)
+
+
+def test_config_checks_raise_config_error():
+    # A ConfigError is a ValueError, so callers that catch ValueError see no change.
+    assert issubclass(ConfigError, ValueError)
+    for make in (
+        lambda: SystemConfig(n_slots=0),
+        lambda: SystemConfig(snr_db=float("nan")),
+        lambda: SystemConfig(bandwidth_hz=float("inf")),
+        lambda: LinkBudgetParams(3000.0, 2.0, -1.0),
+    ):
+        with pytest.raises(ConfigError):
+            make()
 
 
 def test_config_derived_sizes():

@@ -1,5 +1,6 @@
 """Monte-Carlo harness: paired trials, sweeps, BER study, QAM mapping."""
 
+import errno
 import os
 import signal
 import subprocess
@@ -15,6 +16,7 @@ from scipy import stats
 
 from mmwave_scs import simulate
 from mmwave_scs.channel import (
+    ConfigError,
     MultipathChannel,
     SystemConfig,
     dft_pair,
@@ -279,12 +281,21 @@ def _acting_task(wall_s, cpu_s, action=None):
     return pid
 
 
-def _count_forks(monkeypatch):
-    """Record the pid of every child that os.fork makes, in a list."""
+def _indexed_task(k):
+    """(k, the process it ran in), one second on 0.9 cores of the fake clock."""
+    return k, _costed_task(1.0, 0.9)
+
+
+def _count_forks(monkeypatch, fail_after=None):
+    """Record the pid of every child that os.fork makes, in a list.  After
+    fail_after children, os.fork raises BlockingIOError, as on a host out of
+    process slots."""
     forks = []
     fork = os.fork
 
     def counted():
+        if len(forks) == fail_after:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
         pid = fork()
         if pid:
             forks.append(pid)
@@ -494,6 +505,28 @@ class TestSweep:
             with pytest.raises(ValueError, match="slot counts must be integers"):
                 sweep(DESK_SNR20, "slots", values, 1, 0)
 
+    def test_too_few_rows_rejected_before_any_trial(self, monkeypatch):
+        # At one slot the desk geometry has 2 rows for its 4 true paths, too
+        # few for oracle LS; the sweep fails before the trials at 6 and 4.
+        ran = []
+        monkeypatch.setattr(simulate, "run_trial", lambda *task: ran.append(task))
+        config = replace(DESK_SNR20, n_slots=6)
+        with pytest.raises(ConfigError) as err:
+            sweep(config, "slots", [6, 4, 1], 200, 0)
+        assert str(err.value) == (
+            "n_bs * n_paths = 4 true paths exceed n_slots * n_chain_user = 2 measurement "
+            "rows at n_slots = 1; oracle LS needs at least as many rows as paths"
+        )
+        with pytest.raises(ConfigError, match="n_slots = 1; oracle LS"):
+            sweep(replace(DESK_SNR20, n_slots=1), "snr", [10.0, 20.0], 200, 0)
+        assert ran == []
+
+    def test_argument_errors_are_config_errors(self):
+        for variable, values, n_trials in (("G", [8], 1), ("snr", [], 1), ("snr", [10.0], 0),
+                                           ("slots", [8.5], 1), ("slots", [0], 1)):
+            with pytest.raises(ConfigError):
+                sweep(DESK_SNR20, variable, values, n_trials, 0)
+
     def test_more_slots_help(self):
         # at the published-style scale ratio (S_a = 8, 2 S_a / N_chain = 8),
         # pushing G past the threshold keeps improving the joint estimate
@@ -641,34 +674,79 @@ class TestFanOut:
         assert [pid for pid, _ in ran][3::2] == forks * 4
 
     @pytest.mark.parametrize(
-        "where, action, error, message",
+        "where, action, error, message, cores",
         [
-            # The first two tasks run here before the fork; of those left,
-            # this process runs tasks 2 and 4, the child 3 and 5.
-            (2, "raise", ValueError, "task failed in"),
-            (3, "raise", ValueError, "task failed in"),
-            (3, "exit", RuntimeError, "exited with status 1 and no results"),
-            (3, "kill", RuntimeError, "was killed by SIGKILL"),
-            (3, "unpicklable", RuntimeError, r"(?s)Traceback.*_acting_task.*task failed in"),
-            (3, "unloadable", RuntimeError, r"(?s)Traceback.*_acting_task.*_TwoArgError"),
+            # The first two tasks run here before the fork.  On two cores
+            # this process runs tasks 2 and 4 of those left, the child 3
+            # and 5; on four, this process runs task 2 and children 1-3
+            # tasks 3-5, one each, and child 1 is read first.
+            (2, "raise", ValueError, "task failed in", 2),
+            (3, "raise", ValueError, "task failed in", 2),
+            (3, "exit", RuntimeError, "exited with status 1 and no results", 2),
+            (3, "kill", RuntimeError, "was killed by SIGKILL", 2),
+            (3, "unpicklable", RuntimeError, r"(?s)Traceback.*_acting_task.*task failed in", 2),
+            (3, "unloadable", RuntimeError, r"(?s)Traceback.*_acting_task.*_TwoArgError", 2),
+            (2, "raise", ValueError, "task failed in", 4),
+            (3, "raise", ValueError, "task failed in", 4),
         ],
         ids=["own-share-raises", "child-raises", "child-exits", "child-killed",
-             "unpicklable-exception", "unloadable-exception"],
+             "unpicklable-exception", "unloadable-exception", "four-cores-own-share-raises",
+             "four-cores-child-raises"],
     )
-    def test_failure_leaves_no_child(self, monkeypatch, where, action, error, message):
-        # When this process's own share raises, the child still sleeping
-        # in task 3 is killed; otherwise the child's failure reaches here.
-        # Either way no child outlives the call.
+    def test_failure_leaves_no_child(self, monkeypatch, where, action, error, message, cores):
+        # Every child task but the failing one sleeps.  When this process's
+        # own share raises, the children still sleeping are killed; when a
+        # child fails, so are the others.  Either way no child outlives the
+        # call.
         _fake_clock(monkeypatch)
-        _set_cores(monkeypatch, 2)
+        _set_cores(monkeypatch, cores)
         forks = _count_forks(monkeypatch)
         tasks = [(1.0, 0.9)] * 6
+        for k in range(3, 6):
+            if (k - 2) % cores:
+                tasks[k] = (1.0, 0.9, "sleep")
         tasks[where] = (1.0, 0.9, action)
-        if where == 2:
-            tasks[3] = (1.0, 0.9, "sleep")
         with pytest.raises(error, match=message):
             simulate._fan_out(_acting_task, tasks)
-        assert len(forks) == 1
+        assert len(forks) == cores - 1
+        _assert_no_children()
+
+    def test_four_cores_fork_three_children(self, monkeypatch):
+        # After the first two tasks, the twelve left are split four ways:
+        # stride k of them runs whole in one process, this one for k = 0
+        # and the k-th child forked otherwise, and the results come back
+        # in task order.
+        _fake_clock(monkeypatch)
+        _set_cores(monkeypatch, 4)
+        forks = _count_forks(monkeypatch)
+        ran = simulate._fan_out(_indexed_task, [(k,) for k in range(14)])
+        assert len(forks) == 3
+        assert [k for k, _ in ran] == list(range(14))
+        pids = [pid for _, pid in ran]
+        assert pids[:2] == [os.getpid()] * 2
+        assert [set(pids[2:][k::4]) for k in range(4)] == [{os.getpid()}, *({pid} for pid in forks)]
+        _assert_no_children()
+
+    @pytest.mark.parametrize("forks_allowed", [0, 1])
+    def test_failed_fork_runs_the_share_here(self, monkeypatch, forks_allowed):
+        # os.fork fails (no process slots) at once, or after one child: the
+        # shares left without a child run in this process, the results are
+        # the in-process ones, and no pipe is left open.
+        fd_dir = Path("/proc/self/fd")
+        if not fd_dir.is_dir():
+            pytest.skip("no /proc/self/fd to count open file descriptors")
+        _fake_clock(monkeypatch)
+        _set_cores(monkeypatch, 4)
+        forks = _count_forks(monkeypatch, fail_after=forks_allowed)
+        open_fds = len(list(fd_dir.iterdir()))
+        ran = simulate._fan_out(_indexed_task, [(k,) for k in range(12)])
+        assert len(list(fd_dir.iterdir())) == open_fds
+        assert [k for k, _ in ran] == list(range(12))
+        assert len(forks) == forks_allowed
+        # Of the ten tasks left after the first two, share 1 is 3, 7 and 11.
+        in_child = {3, 7, 11} if forks else set()
+        assert [pid for k, pid in ran if k in in_child] == forks * len(in_child)
+        assert {pid for k, pid in ran if k not in in_child} == {os.getpid()}
         _assert_no_children()
 
     def test_child_ends_soon_after_its_parent_is_killed(self):
@@ -983,6 +1061,28 @@ class TestBer:
                 bits = 4 * symbols
                 sigma = np.sqrt((ber_old * (1 - ber_old) + row[2] * (1 - row[2])) / bits)
                 assert abs(row[2] - ber_old) <= 3.0 * sigma, (config, seed, snr, source)
+
+    def test_argument_errors_are_config_errors(self):
+        for config, snrs, n_symbols, n_realizations in (
+            (replace(DESK_EXACT, n_bs=1), [10.0], 10**4, 1),
+            (DESK_EXACT, [], 10**4, 1),
+            (DESK_EXACT, [10.0], 9_999, 1),
+            (DESK_EXACT, [10.0], 10**4, 0),
+        ):
+            with pytest.raises(ConfigError):
+                ber_experiment(config, snrs, n_symbols, 0, n_realizations)
+
+    @pytest.mark.parametrize("snr_db", [-3100.0, -4000.0])
+    def test_noise_variance_failures_stay_numerical(self, snr_db):
+        # An SNR whose noise variance overflows, or whose linear value
+        # underflows, is a numerical failure: a plain ValueError (CLI exit 3).
+        for run in (
+            lambda: run_trial(replace(DESK_SNR20, snr_db=snr_db), 0),
+            lambda: ber_experiment(DESK_SNR20, [snr_db], 10**4, 0, 1),
+        ):
+            with pytest.raises(ValueError, match=f"SNR {snr_db} dB") as err:
+                run()
+            assert not isinstance(err.value, ConfigError)
 
     def test_validation(self):
         single_bs = replace(DESK_EXACT, n_bs=1)
