@@ -6,6 +6,8 @@ repeated keys are rejected with their line numbers.  Every subcommand writes a
 CSV of results, a JSON summary, and a manifest recording the config snapshot,
 seed and package version; stdout gets the CSV file's text, or its rows as JSON
 records.  JSON writes a non-finite float as the config format does ("inf").
+Summary lines follow the CSV on stdout; under --format json they go to
+stderr, so that stdout is one JSON document.
 Exit codes: 0 success, 2 config error, 3 numerical failure.  Config errors
 are the library's ConfigError (channel.py), raised by the flag checks here,
 the config checks, sweep's and ber_experiment's argument checks and
@@ -138,6 +140,12 @@ def _write_outputs(subcommand, args, table, summary, config_dict, seed):
         print(csv_path.read_text(), end="")
 
 
+def _summary_stream(args):
+    """Where a subcommand's summary lines go: stdout after the CSV, stderr
+    under --format json."""
+    return sys.stderr if args.format == "json" else sys.stdout
+
+
 def _load_config(args) -> SystemConfig:
     config = parse_config(args.config) if args.config else SystemConfig()
     _flag_if_large(config)
@@ -158,7 +166,7 @@ def cmd_linkbudget(args) -> int:
         rows=((*astuple(params), loss),),
     )
     _write_outputs("linkbudget", args, table, {"path_loss_db": loss}, asdict(params), None)
-    print(f"path loss: {loss:.2f} dB")
+    print(f"path loss: {loss:.2f} dB", file=_summary_stream(args))
     print(f"note: {_PATH_LOSS_NOTE}", file=sys.stderr)
     return 0
 
@@ -185,7 +193,8 @@ def cmd_estimate(args) -> int:
         print(
             f"{name}: nmse {m.nmse_db:.2f} dB, support "
             f"{'exact' if m.exact_support_match else 'mismatch'}, "
-            f"{m.iterations} iterations"
+            f"{m.iterations} iterations",
+            file=_summary_stream(args),
         )
     return 0
 
@@ -255,7 +264,10 @@ def cmd_theory_check(args) -> int:
         "orthogonal_overhead_example": orthogonal_pilot_overhead(64, 4, 32, 512, 2),
     }
     _write_outputs("theory-check", args, table, summary, {}, args.seed)
-    print(f"{consistent}/{len(records)} certificates consistent with exhaustive search")
+    print(
+        f"{consistent}/{len(records)} certificates consistent with exhaustive search",
+        file=_summary_stream(args),
+    )
     return 0 if consistent == len(records) else 3
 
 

@@ -572,7 +572,9 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
     process and in any order.
 
     On each subcarrier the payload bytes are drawn first, then the noise w
-    by Box-Muller from one uniform fill (_complex_noise).  Its angle is
+    by Box-Muller from one uniform fill (_complex_noise); then each CSI
+    source's received symbols are formed and decided in turn, in buffers
+    shared by the sources and reused on every subcarrier.  w's angle is
     float32: that puts a relative error of about 1e-7 on a noise sample, far
     below what a hard 16-QAM decision can see, while the float64 radius
     uniforms keep the Gaussian tail out to 8.6 sigma (float32 ones would cut
@@ -595,18 +597,21 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
     beta_true = betas[0]
     inv_betas = 1.0 / betas
     snr_lin = 10.0 ** (config.snr_db / 10.0)
-    # Data-stage buffers, reused on every subcarrier: each payload byte
-    # carries two symbols, four float parts and four Gray bit pairs.
+    # Data-stage buffers, reused on every subcarrier and CSI source: each
+    # payload byte carries two symbols, four float parts and four Gray bit
+    # pairs.  eta is written over the uniforms and eta / beta over w, both
+    # spent by then.
     sym = np.empty((2, n_vec), dtype=complex)
     drawn = np.empty(n_vec, dtype=np.uint32)
     uniforms = np.empty((2, 2, n_vec))
+    eta_parts = uniforms.reshape(2, 2 * n_vec)
+    eta = eta_parts.view(complex)
     trig = np.empty((2, 2, n_vec), dtype=np.float32)
     w = np.empty((2, n_vec), dtype=complex)
-    eta = np.empty((2, n_vec), dtype=complex)
-    rx = np.empty((len(CSI_SOURCES), 2, n_vec), dtype=complex)
+    noise = w.view(np.float64)
+    rx = np.empty((2, n_vec), dtype=complex)
     rx_parts = rx.view(np.float64)
-    noise = np.empty((2, 2 * n_vec))
-    decided = np.empty((len(CSI_SOURCES), 4 * n_vec), dtype=np.uint8)
+    decided = np.empty(4 * n_vec, dtype=np.uint8)
     decided_words = decided.view(np.uint32)  # four pairs, one payload byte
     flags = np.empty((2, rx_parts.size), dtype=bool)
     errors = np.zeros(len(CSI_SOURCES), dtype=np.int64)
@@ -619,17 +624,15 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
         sigma_d2 = beta_true[p] ** 2 / snr_lin
         _complex_noise(rng, w, uniforms, trig)
         np.matmul(np.sqrt(sigma_d2 / 2.0) * root, w, out=eta)
-        # All CSI sources at once, (source, stream, n_vec), with the
-        # per-source arithmetic of a one-source loop.  eta / beta is
-        # added as each float part times 1 / beta, which is how numpy
-        # divides complex by real, up to the sign of a zero
+        # eta / beta is added as each float part times 1 / beta, which is
+        # how numpy divides complex by real, up to the sign of a zero
         # (test_complex_by_real_division_is_reciprocal_multiplication).
-        np.matmul(links[:, p], sym, out=rx)
         for k, inv_beta in enumerate(inv_betas[:, p]):
-            rx_parts[k] += np.multiply(eta.view(np.float64), inv_beta, out=noise)
-        _gray_pairs(rx_parts.ravel(), decided.ravel(), flags)
-        np.bitwise_xor(decided_words, drawn, out=decided_words)
-        errors += np.bitwise_count(decided_words).sum(axis=1, dtype=np.int64)
+            np.matmul(links[k, p], sym, out=rx)
+            rx_parts += np.multiply(eta_parts, inv_beta, out=noise)
+            _gray_pairs(rx_parts.ravel(), decided, flags)
+            np.bitwise_xor(decided_words, drawn, out=decided_words)
+            errors[k] += np.bitwise_count(decided_words).sum(dtype=np.int64)
     return errors
 
 

@@ -30,6 +30,13 @@ _RUNS = {
     "theory-check": ["--trials", "1"],
 }
 
+# Part of the summary line each of these subcommands prints after its table.
+_SUMMARY_LINES = {
+    "estimate": "ssamp: nmse ",
+    "linkbudget": "path loss: ",
+    "theory-check": " certificates consistent with exhaustive search",
+}
+
 
 def _run(tmp_path, capsys, subcommand, fmt):
     cfg = tmp_path / "noiseless.cfg"
@@ -38,13 +45,16 @@ def _run(tmp_path, capsys, subcommand, fmt):
     argv = [arg.format(cfg=cfg) for arg in _RUNS[subcommand]]
     code = main([subcommand, *argv, "--seed", "2", "--out", str(out), "--format", fmt])
     assert code == 0
-    return out, out / f"{subcommand.replace('-', '_')}", capsys.readouterr().out
+    return out, out / f"{subcommand.replace('-', '_')}", capsys.readouterr()
 
 
 @pytest.mark.parametrize("subcommand", sorted(_RUNS))
 def test_json_outputs_are_strict(tmp_path, capsys, subcommand):
-    out, stem, stdout = _run(tmp_path, capsys, subcommand, "json")
-    records = _strict(stdout[: stdout.rindex("]") + 1])
+    out, stem, captured = _run(tmp_path, capsys, subcommand, "json")
+    # The whole of stdout is one JSON document; summary lines go to stderr.
+    records = _strict(captured.out)
+    if subcommand in _SUMMARY_LINES:
+        assert _SUMMARY_LINES[subcommand] in captured.err
     summary = _strict(stem.with_name(stem.name + "_summary.json").read_text())
     manifest = _strict((out / "manifest.json").read_text())
     # Non-finite floats are written as the config format writes them.
@@ -60,8 +70,10 @@ def test_json_outputs_are_strict(tmp_path, capsys, subcommand):
 
 @pytest.mark.parametrize("subcommand", sorted(_RUNS))
 def test_csv_stdout_is_the_file_text(tmp_path, capsys, subcommand):
-    _, stem, stdout = _run(tmp_path, capsys, subcommand, "csv")
+    _, stem, captured = _run(tmp_path, capsys, subcommand, "csv")
     text = stem.with_suffix(".csv").read_text()
     # estimate, linkbudget and theory-check print their summary lines after it.
-    assert stdout.startswith(text)
-    assert "None" not in stdout
+    assert captured.out.startswith(text)
+    if subcommand in _SUMMARY_LINES:
+        assert _SUMMARY_LINES[subcommand] in captured.out[len(text):]
+    assert "None" not in captured.out

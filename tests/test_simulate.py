@@ -874,7 +874,8 @@ class TestBer:
     def test_data_stage_matches_reference(self, monkeypatch):
         # Calls of the patched _gray_pairs in a forked child would not come
         # back here, so one core keeps every realisation in this process, and
-        # the count shows that every subcarrier pass was recorded.
+        # the count shows that every CSI source's subcarrier pass was
+        # recorded.
         _set_cores(monkeypatch, 1)
         largest = []
         decide = simulate._gray_pairs
@@ -892,6 +893,10 @@ class TestBer:
             # An odd vector count (209 per subcarrier) over three
             # realisations.
             (DESK_SNR20, 10_001, 4, 3),
+            # Realisation 2 at 30 dB serves both streams from one AoA bin,
+            # the one case where eta, written over the spent uniforms, mixes
+            # both components of w (TestNoiseRoot).
+            (SystemConfig(), 10**4, 1, 4),
         ]:
             expected = ber_reference(config, snrs, n_symbols, seed, n_realizations)
             actual = ber_experiment(config, snrs, n_symbols, seed, n_realizations).rows
@@ -900,7 +905,7 @@ class TestBer:
         # CSI that misses a serving path is exactly zero there, so ZF never
         # amplifies rounding residue: every decided part stays below 2^50,
         # where the comparisons and the argmin reference agree.
-        assert len(largest) == passes
+        assert len(largest) == passes * len(CSI_SOURCES)
         assert np.max(largest) < 2.0**50
 
     def test_tables_match_exact_expectation(self):
@@ -983,26 +988,58 @@ class TestBer:
             assert code == 3 and len(forks) == calls
             assert "numerical error: synthesis failed at 30 dB" in capsys.readouterr().err
 
-    def test_wide_realisation_frees_the_operator_before_the_data_stage(self):
+    # Data-stage bytes per symbol vector, buffer by buffer: sym (2
+    # complex), drawn (uint32), uniforms, over which eta is written (4
+    # float64), trig (4 float32), w, over which eta / beta is written (2
+    # complex), rx (2 complex, one CSI source), decided (4 uint8), flags (2
+    # x 4 bool) and a payload byte.
+    DATA_STAGE_BYTES_PER_VEC = 2 * 16 + 4 + 4 * 8 + 4 * 4 + 2 * 16 + 2 * 16 + 4 + 2 * 4 + 1
+
+    def test_realisation_memory_is_the_data_stage_buffers(self):
+        # The ber-long shared-bin realisation (seed 1, realisation 2 at 30
+        # dB) with ber-long's n_vec = 7,813.  Its estimation step peaks
+        # near 1.0 MB, below the 1.26 MB of data-stage buffers; beside them
+        # the realisation holds 0.14-0.15 MB (channel, estimates, ZF,
+        # bitwise_count and ufunc casting scratch).
+        cfg = replace(SystemConfig(), snr_db=30.0)
+        n_vec = -(-10**6 // (4 * cfg.n_pilot_subcarriers * 2))
+        assert n_vec == 7813
+        tracemalloc.start()
+        try:
+            simulate._ber_errors(cfg, 1, 2, 2, n_vec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data_stage = self.DATA_STAGE_BYTES_PER_VEC * n_vec
+        assert peak < data_stage + 2**18, f"peak {peak} bytes, data stage {data_stage}"
+
+    def test_wide_realisation_frees_the_operator_before_the_data_stage(self, monkeypatch):
         # The trial-wide BER panel point: 2 * 10^5 symbols over 2
-        # realisations, n_vec = 6,250.  Per symbol vector the data stage
-        # holds sym, w and eta (2 complex each), drawn (uint32), uniforms
-        # (4 float64), trig (4 float32), rx (3 x 2 complex), noise (4
-        # float64), decided (3 x 4 uint8), flags (2 x 12 bool) and a
-        # payload byte.  A realisation that allocated them while it held
-        # the operator would peak above the two together.
+        # realisations, n_vec = 6,250.  The realisation's peak is set by its
+        # estimation step (the operator and adaptive OMP's column norms), so
+        # the peak is taken from _los_beams, the first call after that step
+        # returns, against the realisation's entry level.  A data stage that
+        # allocated its buffers while the operator was held would peak above
+        # the two together.
         cfg = replace(WIDE, snr_db=20.0)
         n_vec = -(-2 * 10**5 // (2 * cfg.n_pilot_subcarriers * 2))
-        per_vec = 3 * 2 * 16 + 4 + 4 * 8 + 4 * 4 + 3 * 2 * 16 + 4 * 8 + 3 * 4 + 2 * 12 + 1
         operator_bytes = measurement_operators(draw_ensemble(cfg, 0)).nbytes
+        los_beams = simulate._los_beams
+
+        def data_stage_starts(*args):
+            tracemalloc.reset_peak()
+            return los_beams(*args)
+
+        monkeypatch.setattr(simulate, "_los_beams", data_stage_starts)
         tracemalloc.start()
         try:
             simulate._ber_errors(cfg, 0, 0, 0, n_vec)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < operator_bytes + per_vec * n_vec, (
-            f"peak {peak} bytes, operator {operator_bytes}, data stage {per_vec * n_vec}"
+        data_stage = self.DATA_STAGE_BYTES_PER_VEC * n_vec
+        assert peak < operator_bytes + data_stage, (
+            f"peak {peak} bytes, operator {operator_bytes}, data stage {data_stage}"
         )
 
     def test_runs_where_oracle_ls_cannot(self):

@@ -151,6 +151,9 @@ def compare(path_a, path_b):
 if __name__ == "__main__":
     commands = {"dump": (dump, 1), "compare": (compare, 2)}
     name, args = (sys.argv[1:2] or [""])[0], sys.argv[2:]
+    if name in ("-h", "--help"):
+        print(__doc__)
+        sys.exit(0)
     if name not in commands or len(args) != commands[name][1]:
         sys.exit(__doc__)
     sys.exit(commands[name][0](*args))
