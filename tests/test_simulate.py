@@ -1016,17 +1016,23 @@ class TestBer:
     def test_wide_realisation_frees_the_operator_before_the_data_stage(self, monkeypatch):
         # The trial-wide BER panel point: 2 * 10^5 symbols over 2
         # realisations, n_vec = 6,250.  The realisation's peak is set by its
-        # estimation step (the operator and adaptive OMP's column norms), so
-        # the peak is taken from _los_beams, the first call after that step
-        # returns, against the realisation's entry level.  A data stage that
-        # allocated its buffers while the operator was held would peak above
-        # the two together.
+        # estimation step (the operator and adaptive OMP's column norms).
+        # That whole-realisation peak stays within the operator plus 313
+        # bytes per symbol vector, the bound it held while the data stage
+        # held three CSI sources' buffers at once, so the estimation step
+        # cannot grow into the room the data stage gave up.  The data
+        # stage's own peak is taken from _los_beams, the first call after
+        # the estimation step returns, against the realisation's entry
+        # level: a data stage that allocated its buffers while the operator
+        # was held would peak above the two together.
         cfg = replace(WIDE, snr_db=20.0)
         n_vec = -(-2 * 10**5 // (2 * cfg.n_pilot_subcarriers * 2))
         operator_bytes = measurement_operators(draw_ensemble(cfg, 0)).nbytes
         los_beams = simulate._los_beams
+        estimation_peak = []
 
         def data_stage_starts(*args):
+            estimation_peak.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.reset_peak()
             return los_beams(*args)
 
@@ -1037,9 +1043,14 @@ class TestBer:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert len(estimation_peak) == 1
+        whole = max(estimation_peak[0], peak)
+        assert whole < operator_bytes + 313 * n_vec, (
+            f"realisation peak {whole} bytes, operator {operator_bytes}"
+        )
         data_stage = self.DATA_STAGE_BYTES_PER_VEC * n_vec
         assert peak < operator_bytes + data_stage, (
-            f"peak {peak} bytes, operator {operator_bytes}, data stage {data_stage}"
+            f"data-stage peak {peak} bytes, operator {operator_bytes}, data stage {data_stage}"
         )
 
     def test_runs_where_oracle_ls_cannot(self):
