@@ -199,8 +199,8 @@ def as_operator(operators) -> KroneckerOperator:
 
     Any stack of matrices Phi_p is a KroneckerOperator with one slot per row,
     one chain per slot and one beam of value 1: left[t, p, 0] = Phi_p[t] and
-    right[t, p] = [1].  Random test ensembles and the theory module's
-    instances go through this path.
+    right[t, p] = [1].  Operators given as arrays, such as the tests'
+    random ensembles, go through this path.
     """
     if isinstance(operators, KroneckerOperator):
         return operators

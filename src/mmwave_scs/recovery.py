@@ -50,13 +50,14 @@ class EstimationResult(AngularChannelSet):
 
 
 def _index_union(*arrays) -> np.ndarray:
-    """Sorted, de-duplicated union of integer index arrays (flattened), as np.intp.
+    """Sorted, de-duplicated union of integer index arrays (flattened), as np.intp;
+    empty for no arrays.
 
     np.union1d and np.unique give the same values, but in numpy 2.4 their
     masked-array check imports numpy.ma on first use.  Supports are small
     (hundreds of indices at most), where Python's set is the cheap route.
     """
-    merged = np.concatenate(arrays, axis=None).tolist()
+    merged = np.concatenate(arrays, axis=None).tolist() if arrays else []
     return np.array(sorted(set(merged)), dtype=np.intp)
 
 
@@ -150,7 +151,6 @@ def ssamp(received, operators, p_th: float) -> EstimationResult:
     # Last saved stage estimate, returned when the loop quits.
     saved_support = support
     saved_coefs = np.zeros((n_pilots, 0), dtype=np.complex128)
-    saved_sparsity = 0
     saved_residual_energy = np.inf
     # Joint proxy energy of `residuals`, recomputed only when they change.
     proxy_energy = np.empty(dim)
@@ -190,7 +190,7 @@ def ssamp(received, operators, p_th: float) -> EstimationResult:
         if residual_energy <= res_energy:
             # Stage exhausted: keep its estimate and try a larger sparsity.
             saved_support, saved_coefs = omega, coefs
-            saved_sparsity, saved_residual_energy = sparsity, res_energy
+            saved_residual_energy = res_energy
             sparsity += 1
         else:
             support, support_coefs = omega, coefs
@@ -201,7 +201,7 @@ def ssamp(received, operators, p_th: float) -> EstimationResult:
         coefficients=saved_coefs,
         support=saved_support.copy(),
         iterations=passes,
-        stages=saved_sparsity,
+        stages=sparsity - 1,  # the last saved stage's sparsity
         termination_reason=reason,
     )
 
@@ -225,14 +225,12 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     col_norms = op.column_norms()
     col_norms[col_norms == 0] = np.inf
     block_rows = np.arange(op.block)[:, None]
-    picked = np.zeros(dim, dtype=bool)
     res_energy = np.sum(np.abs(r) ** 2, axis=1)
     # The subcarriers still picking, with their data, picks and residuals.
     active = np.flatnonzero(res_energy > residual_threshold)
     r_act = r[active]
     picks = np.zeros((active.size, 0), dtype=int)
     residual = r_act
-    total_picks = 0
     finished = []  # (subcarriers, their sorted supports, their coefficients)
     while active.size:
         best = np.empty(active.size, dtype=int)
@@ -247,14 +245,12 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
         coefs = _fit(cols, r_act)
         residual = _residual(r_act, cols, coefs)
         res_energy[active] = np.sum(np.abs(residual) ** 2, axis=1)
-        total_picks += active.size
         done = (res_energy[active] <= residual_threshold) | (picks.shape[1] == rows)
         if done.any():
             finished.append((active[done], support[done], coefs[done]))
-            picked[support[done]] = True
             keep = ~done
             active, picks, residual, r_act = active[keep], picks[keep], residual[keep], r_act[keep]
-    union = np.flatnonzero(picked)
+    union = _index_union(*(support for _, support, _ in finished))
     # Each subcarrier's coefficients on the union, exactly zero on the
     # columns it did not pick.
     coefficients = np.zeros((n_pilots, union.size), dtype=np.complex128)
@@ -264,7 +260,7 @@ def adaptive_omp(received, operators, residual_threshold: float) -> EstimationRe
     return EstimationResult(
         coefficients=coefficients,
         support=union,
-        iterations=total_picks,
+        iterations=sum(support.size for _, support, _ in finished),
         stages=int(union.size),
         termination_reason=TERM_THRESHOLD if all_below else TERM_MAXITER,
     )

@@ -6,10 +6,13 @@ the operator factors built with dense DFT matrices.
 
 The desk geometry (2 BSs x 2 paths on a 16x4 grid, 8 subcarriers, all
 carrying pilots) keeps one full trial in the millisecond range so the
-Monte-Carlo tests stay fast.
+Monte-Carlo tests stay fast.  The benchmark's points are read from
+perfbench/, not copied.
 """
 
+import importlib.util
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
@@ -33,11 +36,21 @@ DESK_EXACT = SystemConfig(
 )
 DESK_SNR20 = replace(DESK_EXACT, n_slots=6, snr_db=20.0)
 DESK_SNR10 = replace(DESK_SNR20, snr_db=10.0)
+
+
+def perfbench_module(name):
+    """perfbench/<name>.py, loaded from its file: perfbench/ is not a package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+WORKLOADS = perfbench_module("workloads").WORKLOADS
 # The near-published point of the benchmark's trial-wide workload: dim 16,384.
-WIDE = SystemConfig(
-    n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2, n_subcarriers=16,
-    n_pilot_subcarriers=8, n_slots=12, max_delay_s=25e-9,
-)
+_TRIAL_WIDE = WORKLOADS["trial-wide"]
+WIDE = SystemConfig(**_TRIAL_WIDE.config, n_slots=_TRIAL_WIDE.slots[0])
 
 
 def synth(config, chan_seed, ens_seed, noise_seed):

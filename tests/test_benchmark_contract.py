@@ -5,29 +5,16 @@ simulate module with a timing wrapper, looking each one up with getattr.  A
 change in src/ that drops one of those names from simulate makes every traced
 benchmark run fail, so this test fails first.  A traced trial must also still
 reach every layer the benchmark reports and return what the tracer reads its
-counts from.  The tracer is loaded from its file, as the benchmark loads it,
-and is not edited.
+counts from.  The tracer is loaded from its file and is not edited.
 """
-
-import importlib.util
-from pathlib import Path
 
 from mmwave_scs import simulate
 
-from conftest import DESK_SNR20
-
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-
-
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import DESK_SNR20, perfbench_module
 
 
 def test_every_traced_name_is_a_simulate_attribute():
-    layer_of = _load_tracing().LAYER_OF
+    layer_of = perfbench_module("tracing").LAYER_OF
     assert layer_of
     missing = sorted(name for name in layer_of if not hasattr(simulate, name))
     assert not missing, f"perfbench traces names simulate no longer has: {missing}"
@@ -44,7 +31,7 @@ TRIAL_PATH = (
 
 
 def test_traced_trial_records_every_layer_and_count():
-    tracer = _load_tracing().Tracer()
+    tracer = perfbench_module("tracing").Tracer()
     tracer.install(simulate)
     try:
         simulate.run_trial(DESK_SNR20, 3000)

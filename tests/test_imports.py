@@ -7,12 +7,9 @@ import pytest
 
 import mmwave_scs
 
-PACKAGE = Path(mmwave_scs.__file__).parent
+from conftest import perfbench_module
 
-# simulate imports these for perfbench's tracer, which wraps them by name
-# (perfbench/tracing.py's LAYER_OF); nothing in src/ calls them.
-KEPT_FOR_TRACER = {("simulate", "dft_pair"), ("simulate", "grid_steering_vector"),
-                   ("simulate", "inverse_angular_transform")}
+PACKAGE = Path(mmwave_scs.__file__).parent
 
 
 def unread_imports(source: str) -> list:
@@ -38,5 +35,8 @@ def test_finds_an_unread_import():
     "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"}), ids=lambda path: path.stem
 )
 def test_every_import_is_read(path):
+    # simulate may import a name only for perfbench's tracer, which wraps the
+    # names of its LAYER_OF table in simulate by name.
+    kept_for_tracer = perfbench_module("tracing").LAYER_OF if path.stem == "simulate" else {}
     unread = unread_imports(path.read_text())
-    assert [name for name in unread if (path.stem, name) not in KEPT_FOR_TRACER] == []
+    assert [name for name in unread if name not in kept_for_tracer] == []

@@ -335,7 +335,8 @@ class TestAdaptiveOmp:
         rng = np.random.default_rng(8)
         phis = rng.standard_normal((2, 4, 8)) + 0j
         result = adaptive_omp(np.zeros((2, 4)), phis, 1e-12)
-        assert result.support.size == 0
+        assert result.support.size == 0 and result.support.dtype == np.intp
+        assert result.iterations == 0
         assert not result.at(np.arange(8)).any()
 
     def test_support_is_per_subcarrier_union(self):

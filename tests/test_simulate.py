@@ -48,7 +48,7 @@ from mmwave_scs.simulate import (
 from conftest import (
     DESK_EXACT,
     DESK_SNR20,
-    WIDE,
+    WORKLOADS,
     effective_channels,
     exact_ber,
     per_bs_matrices,
@@ -997,13 +997,15 @@ class TestBer:
 
     def test_realisation_memory_is_the_data_stage_buffers(self):
         # The ber-long shared-bin realisation (seed 1, realisation 2 at 30
-        # dB) with ber-long's n_vec = 7,813.  Its estimation step peaks
-        # near 1.0 MB, below the 1.26 MB of data-stage buffers; beside them
-        # the realisation holds 0.14-0.15 MB (channel, estimates, ZF,
+        # dB) at the benchmark's ber-long call size: n_vec = 7,813 at 10^6
+        # symbols over 4 realisations.  Its estimation step peaks near 1.0
+        # MB, below the 1.26 MB of data-stage buffers; beside them the
+        # realisation holds 0.14-0.15 MB (channel, estimates, ZF,
         # bitwise_count and ufunc casting scratch).
-        cfg = replace(SystemConfig(), snr_db=30.0)
-        n_vec = -(-10**6 // (4 * cfg.n_pilot_subcarriers * 2))
-        assert n_vec == 7813
+        ber_long = WORKLOADS["ber-long"]
+        cfg = SystemConfig(**ber_long.config, n_slots=ber_long.slots[0], snr_db=30.0)
+        n_vec = -(-ber_long.n_symbols
+                  // (ber_long.n_realizations * cfg.n_pilot_subcarriers * 2))
         tracemalloc.start()
         try:
             simulate._ber_errors(cfg, 1, 2, 2, n_vec)
@@ -1014,9 +1016,9 @@ class TestBer:
         assert peak < data_stage + 2**18, f"peak {peak} bytes, data stage {data_stage}"
 
     def test_wide_realisation_frees_the_operator_before_the_data_stage(self, monkeypatch):
-        # The trial-wide BER panel point: 2 * 10^5 symbols over 2
-        # realisations, n_vec = 6,250.  The realisation's peak is set by its
-        # estimation step (the operator and adaptive OMP's column norms).
+        # The benchmark's trial-wide BER panel point: 2 * 10^5 symbols over
+        # 2 realisations, n_vec = 6,250.  The realisation's peak is set by
+        # its estimation step (the operator and adaptive OMP's column norms).
         # That whole-realisation peak stays within the operator plus 313
         # bytes per symbol vector, the bound it held while the data stage
         # held three CSI sources' buffers at once, so the estimation step
@@ -1025,8 +1027,10 @@ class TestBer:
         # the estimation step returns, against the realisation's entry
         # level: a data stage that allocated its buffers while the operator
         # was held would peak above the two together.
-        cfg = replace(WIDE, snr_db=20.0)
-        n_vec = -(-2 * 10**5 // (2 * cfg.n_pilot_subcarriers * 2))
+        panel = WORKLOADS["trial-wide"]
+        cfg = SystemConfig(**panel.config, n_slots=panel.slots[-1], snr_db=20.0)
+        n_vec = -(-panel.ber_panel_symbols
+                  // (panel.ber_panel_realizations * cfg.n_pilot_subcarriers * 2))
         operator_bytes = measurement_operators(draw_ensemble(cfg, 0)).nbytes
         los_beams = simulate._los_beams
         estimation_peak = []

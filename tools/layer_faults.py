@@ -5,10 +5,10 @@
 
 Runs perfbench's sequence for one workload in this process: the fixed set-up
 call, the quality panel, then --trials calls of the timed loop on the call
-seeds drawn from --seed.  During those calls every name that perfbench's
-tracer wraps in `simulate` (tracing.LAYER_OF: the functions it imported from
-channel, pilots and recovery, and its entry points) is wrapped again here,
-to count minor page faults (resource.getrusage) and wall time.  The table
+seeds drawn from --seed.  During those calls perfbench's tracer wraps every
+name of tracing.LAYER_OF in `simulate` (the functions it imported from
+channel, pilots and recovery, and its entry points), with a span that counts
+minor page faults (resource.getrusage) and wall time.  The table
 gives each layer's own share per trial, its children's excluded, so
 `run_trial` or `ber_experiment` is the entry point's own lines.  The last
 rows give the loop as a whole: the calls' total and the whole process,
@@ -37,7 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from tracing import LAYER_OF  # noqa: E402
+from tracing import Tracer  # noqa: E402
 from workloads import WORKLOADS, call, first_call, op_seeds, quality_panel  # noqa: E402
 
 
@@ -45,47 +45,33 @@ def _usage():
     return resource.getrusage(resource.RUSAGE_SELF)
 
 
-class LayerCounter:
+class LayerCounter(Tracer):
     """Self faults, self seconds and calls per wrapped name."""
 
     def __init__(self):
+        super().__init__()
         self.totals = defaultdict(lambda: [0, 0.0, 0])
         self._children = []  # per open call: [faults, seconds] of its children
-        self._saved = {}
 
-    def _wrap(self, name, fn):
-        def counted(*args, **kwargs):
-            self._children.append([0, 0.0])
-            faults0, start = _usage().ru_minflt, time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                faults = _usage().ru_minflt - faults0
-                seconds = time.perf_counter() - start
-                child_faults, child_seconds = self._children.pop()
-                entry = self.totals[name]
-                entry[0] += faults - child_faults
-                entry[1] += seconds - child_seconds
-                entry[2] += 1
-                if self._children:
-                    self._children[-1][0] += faults
-                    self._children[-1][1] += seconds
-
-        return counted
-
-    def install(self, module):
-        for name in LAYER_OF:
-            if hasattr(module, name):
-                self._saved[name] = getattr(module, name)
-                setattr(module, name, self._wrap(name, self._saved[name]))
-
-    def uninstall(self, module):
-        for name, fn in self._saved.items():
-            setattr(module, name, fn)
-        self._saved = {}
+    def span(self, name, fn, *args, **kwargs):
+        self._children.append([0, 0.0])
+        faults0, start = _usage().ru_minflt, time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            faults = _usage().ru_minflt - faults0
+            seconds = time.perf_counter() - start
+            child_faults, child_seconds = self._children.pop()
+            entry = self.totals[name]
+            entry[0] += faults - child_faults
+            entry[1] += seconds - child_seconds
+            entry[2] += 1
+            if self._children:
+                self._children[-1][0] += faults
+                self._children[-1][1] += seconds
 
 
-class PeakCounter(LayerCounter):
+class PeakCounter(Tracer):
     """Largest traced allocation above entry level per wrapped name, over
     its calls; a call's peak includes its children's."""
 
@@ -94,25 +80,22 @@ class PeakCounter(LayerCounter):
         self.peaks = defaultdict(int)
         self._open = []  # per open call: [entry level, highest peak seen]
 
-    def _wrap(self, name, fn):
-        def measured(*args, **kwargs):
-            level, peak = tracemalloc.get_traced_memory()
+    def span(self, name, fn, *args, **kwargs):
+        level, peak = tracemalloc.get_traced_memory()
+        if self._open:
+            # The reset below drops the caller's peak so far: keep it.
+            self._open[-1][1] = max(self._open[-1][1], peak)
+        self._open.append([level, 0])
+        tracemalloc.reset_peak()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            entry, seen = self._open.pop()
+            # The traced peak still counts from this call's entry.
+            peak = max(seen, tracemalloc.get_traced_memory()[1])
+            self.peaks[name] = max(self.peaks[name], peak - entry)
             if self._open:
-                # The reset below drops the caller's peak so far: keep it.
                 self._open[-1][1] = max(self._open[-1][1], peak)
-            self._open.append([level, 0])
-            tracemalloc.reset_peak()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                entry, seen = self._open.pop()
-                # The traced peak still counts from this call's entry.
-                peak = max(seen, tracemalloc.get_traced_memory()[1])
-                self.peaks[name] = max(self.peaks[name], peak - entry)
-                if self._open:
-                    self._open[-1][1] = max(self._open[-1][1], peak)
-
-        return measured
 
 
 def main(argv=None) -> int:

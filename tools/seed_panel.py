@@ -1,18 +1,19 @@
 """Fixed seed panel.  `PYTHONPATH=src python3 tools/seed_panel.py dump OUT.json`
 runs run_trial on DESK_SNR20 seeds 3000-3199, DESK_SNR10 seeds 0-49,
-SystemConfig(n_slots=G) for G = 9/12/16 seeds 0-39 and the perfbench trial-wide
-point seeds 0-3, keeping per estimator every EstimatorMetrics field but the
-wall time (NMSE, precision and recall as float hex), plus five
-ber_experiment tables at 10/20/30 dB: desk scale (10^4 symbols, 2
-realisations); SystemConfig(), the geometry of the
-perfbench ber-long workload (10^5 symbols, 1 realisation); a ber-long-sized
-call at SystemConfig(n_slots=16) (10^6 symbols, 4 realisations), whose
-realisations after the first two are shared with a forked child process
-on a multi-core host; the ber-long call with seed 1 (SystemConfig(), 10^6 symbols, 4
-realisations), whose realisation 2 at 30 dB serves both LOS streams from
-AoA bin 7, so both streams see the same noise (simulate._noise_root); and,
-at 20 dB only, the perfbench trial-wide BER point (G = 12, 2*10^5 symbols,
-2 realisations).  Then the sweep(SystemConfig(), "slots",
+SystemConfig(n_slots=G) for the perfbench trial-default G = 9/12/16 seeds
+0-39 and the perfbench trial-wide point seeds 0-3, keeping per estimator
+every EstimatorMetrics field but the wall time (NMSE, precision and recall
+as float hex), plus five ber_experiment tables at 10/20/30 dB: desk scale
+(10^4 symbols, 2 realisations); SystemConfig(), the geometry of the
+perfbench ber-long workload (10^5 symbols, 1 realisation); the ber-long
+call with seed 0 (SystemConfig(n_slots=16), 10^6 symbols, 4
+realisations), whose realisations after the first two are shared with a
+forked child process on a multi-core host; the ber-long call with seed 1,
+whose realisation 2 at 30 dB serves both LOS streams from AoA bin 7, so
+both streams see the same noise (simulate._noise_root); and, at 20 dB
+only, the perfbench trial-wide BER point (G = 12, 2*10^5 symbols, 2
+realisations).  The perfbench points are read from
+perfbench/workloads.py.  Then the sweep(SystemConfig(), "slots",
 [9, 12, 16], 40, 0) table (whose trials are shared with a forked child
 process on a multi-core host), and every field of the run_certificate_battery(20, 0)
 records.  `compare A.json B.json` prints every changed field of every
@@ -32,6 +33,7 @@ import math
 import sys
 from dataclasses import asdict
 from itertools import zip_longest
+from pathlib import Path
 
 # The EstimatorMetrics fields a trial record keeps, in order; the floats are
 # stored as float hex so that they round-trip exactly.
@@ -45,14 +47,18 @@ def dump(path):
     from mmwave_scs.simulate import sweep
     from mmwave_scs.theory import run_certificate_battery
 
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS, call, system_config
+
     desk = dict(n_ant_bs=16, n_ant_user=4, n_paths=2, n_subcarriers=8,
                 n_pilot_subcarriers=8, n_slots=6, max_delay_s=25e-9)
-    wide = dict(n_bs=4, n_ant_bs=256, n_ant_user=16, n_paths=2, n_subcarriers=16,
-                n_pilot_subcarriers=8, n_slots=12, max_delay_s=25e-9)
+    default, wide, ber_long = (WORKLOADS[name]
+                               for name in ("trial-default", "trial-wide", "ber-long"))
     panel = [("desk20", SystemConfig(**desk), range(3000, 3200)),
              ("desk10", SystemConfig(**desk, snr_db=10.0), range(50)),
-             *((f"default-G{g}", SystemConfig(n_slots=g), range(40)) for g in (9, 12, 16)),
-             ("wide", SystemConfig(**wide), range(4))]
+             *((f"default-G{g}", system_config(default, n_slots=g), range(40))
+               for g in default.slots),
+             ("wide", system_config(wide, n_slots=wide.slots[0]), range(4))]
     trials = {}
     for name, config, seeds in panel:
         for seed in seeds:
@@ -61,16 +67,16 @@ def dump(path):
                       for f, v in asdict(m).items() if f in FIELDS}
                 for est, m in run_trial(config, seed).metrics.items()
             }
-    snrs = [10.0, 20.0, 30.0]
+    snrs = list(ber_long.snrs)
+    long_config = system_config(ber_long, n_slots=ber_long.slots[0])
     tables = {"desk": ber_experiment(SystemConfig(**desk), snrs, 10**4, 0, n_realizations=2),
-              "default": ber_experiment(SystemConfig(), snrs, 10**5, 0, n_realizations=1),
-              "ber-long": ber_experiment(SystemConfig(n_slots=16), snrs, 10**6, 0,
-                                         n_realizations=4),
-              "shared-bin": ber_experiment(SystemConfig(), snrs, 10**6, 1, n_realizations=4),
-              "wide": ber_experiment(SystemConfig(**wide), [20.0], 2 * 10**5, 0,
-                                     n_realizations=2)}
+              "default": ber_experiment(long_config, snrs, 10**5, 0, n_realizations=1),
+              "ber-long": call(ber_long, 0, 0)[0],
+              "shared-bin": call(ber_long, 0, 1)[0],
+              "wide": ber_experiment(system_config(wide, n_slots=wide.slots[-1]), [20.0],
+                                     wide.ber_panel_symbols, 0, wide.ber_panel_realizations)}
     ber = {name: [list(row) for row in table.rows] for name, table in tables.items()}
-    rows = [list(row) for row in sweep(SystemConfig(), "slots", [9, 12, 16], 40, 0).rows]
+    rows = [list(row) for row in sweep(SystemConfig(), "slots", list(default.slots), 40, 0).rows]
     certificates = [asdict(record) for record in run_certificate_battery(20, 0)]
     with open(path, "w") as handle:
         json.dump({"trials": trials, "ber": ber, "sweep": rows, "certificates": certificates},
