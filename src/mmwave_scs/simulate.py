@@ -435,16 +435,12 @@ _BYTE_PAIRS = (np.arange(256, dtype=np.uint8)[:, None] >> np.array([6, 4, 2, 0],
 _BYTE_SYMBOLS = _PAIR_LEVELS[_BYTE_PAIRS].view(complex)
 
 
-def qam16_modulate(bits) -> np.ndarray:
-    """Map bits (0s and 1s, length divisible by 4) to Gray-coded unit-energy 16-QAM."""
-    b = np.asarray(bits)
-    if b.size % 4:
-        raise ValueError(f"bit count must be a multiple of 4, got {b.size}")
-    if b.size and (b.min() < 0 or b.max() > 1):
-        raise ValueError(f"bits must be 0 or 1, got values in [{b.min()}, {b.max()}]")
-    # packbits zero-pads a trailing half byte; its symbol is dropped.
-    payload = np.packbits(b.astype(np.uint8, copy=False))
-    return _BYTE_SYMBOLS[payload].ravel()[: b.size // 4]
+def qam16_modulate(payload, out) -> np.ndarray:
+    """Write the two Gray-coded unit-energy 16-QAM symbols of each byte of
+    the uint8 array payload into the complex array out, shape
+    (payload.size, 2), and return it (_BYTE_SYMBOLS)."""
+    # Bytes are always in range; "clip" writes out unbuffered.
+    return np.take(_BYTE_SYMBOLS, payload, axis=0, out=out, mode="clip")
 
 
 def _flip_point(k: int) -> float:
@@ -470,10 +466,11 @@ def _flip_point(k: int) -> float:
 _FLIP_POINTS = [_flip_point(k) for k in range(3)]
 
 
-def _gray_pairs(x, pairs, flags) -> np.ndarray:
-    """Nearest-level decisions on the 1-D floats x as Gray bit pairs
-    2 b0 + b1, written to the uint8 array pairs and returned; flags is bool
-    scratch of shape (2, x.size).  Ties go to the lower level.
+def qam16_hard_bits(x, pairs, flags) -> np.ndarray:
+    """Nearest-level hard decisions on the 1-D floats x, the float parts of
+    received symbols, as Gray bit pairs 2 b0 + b1 (the inverse of
+    qam16_modulate), written to the uint8 array pairs and returned; flags
+    is bool scratch of shape (2, x.size).  Ties go to the lower level.
 
     Each float takes three comparisons with the flip points.  That is
     argmin's decision wherever |x| < 2^50; beyond, where rounding makes
@@ -489,14 +486,6 @@ def _gray_pairs(x, pairs, flags) -> np.ndarray:
     np.greater_equal(x, _FLIP_POINTS[2], out=c2)
     pairs |= np.not_equal(c, c2, out=c).view(np.uint8)
     return pairs
-
-
-def qam16_hard_bits(symbols) -> np.ndarray:
-    """Nearest-level hard decisions back to bits (uint8); inverse of
-    qam16_modulate.  Ties go to the lower level (see _gray_pairs)."""
-    x = np.ascontiguousarray(symbols, dtype=complex).ravel().view(np.float64)
-    pairs = _gray_pairs(x, np.empty(x.size, np.uint8), np.empty((2, x.size), bool))
-    return np.stack([pairs >> 1, pairs & 1], axis=1).ravel()
 
 
 def _los_beams(chan, config: SystemConfig):
@@ -571,9 +560,10 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
     spawn_key=(point, real)) alone, so it gives the same counts in any
     process and in any order.
 
-    On each subcarrier the payload bytes are drawn first, then the noise w
-    by Box-Muller from one uniform fill (_complex_noise); then each CSI
-    source's received symbols are formed and decided in turn, in buffers
+    On each subcarrier the payload bytes are drawn and modulated
+    (qam16_modulate) first, then the noise w by Box-Muller from one uniform
+    fill (_complex_noise); then each CSI source's received symbols are
+    formed and decided (qam16_hard_bits) in turn, in buffers
     shared by the sources and reused on every subcarrier.  w's angle is
     float32: that puts a relative error of about 1e-7 on a noise sample, far
     below what a hard 16-QAM decision can see, while the float64 radius
@@ -618,8 +608,8 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
     rng = np.random.default_rng(data_seed)
     for p in range(config.n_pilot_subcarriers):
         payload = rng.integers(0, 256, n_vec, dtype=np.uint8)
-        # Bytes are always in range; "clip" writes out unbuffered.
-        np.take(_BYTE_SYMBOLS, payload, axis=0, out=sym.reshape(n_vec, 2), mode="clip")
+        qam16_modulate(payload, sym.reshape(n_vec, 2))
+        # The sent pairs, "clip" as in qam16_modulate.
         np.take(_BYTE_PAIRS.view(np.uint32), payload, out=drawn, mode="clip")
         sigma_d2 = beta_true[p] ** 2 / snr_lin
         _complex_noise(rng, w, uniforms, trig)
@@ -630,7 +620,7 @@ def _ber_errors(config: SystemConfig, seed: int, point: int, real: int, n_vec: i
         for k, inv_beta in enumerate(inv_betas[:, p]):
             np.matmul(links[k, p], sym, out=rx)
             rx_parts += np.multiply(eta_parts, inv_beta, out=noise)
-            _gray_pairs(rx_parts.ravel(), decided, flags)
+            qam16_hard_bits(rx_parts.ravel(), decided, flags)
             np.bitwise_xor(decided_words, drawn, out=decided_words)
             errors[k] += np.bitwise_count(decided_words).sum(dtype=np.int64)
     return errors

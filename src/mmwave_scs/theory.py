@@ -90,7 +90,7 @@ def _numerical_rank(matrix: np.ndarray) -> int:
     if matrix.size == 0:
         return 0
     s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return 0
     return int(np.sum(s > RANK_REL_TOL * s[0]))
 

@@ -872,19 +872,19 @@ class TestBer:
         assert not zf[1].any() and betas[1] == 1.0
 
     def test_data_stage_matches_reference(self, monkeypatch):
-        # Calls of the patched _gray_pairs in a forked child would not come
+        # Calls of the patched qam16_hard_bits in a forked child would not come
         # back here, so one core keeps every realisation in this process, and
         # the count shows that every CSI source's subcarrier pass was
         # recorded.
         _set_cores(monkeypatch, 1)
         largest = []
-        decide = simulate._gray_pairs
+        hard_bits = simulate.qam16_hard_bits
 
         def recorded(x, *args):
             largest.append(np.abs(x).max())
-            return decide(x, *args)
+            return hard_bits(x, *args)
 
-        monkeypatch.setattr(simulate, "_gray_pairs", recorded)
+        monkeypatch.setattr(simulate, "qam16_hard_bits", recorded)
         snrs = [10.0, 20.0, 30.0]
         passes = 0
         for config, n_symbols, seed, n_realizations in [
@@ -1245,46 +1245,38 @@ class TestComplexNoise:
         np.testing.assert_allclose(np.abs(w), radius, rtol=1e-6)
 
 
+def modulate(payload):
+    """qam16_modulate of the uint8 payload into a fresh buffer, flattened."""
+    return qam16_modulate(payload, np.empty((payload.size, 2), dtype=complex)).ravel()
+
+
+def decide(symbols):
+    """qam16_hard_bits on the float parts of symbols in fresh buffers: a
+    Gray bit pair per part."""
+    x = np.ascontiguousarray(symbols, dtype=complex).ravel().view(np.float64)
+    return qam16_hard_bits(x, np.empty(x.size, np.uint8), np.empty((2, x.size), bool))
+
+
+def pairs_of(bits):
+    """Bits in (b0, b1) order as per-part Gray pairs 2 b0 + b1."""
+    return (2 * bits[0::2] + bits[1::2]).astype(np.uint8)
+
+
 class TestQam:
     def test_round_trip(self):
-        rng = np.random.default_rng(0)
-        # 4 (mod 8) bits leave a half byte, which the byte table pads.
-        for n_bits in (4000, 4, 12, 4004):
-            bits = rng.integers(0, 2, size=n_bits)
-            symbols = qam16_modulate(bits)
+        # Every byte, in order and shuffled: its two symbols are the
+        # reference mapping of its bits, most significant first, and they
+        # decide back to its four per-axis Gray pairs (_BYTE_PAIRS), in the
+        # order of the symbols' float parts.
+        ordered = np.arange(256, dtype=np.uint8)
+        for payload in (ordered, np.random.default_rng(0).permutation(ordered)):
+            bits = np.unpackbits(payload)
+            symbols = modulate(payload)
             np.testing.assert_array_equal(symbols, modulate_reference(bits))
-            np.testing.assert_array_equal(qam16_hard_bits(symbols), bits)
-        assert qam16_modulate([]).size == 0 and qam16_hard_bits([]).size == 0
-        # The byte tables: byte b's two symbols and its four per-axis Gray
-        # pairs 2 b0 + b1, in the order of the symbols' float parts.
-        bits = np.unpackbits(np.arange(256, dtype=np.uint8))
-        symbols = simulate._BYTE_SYMBOLS.ravel()
-        np.testing.assert_array_equal(symbols, qam16_modulate(bits))
-        np.testing.assert_array_equal(symbols, modulate_reference(bits))
-        pairs = (2 * bits[0::2] + bits[1::2]).astype(np.uint8)
-        np.testing.assert_array_equal(simulate._BYTE_PAIRS.ravel(), pairs)
-
-    def test_uint8_bits_match_int_bits(self):
-        bits = np.unpackbits(np.random.default_rng(1).integers(0, 256, 1000, dtype=np.uint8))
-        symbols = qam16_modulate(bits)
-        np.testing.assert_array_equal(symbols, qam16_modulate(bits.astype(int)))
-        np.testing.assert_array_equal(symbols, qam16_modulate(bits.tolist()))
-        np.testing.assert_array_equal(symbols, modulate_reference(bits.astype(int)))
-        with pytest.raises(ValueError, match=r"got values in \[0, 2\]"):
-            qam16_modulate(np.array([0, 2, 1, 0], dtype=np.uint8))
-
-    @pytest.mark.parametrize(
-        "bits, message",
-        [
-            ([0, 1, -1, 0], r"bits must be 0 or 1, got values in \[-1, 1\]"),
-            ([0, 2, 1, 0, 1, 1, 0, 0], r"bits must be 0 or 1, got values in \[0, 2\]"),
-            ([0, 1, 1, 0, 1], "bit count must be a multiple of 4, got 5"),
-        ],
-        ids=["minus-one", "two", "length-5"],
-    )
-    def test_modulate_rejects_bad_bits(self, bits, message):
-        with pytest.raises(ValueError, match=message):
-            qam16_modulate(bits)
+            pairs = decide(symbols)
+            np.testing.assert_array_equal(pairs, pairs_of(bits))
+            np.testing.assert_array_equal(pairs, simulate._BYTE_PAIRS[payload].ravel())
+        assert modulate(ordered[:0]).size == 0 and decide(modulate(ordered[:0])).size == 0
 
     def test_matches_argmin_reference(self):
         # argmin is the reference below 2^50 in magnitude; beyond, each part
@@ -1294,25 +1286,20 @@ class TestQam:
 
         def check(symbols):
             expected = contract_hard_bits(symbols)
-            decided = qam16_hard_bits(symbols)
-            np.testing.assert_array_equal(decided, expected)
-            # The data stage's pair decision and popcount error count.
-            x = symbols.view(np.float64)
-            pairs = simulate._gray_pairs(
-                x, np.empty(x.size, np.uint8), np.empty((2, x.size), bool)
-            )
-            np.testing.assert_array_equal(pairs, 2 * expected[0::2] + expected[1::2])
-            drawn = drawn_rng.integers(0, 4, x.size, dtype=np.uint8)
+            pairs = decide(symbols)
+            np.testing.assert_array_equal(pairs, pairs_of(expected))
+            # The data stage's popcount error count.
+            drawn = drawn_rng.integers(0, 4, pairs.size, dtype=np.uint8)
             drawn_bits = np.stack([drawn >> 1, drawn & 1], axis=1).ravel()
             errors = int(np.bitwise_count(pairs ^ drawn).sum())
             assert errors == np.count_nonzero(expected != drawn_bits)
             # An appended +-inf, NaN or 1e17 part leaves every other
             # decision unchanged.
             for extra in out_of_range:
-                appended = qam16_hard_bits(np.append(symbols, extra))
-                np.testing.assert_array_equal(appended[: decided.size], decided)
+                appended = decide(np.append(symbols, extra))
+                np.testing.assert_array_equal(appended[: pairs.size], pairs)
                 np.testing.assert_array_equal(
-                    appended[decided.size :], contract_hard_bits([extra])
+                    appended[pairs.size :], pairs_of(contract_hard_bits([extra]))
                 )
 
         # Random draws at every decade from 1e-300 to 1e300, and densely
@@ -1348,20 +1335,17 @@ class TestQam:
             check(np.array([value]))
 
     def test_unit_energy(self):
-        all_bits = np.array(
-            [[b >> 3 & 1, b >> 2 & 1, b >> 1 & 1, b & 1] for b in range(16)]
-        ).ravel()
-        symbols = qam16_modulate(all_bits)
-        assert symbols.size == 16
-        assert len(set(np.round(symbols, 9).tolist())) == 16
+        # The 512 symbols of the 256 bytes take each of the 16 points 32
+        # times.
+        symbols = modulate(np.arange(256, dtype=np.uint8))
+        points, counts = np.unique(np.round(symbols, 9), return_counts=True)
+        assert points.size == 16 and set(counts.tolist()) == {32}
         assert np.mean(np.abs(symbols) ** 2) == pytest.approx(1.0)
 
     def test_gray_neighbours_differ_by_one_bit(self):
         # adjacent levels on either axis decode to bit pairs at Hamming
         # distance 1, the whole point of the Gray mapping
-        axis_bits = []
-        for level in np.array([-3.0, -1.0, 1.0, 3.0]) / np.sqrt(10.0):
-            decoded = qam16_hard_bits(np.array([level + 1j * level]))
-            axis_bits.append((decoded[0], decoded[1]))
-        for a, b in zip(axis_bits, axis_bits[1:]):
-            assert sum(x != y for x, y in zip(a, b)) == 1
+        pairs = decide(LEVELS + 1j * LEVELS)
+        np.testing.assert_array_equal(pairs[0::2], pairs[1::2])
+        axis = pairs[0::2]
+        assert np.bitwise_count(axis[:-1] ^ axis[1:]).tolist() == [1, 1, 1]

@@ -7,7 +7,8 @@ Runs perfbench's sequence for one workload in this process: the fixed set-up
 call, the quality panel, then --trials calls of the timed loop on the call
 seeds drawn from --seed.  During those calls perfbench's tracer wraps every
 name of tracing.LAYER_OF in `simulate` (the functions it imported from
-channel, pilots and recovery, and its entry points), with a span that counts
+channel, pilots and recovery, its 16-QAM modem `qam16_modulate` and
+`qam16_hard_bits`, and its entry points), with a span that counts
 minor page faults (resource.getrusage) and wall time.  The table
 gives each layer's own share per trial, its children's excluded, so
 `run_trial` or `ber_experiment` is the entry point's own lines.  The last
